@@ -3,17 +3,23 @@
 // kernel on "device" memory through one of the programming-model dialects
 // (mini-CUDA, mini-HIP, mini-SYCL, or mini-Kokkos with any backend),
 // mirroring how HARVEY's CUDA kernels were ported to each model in the
-// paper.  All dialects produce bit-identical physics; they differ in API
-// mechanics and, on real hardware, in performance (modeled by hemo::sim).
+// paper.  All dialects produce bit-identical physics; they differ in launch
+// mechanics (hal/launch.hpp) and, on real hardware, in performance
+// (modeled by hemo::sim).  Every dialect lowers onto the same
+// DeviceEngine, so the arrays are plain engine allocations and the step is
+// the shared lbm::StepEngine launched through the chosen model.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "hal/device.hpp"
 #include "hal/model.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/solver.hpp"
 #include "lbm/sparse_lattice.hpp"
+#include "lbm/step_engine.hpp"
 
 namespace hemo::harvey {
 
@@ -31,7 +37,7 @@ class DeviceSolver {
 
   hal::Model model() const { return model_; }
   PointIndex size() const { return lattice_->size(); }
-  std::int64_t step_count() const { return steps_done_; }
+  std::int64_t step_count() const { return engine_.steps_done(); }
   const lbm::SparseLattice& lattice() const { return *lattice_; }
 
   /// Copies the current post-collision distributions back to the host
@@ -45,9 +51,7 @@ class DeviceSolver {
   /// every AA slot, so only the live view sees all the state a later
   /// kernel step may consume.
   std::vector<double> live_distributions() const;
-  lbm::LiveLayout live_layout() const {
-    return lbm::live_layout_of(options_.propagation, steps_done_);
-  }
+  lbm::LiveLayout live_layout() const { return engine_.live_layout(); }
 
   /// Tile digests of the live device state (see lbm/tile_probe.hpp).
   std::vector<lbm::TileDigest> tile_digests(std::int64_t tile_points) const;
@@ -55,17 +59,22 @@ class DeviceSolver {
   lbm::Moments moments(PointIndex i) const;
   double total_mass() const;
 
-  /// Dialect-specific backend state; public only so the per-dialect
-  /// implementations in the .cpp can derive from it.
-  struct Impl;
-
  private:
+  struct DeviceFree {
+    void operator()(void* p) const {
+      hal::DeviceEngine::instance().deallocate(p);
+    }
+  };
+  using DeviceArray = std::unique_ptr<void, DeviceFree>;
+
+  static DeviceArray allocate(std::size_t bytes, const void* upload);
+
   std::shared_ptr<const lbm::SparseLattice> lattice_;
   lbm::SolverOptions options_;
   hal::Model model_;
-  std::unique_ptr<Impl> impl_;
-  std::int64_t steps_done_ = 0;
   bool owns_kokkos_runtime_ = false;
+  DeviceArray f_a_, f_b_, adjacency_, node_type_;
+  lbm::StepEngine engine_;
 };
 
 }  // namespace hemo::harvey

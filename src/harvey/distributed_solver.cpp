@@ -12,30 +12,13 @@
 #include "analysis/lattice_check.hpp"
 #include "base/contracts.hpp"
 #include "base/rng.hpp"
-#include "hal/cudax.hpp"
-#include "hal/hipx.hpp"
-#include "hal/kokkosx.hpp"
-#include "hal/syclx.hpp"
+#include "hal/launch.hpp"
 #include "io/blob.hpp"
+#include "lbm/checkpoint.hpp"
 
 namespace hemo::harvey {
 
 namespace {
-
-// Checkpoint blob format: "HEMODCKP" v1.  Record 0 is the metadata, then
-// one record per rank carrying its full distribution array (owned + ghost
-// slots), so a restore reproduces the stepping bit-for-bit.
-constexpr std::uint64_t kCkptMagic = 0x48454D4F44434B50ull;  // "HEMODCKP"
-constexpr std::uint32_t kCkptVersion = 1;
-constexpr std::uint32_t kMetaTag = 0;
-constexpr std::uint32_t kRankTagBase = 1;
-
-struct CkptMeta {
-  std::int64_t step = 0;
-  std::int64_t global_size = 0;
-  std::int32_t n_ranks = 0;
-  std::int32_t q = 0;
-};
 
 /// Validates the CRC frame word a resilient sender appended to a halo
 /// payload.  The frame is a crc32 of the data bytes stored as a double
@@ -68,6 +51,7 @@ DistributedSolver::DistributedSolver(
   HEMO_EXPECTS(partition_.owner.size() ==
                static_cast<std::size_t>(global_->size()));
   HEMO_EXPECTS(options_.tau > 0.5);
+  HEMO_EXPECTS(options_.propagation == lbm::Propagation::kPullSoA);
 
   alive_.assign(static_cast<std::size_t>(partition_.n_ranks), 1);
   build_decomposition();
@@ -143,15 +127,11 @@ void DistributedSolver::build_decomposition() {
     rs.f_a.resize(static_cast<std::size_t>(lbm::kQ) *
                   static_cast<std::size_t>(rs.local));
     rs.f_b.resize(rs.f_a.size());
-    const Vec3& u0 = options_.initial_velocity;
-    for (int q = 0; q < lbm::kQ; ++q) {
-      const double feq =
-          lbm::equilibrium(q, options_.initial_density, u0.x, u0.y, u0.z);
-      std::fill_n(rs.f_a.begin() + static_cast<std::ptrdiff_t>(q) * rs.local,
-                  rs.local, feq);
-    }
-    rs.current = rs.f_a.data();
-    rs.next = rs.f_b.data();
+    rs.engine = lbm::StepEngine(
+        options_.propagation,
+        {rs.f_a.data(), rs.f_b.data(), rs.adjacency.data(),
+         rs.node_type.data(), rs.owned, rs.local});
+    rs.engine.fill_equilibrium(options_, model_);
   }
 
   // Exchange lists, built centrally in deterministic (dst, local, q) order.
@@ -178,22 +158,6 @@ void DistributedSolver::build_decomposition() {
   for (auto& [key, e] : pairs) exchanges_.push_back(std::move(e));
 }
 
-lbm::KernelArgs DistributedSolver::rank_args(RankState& rs) const {
-  lbm::KernelArgs a;
-  a.f_in = rs.current;
-  a.f_out = rs.next;
-  a.adjacency = rs.adjacency.data();
-  a.node_type = rs.node_type.data();
-  a.n = rs.local;  // SoA stride spans owned + ghost slots
-  a.omega = 1.0 / options_.tau;
-  a.force_x = options_.body_force.x;
-  a.force_y = options_.body_force.y;
-  a.force_z = options_.body_force.z;
-  a.inlet_velocity = options_.inlet_velocity;
-  a.outlet_density = options_.outlet_density;
-  return a;
-}
-
 void DistributedSolver::set_network(std::unique_ptr<comm::Network> network) {
   HEMO_EXPECTS(network != nullptr);
   HEMO_EXPECTS(network->n_ranks() == partition_.n_ranks);
@@ -215,9 +179,9 @@ void DistributedSolver::exchange_halos() {
     const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
     std::vector<double> payload(e.q.size());
     for (std::size_t k = 0; k < e.q.size(); ++k)
-      payload[k] = src.current[static_cast<std::size_t>(e.q[k]) *
-                                   static_cast<std::size_t>(src.local) +
-                               static_cast<std::size_t>(e.src_local[k])];
+      payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
+                                     static_cast<std::size_t>(src.local) +
+                                 static_cast<std::size_t>(e.src_local[k])];
     network_->send(e.src, e.dst, std::move(payload));
   }
   for (const Exchange& e : exchanges_) {
@@ -225,93 +189,21 @@ void DistributedSolver::exchange_halos() {
     const std::vector<double> payload =
         network_->receive(e.dst, e.src, e.q.size());
     for (std::size_t k = 0; k < e.q.size(); ++k)
-      dst.current[static_cast<std::size_t>(e.q[k]) *
-                      static_cast<std::size_t>(dst.local) +
-                  static_cast<std::size_t>(e.dst_local[k])] = payload[k];
+      dst.current()[static_cast<std::size_t>(e.q[k]) *
+                        static_cast<std::size_t>(dst.local) +
+                    static_cast<std::size_t>(e.dst_local[k])] = payload[k];
   }
   HEMO_ASSERT(network_->drained());
 }
 
 void DistributedSolver::set_execution_model(hal::Model model) {
-  namespace kx = hal::kokkosx;
-  if (hal::is_kokkos(model)) {
-    const hal::Backend backend = hal::backend_of(model);
-    if (!kx::is_initialized()) {
-      kx::initialize(backend);
-      owns_kokkos_runtime_ = true;
-    } else {
-      HEMO_EXPECTS(kx::current_backend() == backend);
-    }
-  }
+  if (hal::acquire_kokkos_runtime(model)) owns_kokkos_runtime_ = true;
   model_ = model;
 }
 
-void DistributedSolver::execute_rank_kernel(RankState& rs) {
-  if (rs.owned == 0) return;  // dead rank post-shrink: nothing to launch
-  const lbm::KernelArgs a = rank_args(rs);
-  const std::int64_t owned = rs.owned;
-  auto body = [a, owned](std::int64_t i) {
-    if (i >= owned) return;  // dialect grids round up to block multiples
-    lbm::stream_collide_point(a, i);
-  };
-
-  if (!model_.has_value()) {
-    for (std::int64_t i = 0; i < owned; ++i) lbm::stream_collide_point(a, i);
-    return;
-  }
-  switch (hal::backend_of(*model_)) {
-    case hal::Backend::kCuda:
-    case hal::Backend::kOpenAcc: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
-                                   body);
-      } else {
-        const unsigned block = 256;
-        const auto grid = static_cast<unsigned>(
-            (owned + block - 1) / static_cast<std::int64_t>(block));
-        HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block), body) ==
-                     cudaxSuccess);
-      }
-      break;
-    }
-    case hal::Backend::kHip: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
-                                   body);
-      } else {
-        const unsigned block = 256;
-        const auto grid = static_cast<unsigned>(
-            (owned + block - 1) / static_cast<std::int64_t>(block));
-        HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block), body) ==
-                     hipxSuccess);
-      }
-      break;
-    }
-    case hal::Backend::kSycl: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
-                                   body);
-      } else {
-        hal::syclx::queue queue;
-        queue.parallel_for(
-            hal::syclx::range<1>(static_cast<std::size_t>(owned)),
-            [body](hal::syclx::id<1> i) {
-              body(static_cast<std::int64_t>(i));
-            });
-      }
-      break;
-    }
-  }
-}
-
 void DistributedSolver::advance_state() {
-  for (RankState& rs : ranks_) {
-    execute_rank_kernel(rs);
-    std::swap(rs.current, rs.next);
-  }
+  for (RankState& rs : ranks_)
+    if (rs.owned > 0) rs.engine.step(options_, model_);  // dead ranks idle
   ++steps_done_;
 }
 
@@ -375,9 +267,9 @@ std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
   const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
   std::vector<double> payload(e.q.size());
   for (std::size_t k = 0; k < e.q.size(); ++k)
-    payload[k] = src.current[static_cast<std::size_t>(e.q[k]) *
-                                 static_cast<std::size_t>(src.local) +
-                             static_cast<std::size_t>(e.src_local[k])];
+    payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
+                                   static_cast<std::size_t>(src.local) +
+                               static_cast<std::size_t>(e.src_local[k])];
   if (resilience_->recovery.checksum_frames) {
     const std::uint32_t crc =
         io::crc32(payload.data(), payload.size() * sizeof(double));
@@ -416,9 +308,9 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
       if (!frames || frame_ok(payload)) {
         RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
         for (std::size_t k = 0; k < e.q.size(); ++k)
-          dst.current[static_cast<std::size_t>(e.q[k]) *
-                          static_cast<std::size_t>(dst.local) +
-                      static_cast<std::size_t>(e.dst_local[k])] = payload[k];
+          dst.current()[static_cast<std::size_t>(e.q[k]) *
+                            static_cast<std::size_t>(dst.local) +
+                        static_cast<std::size_t>(e.dst_local[k])] = payload[k];
         return true;
       }
       ++stats_.crc_mismatch;  // corrupted in flight; retransmit replaces it
@@ -538,7 +430,7 @@ std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
       where << "rank " << r;
       const std::vector<analysis::Diagnostic> rank_diags =
           resilience::scan_live_health(
-              rs.current, rs.local, rs.owned, lbm::LiveLayout::kCanonical,
+              rs.current(), rs.local, rs.owned, lbm::LiveLayout::kCanonical,
               health, options_.body_force.x, options_.body_force.y,
               options_.body_force.z, steps_done_, where.str());
       out.insert(out.end(), rank_diags.begin(), rank_diags.end());
@@ -587,8 +479,8 @@ void DistributedSolver::take_snapshot() {
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
     snapshot_.state[r].assign(
-        rs.current, rs.current + static_cast<std::size_t>(lbm::kQ) *
-                                     static_cast<std::size_t>(rs.local));
+        rs.current(), rs.current() + static_cast<std::size_t>(lbm::kQ) *
+                                       static_cast<std::size_t>(rs.local));
   }
   ++stats_.snapshots;
 }
@@ -608,7 +500,7 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankState& rs = ranks_[r];
     std::copy(snapshot_.state[r].begin(), snapshot_.state[r].end(),
-              rs.current);
+              rs.current());
   }
   steps_done_ = snapshot_.step;
   prev_mass_ = snapshot_.prev_mass;
@@ -627,7 +519,7 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
 resilience::Sentinel::RankView DistributedSolver::rank_view(
     const RankState& rs) const {
   resilience::Sentinel::RankView view;
-  view.f = rs.current;
+  view.f = rs.current();
   view.stride = rs.local;
   view.owned = rs.owned;
   view.layout = lbm::LiveLayout::kCanonical;
@@ -710,12 +602,6 @@ bool DistributedSolver::reexec_vote_sample() {
     if (reexec_scratch_a_.size() < values) reexec_scratch_a_.resize(values);
     if (reexec_scratch_b_.size() < values) reexec_scratch_b_.resize(values);
 
-    // advance_state already swapped, so rs.next is the step's input and
-    // rs.current the output under vote.  Re-execute twice independently;
-    // the two shadows vote against the live result.
-    lbm::KernelArgs a = rank_args(rs);
-    a.f_in = rs.next;
-
     // Deterministic per-(step, rank) tile choice — a rollback replay of
     // the same step samples the same tiles.
     SplitMix64 rng(0x53444353414D50ull ^
@@ -730,12 +616,12 @@ bool DistributedSolver::reexec_vote_sample() {
       const std::int64_t begin = t * pol.tile_points;
       const std::int64_t end =
           std::min(begin + pol.tile_points, rs.owned);
-      a.f_out = reexec_scratch_a_.data();
-      for (std::int64_t i = begin; i < end; ++i)
-        lbm::stream_collide_point(a, i);
-      a.f_out = reexec_scratch_b_.data();
-      for (std::int64_t i = begin; i < end; ++i)
-        lbm::stream_collide_point(a, i);
+      // Re-execute twice independently; the two shadows vote against the
+      // live result.
+      rs.engine.recompute_range(options_, begin, end,
+                                reexec_scratch_a_.data());
+      rs.engine.recompute_range(options_, begin, end,
+                                reexec_scratch_b_.data());
 
       bool votes_agree = true;
       bool matches_live = true;
@@ -747,7 +633,7 @@ bool DistributedSolver::reexec_vote_sample() {
           std::uint64_t va = 0, vb = 0, vl = 0;
           std::memcpy(&va, &reexec_scratch_a_[at], sizeof va);
           std::memcpy(&vb, &reexec_scratch_b_[at], sizeof vb);
-          std::memcpy(&vl, &rs.current[at], sizeof vl);
+          std::memcpy(&vl, &rs.current()[at], sizeof vl);
           if (va != vb) {
             votes_agree = false;
             break;
@@ -785,9 +671,9 @@ void DistributedSolver::apply_due_bit_flips() {
                                      rs.owned_global.end(), gi);
     HEMO_ASSERT(it != rs.owned_global.end() && *it == gi);
     const std::int64_t li = it - rs.owned_global.begin();
-    double& v = rs.current[static_cast<std::size_t>(e->flip_q) *
-                               static_cast<std::size_t>(rs.local) +
-                           static_cast<std::size_t>(li)];
+    double& v = rs.current()[static_cast<std::size_t>(e->flip_q) *
+                                 static_cast<std::size_t>(rs.local) +
+                             static_cast<std::size_t>(li)];
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
     bits ^= 1ull << e->flip_bit;
@@ -837,9 +723,9 @@ void DistributedSolver::scatter_global_state(const std::vector<double>& f) {
       const auto gi = static_cast<std::size_t>(
           rs.owned_global[static_cast<std::size_t>(li)]);
       for (int q = 0; q < lbm::kQ; ++q)
-        rs.current[static_cast<std::size_t>(q) *
-                       static_cast<std::size_t>(rs.local) +
-                   static_cast<std::size_t>(li)] =
+        rs.current()[static_cast<std::size_t>(q) *
+                         static_cast<std::size_t>(rs.local) +
+                     static_cast<std::size_t>(li)] =
             f[static_cast<std::size_t>(q) * n + gi];
     }
   }
@@ -948,9 +834,10 @@ void DistributedSolver::resilient_step() {
   suspect_count_ = 0;
   advance_state();
 
-  // Compute-SDC cross-check: the step's input still survives in rs.next
-  // (the swap's other half), so sampled tiles can be re-executed against
-  // the freshly written output while both exist.
+  // Compute-SDC cross-check: the step's input still survives in each
+  // rank engine's second buffer (the swap's other half), so sampled tiles
+  // can be re-executed against the freshly written output while both
+  // exist.
   if (sentinel_.has_value() && reexec_vote_sample()) return;
 
   std::vector<analysis::Diagnostic> health = check_health();
@@ -974,13 +861,15 @@ void DistributedSolver::resilient_step() {
 // ---------------------------------------------------------------------------
 
 void DistributedSolver::save_checkpoint(const std::string& path) const {
-  io::BlobWriter writer(path, kCkptMagic, kCkptVersion);
-  CkptMeta meta{steps_done_, global_->size(), partition_.n_ranks, lbm::kQ};
-  writer.add_record(kMetaTag, &meta, sizeof meta);
+  io::BlobWriter writer(path, lbm::kCheckpointMagic,
+                        lbm::kCheckpointVersion);
+  const lbm::CheckpointMeta meta{steps_done_, global_->size(),
+                                 partition_.n_ranks, lbm::kQ};
+  writer.add_record(lbm::kCheckpointMetaTag, &meta, sizeof meta);
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
-    writer.add_record(kRankTagBase + static_cast<std::uint32_t>(r),
-                      rs.current,
+    writer.add_record(lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r),
+                      rs.current(),
                       static_cast<std::uint64_t>(lbm::kQ) *
                           static_cast<std::uint64_t>(rs.local) *
                           sizeof(double));
@@ -991,53 +880,33 @@ void DistributedSolver::save_checkpoint(const std::string& path) const {
 void DistributedSolver::save_rank_checkpoint(const std::string& path,
                                              Rank r) const {
   HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobWriter writer(path, kCkptMagic, kCkptVersion);
-  CkptMeta meta{steps_done_, global_->size(), partition_.n_ranks, lbm::kQ};
-  writer.add_record(kMetaTag, &meta, sizeof meta);
+  io::BlobWriter writer(path, lbm::kCheckpointMagic,
+                        lbm::kCheckpointVersion);
+  const lbm::CheckpointMeta meta{steps_done_, global_->size(),
+                                 partition_.n_ranks, lbm::kQ};
+  writer.add_record(lbm::kCheckpointMetaTag, &meta, sizeof meta);
   const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  writer.add_record(kRankTagBase + static_cast<std::uint32_t>(r), rs.current,
+  writer.add_record(lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r),
+                    rs.current(),
                     static_cast<std::uint64_t>(lbm::kQ) *
                         static_cast<std::uint64_t>(rs.local) *
                         sizeof(double));
   writer.finish();
 }
 
-namespace {
-
-CkptMeta read_meta(io::BlobReader& reader, const std::string& path,
-                   std::int64_t global_size, int n_ranks) {
-  if (reader.at_end())
-    throw io::BlobError("checkpoint '" + path + "' has no metadata record");
-  const io::BlobRecord rec = reader.next();
-  if (rec.tag != kMetaTag || rec.bytes.size() != sizeof(CkptMeta))
-    throw io::BlobError("checkpoint '" + path +
-                        "': first record is not valid metadata");
-  CkptMeta meta;
-  std::copy(rec.bytes.begin(), rec.bytes.end(),
-            reinterpret_cast<char*>(&meta));
-  if (meta.global_size != global_size || meta.n_ranks != n_ranks ||
-      meta.q != lbm::kQ)
-    throw io::BlobError("checkpoint '" + path +
-                        "' was taken for a different solver configuration");
-  if (meta.step < 0)
-    throw io::BlobError("checkpoint '" + path + "': negative step counter");
-  return meta;
-}
-
-}  // namespace
-
 void DistributedSolver::restore_checkpoint(const std::string& path) {
-  io::BlobReader reader(path, kCkptMagic, kCkptVersion);
-  const CkptMeta meta =
-      read_meta(reader, path, global_->size(), partition_.n_ranks);
+  io::BlobReader reader(path, lbm::kCheckpointMagic,
+                        lbm::kCheckpointVersion);
+  const lbm::CheckpointMeta meta = lbm::read_checkpoint_meta(
+      reader, path, global_->size(), partition_.n_ranks);
 
   std::vector<bool> seen(ranks_.size(), false);
   while (!reader.at_end()) {
     const io::BlobRecord rec = reader.next();
-    if (rec.tag < kRankTagBase ||
-        rec.tag >= kRankTagBase + ranks_.size())
+    if (rec.tag < lbm::kCheckpointStateTag ||
+        rec.tag >= lbm::kCheckpointStateTag + ranks_.size())
       throw io::BlobError("checkpoint '" + path + "': unknown record tag");
-    const std::size_t r = rec.tag - kRankTagBase;
+    const std::size_t r = rec.tag - lbm::kCheckpointStateTag;
     RankState& rs = ranks_[r];
     const std::size_t expected_bytes = static_cast<std::size_t>(lbm::kQ) *
                                        static_cast<std::size_t>(rs.local) *
@@ -1047,7 +916,7 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
                           std::to_string(rec.bytes.size()) +
                           " does not match this decomposition");
     std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current));
+              reinterpret_cast<char*>(rs.current()));
     seen[r] = true;
   }
   for (std::size_t r = 0; r < seen.size(); ++r)
@@ -1064,10 +933,12 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
 std::int64_t DistributedSolver::restore_rank_checkpoint(
     const std::string& path, Rank r) {
   HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobReader reader(path, kCkptMagic, kCkptVersion);
-  const CkptMeta meta =
-      read_meta(reader, path, global_->size(), partition_.n_ranks);
-  const std::uint32_t want = kRankTagBase + static_cast<std::uint32_t>(r);
+  io::BlobReader reader(path, lbm::kCheckpointMagic,
+                        lbm::kCheckpointVersion);
+  const lbm::CheckpointMeta meta = lbm::read_checkpoint_meta(
+      reader, path, global_->size(), partition_.n_ranks);
+  const std::uint32_t want =
+      lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r);
   while (!reader.at_end()) {
     const io::BlobRecord rec = reader.next();
     if (rec.tag != want) continue;
@@ -1080,7 +951,7 @@ std::int64_t DistributedSolver::restore_rank_checkpoint(
                           std::to_string(rec.bytes.size()) +
                           " does not match this decomposition");
     std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current));
+              reinterpret_cast<char*>(rs.current()));
     steps_done_ = meta.step;
     snapshot_ = Snapshot{};
     initial_mass_ = prev_mass_ = total_mass();
@@ -1189,9 +1060,9 @@ std::vector<double> DistributedSolver::global_distributions() const {
           static_cast<std::size_t>(rs.owned_global[static_cast<std::size_t>(li)]);
       for (int q = 0; q < lbm::kQ; ++q)
         out[static_cast<std::size_t>(q) * n + gi] =
-            rs.current[static_cast<std::size_t>(q) *
-                           static_cast<std::size_t>(rs.local) +
-                       static_cast<std::size_t>(li)];
+            rs.current()[static_cast<std::size_t>(q) *
+                             static_cast<std::size_t>(rs.local) +
+                         static_cast<std::size_t>(li)];
     }
   }
   return out;
@@ -1207,9 +1078,9 @@ lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
   const auto li = static_cast<std::size_t>(it - rs.owned_global.begin());
   double f[lbm::kQ];
   for (int q = 0; q < lbm::kQ; ++q)
-    f[q] = rs.current[static_cast<std::size_t>(q) *
-                          static_cast<std::size_t>(rs.local) +
-                      li];
+    f[q] = rs.current()[static_cast<std::size_t>(q) *
+                            static_cast<std::size_t>(rs.local) +
+                        li];
   return lbm::moments_of(f, options_.body_force.x, options_.body_force.y,
                          options_.body_force.z);
 }
@@ -1219,9 +1090,9 @@ double DistributedSolver::total_mass() const {
   for (const RankState& rs : ranks_)
     for (std::int64_t li = 0; li < rs.owned; ++li)
       for (int q = 0; q < lbm::kQ; ++q)
-        mass += rs.current[static_cast<std::size_t>(q) *
-                               static_cast<std::size_t>(rs.local) +
-                           static_cast<std::size_t>(li)];
+        mass += rs.current()[static_cast<std::size_t>(q) *
+                                 static_cast<std::size_t>(rs.local) +
+                             static_cast<std::size_t>(li)];
   return mass;
 }
 

@@ -44,6 +44,7 @@
 #include "lbm/kernels.hpp"
 #include "lbm/solver.hpp"
 #include "lbm/sparse_lattice.hpp"
+#include "lbm/step_engine.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/policy.hpp"
 #include "resilience/sentinel.hpp"
@@ -52,6 +53,8 @@ namespace hemo::harvey {
 
 class DistributedSolver {
  public:
+  /// Runs the pull pattern only: `options.propagation` must be kPullSoA.
+  /// AA in place would need halo slot maps keyed by the step parity.
   DistributedSolver(std::shared_ptr<const lbm::SparseLattice> global,
                     decomp::Partition partition, lbm::SolverOptions options);
   ~DistributedSolver();
@@ -166,10 +169,12 @@ class DistributedSolver {
     std::vector<PointIndex> adjacency;     // local, kQ * local_n, q-major
     std::vector<std::uint8_t> node_type;   // local
     std::vector<double> f_a, f_b;
-    double* current = nullptr;
-    double* next = nullptr;
+    lbm::StepEngine engine;  // steps the owned points of f_a/f_b
     std::int64_t owned = 0;  // owned points come first; ghosts after
     std::int64_t local = 0;  // owned + ghosts
+
+    /// The post-collision state of the last completed step.
+    double* current() const { return engine.live(); }
   };
 
   /// One direction of a halo exchange, precomputed: which local slots to
@@ -201,8 +206,6 @@ class DistributedSolver {
   };
 
   void exchange_halos();
-  void execute_rank_kernel(RankState& rs);
-  lbm::KernelArgs rank_args(RankState& rs) const;
   void advance_state();
 
   /// Builds ranks_ and exchanges_ from the current partition_.  Called by
@@ -233,7 +236,8 @@ class DistributedSolver {
   /// is over and the caller must return.
   bool sentinel_verify_all(bool force);
   /// Duplicate re-execution vote-compare over sampled tiles (runs after
-  /// advance_state, when the step's input still survives in rs.next).
+  /// advance_state, while the step's input still survives in each rank
+  /// engine's second buffer).
   /// Same return contract as sentinel_verify_all.
   bool reexec_vote_sample();
   /// Shared escalation for both detection paths: records RS006 per

@@ -112,6 +112,14 @@ BlobRecord BlobReader::next() {
   if (!read_pod(in_, &record.tag) || !read_pod(in_, &bytes) ||
       !read_pod(in_, &crc))
     throw BlobError("blob file '" + path_ + "' is truncated (record header)");
+  // Bound the claimed size by what the file still holds before allocating:
+  // a damaged size field must read as truncation, not as a huge request.
+  const std::streampos payload_at = in_.tellg();
+  in_.seekg(0, std::ios::end);
+  const std::streamoff left = in_.tellg() - payload_at;
+  in_.seekg(payload_at);
+  if (bytes > static_cast<std::uint64_t>(left))
+    throw BlobError("blob file '" + path_ + "' is truncated (record payload)");
   record.bytes.resize(static_cast<std::size_t>(bytes));
   in_.read(record.bytes.data(), static_cast<std::streamsize>(bytes));
   if (in_.gcount() != static_cast<std::streamsize>(bytes))

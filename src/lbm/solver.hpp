@@ -12,48 +12,34 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "base/types.hpp"
+#include "lbm/checkpoint.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/propagation.hpp"
 #include "lbm/sparse_lattice.hpp"
+#include "lbm/step_engine.hpp"
 #include "lbm/tile_probe.hpp"
 
 namespace hemo::lbm {
 
-struct SolverOptions {
-  double tau = 1.0;               // BGK relaxation time (omega = 1/tau)
-  Vec3 body_force{};              // uniform Guo body force
-  double inlet_velocity = 0.0;    // u_z at kVelocityInlet points
-  double outlet_density = 1.0;    // rho at kPressureOutlet points
-  double initial_density = 1.0;
-  Vec3 initial_velocity{};
-  Propagation propagation = Propagation::kPullSoA;
-};
-
 /// Kinematic viscosity implied by a BGK relaxation time.
 constexpr double viscosity_of_tau(double tau) { return kCs2 * (tau - 0.5); }
-
-/// A checkpoint file that cannot be opened, fails structural validation
-/// (magic, lattice shape, payload size, trailing bytes) or hits an I/O
-/// error.  Restore never aborts the process on bad input: campaigns catch
-/// this and fall back to a cold start.
-class CheckpointError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 class Solver {
  public:
   Solver(std::shared_ptr<const SparseLattice> lattice, SolverOptions options);
 
+  // The step engine points into this solver's own buffers.
+  Solver(const Solver&) = delete;
+  Solver& operator=(const Solver&) = delete;
+
   void step();
   void run(int steps);
 
-  std::int64_t step_count() const { return steps_done_; }
+  std::int64_t step_count() const { return engine_.steps_done(); }
   PointIndex size() const { return lattice_->size(); }
   const SparseLattice& lattice() const { return *lattice_; }
   const SolverOptions& options() const { return options_; }
@@ -72,13 +58,8 @@ class Solver {
   /// behind distributions() does not read every AA slot, so a corruption
   /// probe over the canonical snapshot can be blind to a slot the next
   /// kernel step consumes.
-  const double* live_state() const {
-    return options_.propagation == Propagation::kAAInPlace ? buf_a_.data()
-                                                           : current_->data();
-  }
-  LiveLayout live_layout() const {
-    return live_layout_of(options_.propagation, steps_done_);
-  }
+  const double* live_state() const { return engine_.live(); }
+  LiveLayout live_layout() const { return engine_.live_layout(); }
 
   /// Tile digests of the live array (see lbm/tile_probe.hpp).
   std::vector<TileDigest> tile_digests(std::int64_t tile_points) const {
@@ -105,29 +86,27 @@ class Solver {
   /// Deviatoric stress tensor at one point (see lbm/hemodynamics.hpp).
   std::array<double, 6> stress(PointIndex i) const;
 
-  /// Binary checkpoint of the full state (canonical distributions + step
-  /// counter), written atomically (.tmp + rename) so a crash mid-write
-  /// never tears the live file.  The stored snapshot is always canonical,
-  /// so checkpoints are portable across propagation patterns and AA step
-  /// parities; restore is bit-exact and throws CheckpointError (instead of
-  /// aborting) on malformed files.
+  /// Single-rank checkpoint (lbm/checkpoint.hpp) of the full state: the
+  /// step counter and the canonical distributions, CRC-checked and
+  /// written atomically (.tmp + rename) so a crash mid-write never tears
+  /// the live file.  The stored snapshot is always canonical, so
+  /// checkpoints are portable across propagation patterns and AA step
+  /// parities; restore is bit-exact, leaves the solver untouched on
+  /// failure, and throws CheckpointError (instead of aborting) on
+  /// malformed or corrupted files.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
 
  private:
-  KernelArgs args(const std::vector<double>& in, std::vector<double>& out) const;
-
   std::shared_ptr<const SparseLattice> lattice_;
   SolverOptions options_;
-  std::vector<std::uint8_t> node_type_;
-  // Pull: buf_a_/buf_b_ are the double buffers and current_/next_ swap
-  // between them.  AA: buf_a_ is the single in-place array, buf_b_ caches
-  // the canonical snapshot (current_ always points at the cache).
-  std::vector<double> buf_a_, buf_b_;
-  std::vector<double>* current_;
-  std::vector<double>* next_;
-  std::int64_t steps_done_ = 0;
-  mutable bool aa_canonical_fresh_ = true;
+  // Pull: buf_a_/buf_b_ are the double buffers the engine swaps between.
+  // AA: buf_a_ is the single in-place array, buf_b_ caches the canonical
+  // snapshot, which const observers fill lazily.
+  std::vector<double> buf_a_;
+  mutable std::vector<double> buf_b_;
+  StepEngine engine_;
+  mutable bool aa_canonical_fresh_ = false;
 };
 
 }  // namespace hemo::lbm

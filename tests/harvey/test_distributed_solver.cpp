@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "decomp/partition.hpp"
@@ -12,10 +13,14 @@
 #include "harvey/distributed_solver.hpp"
 #include "lbm/hemodynamics.hpp"
 #include "lbm/solver.hpp"
+#include "resilience/fault.hpp"
+#include "resilience/faulty_network.hpp"
+#include "resilience/policy.hpp"
 
 namespace decomp = hemo::decomp;
 namespace geom = hemo::geom;
 namespace lbm = hemo::lbm;
+namespace resilience = hemo::resilience;
 using hemo::harvey::DistributedSolver;
 
 namespace {
@@ -192,11 +197,69 @@ TEST_P(DistributedDialects, DialectExecutionMatchesHostLoopBitwise) {
         << hemo::hal::name_of(GetParam()) << " diverged at " << k;
 }
 
+// Resilience and the SDC sentinel on, through a dialect: a seeded plan of
+// wire faults plus one in-memory bit flip, on the aorta at 4 ranks, with
+// duplicate re-execution sampling tiles every step.  Retransmission,
+// rollback and replay all run through the dialect launch; the run must end
+// bit-identical to the fault-free host-loop run.
+TEST_P(DistributedDialects, ResilientSentinelRunMatchesHostLoopBitwise) {
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 24;
+  geom::AortaSpec spec;
+  spec.spacing_mm = 2.6;
+  auto lattice = geom::make_aorta_lattice(spec);
+  const decomp::Partition partition =
+      decomp::bisection_partition(*lattice, kRanks);
+
+  DistributedSolver host(lattice, partition, flow_options());
+  host.run(kSteps);
+
+  DistributedSolver solver(lattice, partition, flow_options());
+  resilience::FaultPlan plan = resilience::FaultPlan::random(
+      /*seed=*/11, kSteps, solver.exchange_pairs(),
+      {std::begin(resilience::kAllFaultKinds),
+       std::end(resilience::kAllFaultKinds)},
+      /*events_per_kind=*/1);
+  resilience::FaultEvent flip;
+  flip.kind = resilience::FaultKind::kBitFlip;
+  flip.step = 10;
+  flip.flip_point = lattice->size() / 3;
+  flip.flip_q = 5;
+  flip.flip_bit = 41;
+  plan.add(flip);
+  auto network =
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan));
+  resilience::FaultPlan* live_plan = &network->plan();
+  solver.set_network(std::move(network));
+  solver.set_fault_injection(live_plan);
+  solver.set_execution_model(GetParam());
+  resilience::Options options;
+  options.recovery.checkpoint_interval = 4;
+  options.sentinel.enabled = true;
+  options.sentinel.tile_points = 64;
+  options.sentinel.reexec_sample = 2;
+  solver.enable_resilience(options);
+
+  solver.run(kSteps);
+
+  const resilience::RunStats& stats = solver.resilience_stats();
+  EXPECT_GT(stats.faults_detected(), 0);
+  EXPECT_EQ(stats.sdc_detected, 1);
+  EXPECT_GT(stats.sdc_checks, 0);
+  EXPECT_TRUE(live_plan->events().back().fired);
+  EXPECT_EQ(solver.step_count(), kSteps);
+  const std::vector<double> expected = host.global_distributions();
+  const std::vector<double> actual = solver.global_distributions();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t k = 0; k < expected.size(); ++k)
+    ASSERT_EQ(expected[k], actual[k])
+        << hemo::hal::name_of(GetParam()) << " diverged at " << k;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Models, DistributedDialects,
-    ::testing::Values(hemo::hal::Model::kCuda, hemo::hal::Model::kHip,
-                      hemo::hal::Model::kSycl,
-                      hemo::hal::Model::kKokkosHip),
+    ::testing::ValuesIn(std::begin(hemo::hal::kAllModels),
+                        std::end(hemo::hal::kAllModels)),
     [](const ::testing::TestParamInfo<hemo::hal::Model>& info) {
       std::string n{hemo::hal::name_of(info.param)};
       for (char& c : n)
@@ -222,4 +285,17 @@ TEST(DistributedDialects, PulsatileInflowMatchesReference) {
   const std::vector<double> dist = distributed.global_distributions();
   for (std::size_t k = 0; k < ref.size(); ++k)
     ASSERT_EQ(ref[k], dist[k]) << "pulsatile diverged at " << k;
+}
+
+// AA in place needs halo slot maps keyed by the step parity, which the
+// distributed solver does not have; it must refuse the pattern rather than
+// run pull while the performance model prices AA traffic.
+TEST(DistributedSolverDeathTest, RejectsAAInPlacePropagation) {
+  auto lattice = cylinder_workload_for_dialects();
+  lbm::SolverOptions options = flow_options();
+  options.propagation = lbm::Propagation::kAAInPlace;
+  EXPECT_DEATH(DistributedSolver(lattice,
+                                 decomp::bisection_partition(*lattice, 2),
+                                 options),
+               "Precondition");
 }

@@ -135,6 +135,21 @@ TEST(Blob, DetectsTruncationAtEveryPrefix) {
   }
 }
 
+TEST(Blob, DamagedRecordSizeReadsAsTruncation) {
+  TempFile file("blob_bad_size.bin");
+  write_blob(file.path, {"payload"});
+  std::string bytes = slurp(file.path);
+  // The u64 size field of the first record follows the 12-byte header and
+  // the u32 tag; claim far more payload than the file holds.
+  bytes[12 + 4 + 7] = '\x7f';
+  {
+    std::ofstream os(file.path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  BlobReader reader(file.path, kMagic, kVersion);
+  EXPECT_THROW(reader.next(), BlobError);
+}
+
 TEST(Blob, DetectsPayloadCorruption) {
   TempFile file("blob_corrupt.bin");
   write_blob(file.path, {"pristine payload bytes"});

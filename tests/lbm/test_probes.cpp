@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "geom/cylinder.hpp"
 #include "lbm/probes.hpp"
@@ -162,5 +165,35 @@ TEST(Checkpoint, CorruptFileIsRejected) {
   }
   lbm::Solver solver(channel(), driven_options());
   EXPECT_THROW(solver.restore_checkpoint(path), lbm::CheckpointError);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FlippedPayloadByteIsRejected) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "hemoflow_ckpt_flipped.bin";
+  lbm::Solver solver(channel(), driven_options());
+  solver.run(5);
+  solver.save_checkpoint(path);
+  solver.run(2);
+
+  // One flipped bit in the middle of the distribution payload: the file
+  // stays structurally valid, so only a checksum can tell.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 1024u);
+  bytes[bytes.size() / 2] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const double mass_before = solver.total_mass();
+  EXPECT_THROW(solver.restore_checkpoint(path), lbm::CheckpointError);
+  EXPECT_EQ(solver.step_count(), 7);
+  EXPECT_EQ(solver.total_mass(), mass_before);
   std::remove(path.c_str());
 }
