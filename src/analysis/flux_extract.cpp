@@ -24,26 +24,43 @@ namespace {
 // Text utilities.
 // ---------------------------------------------------------------------------
 
-/// Comments and string/char literals blanked out (newlines preserved), so
-/// braces and subscripts inside them never confuse the walk.
+/// Comments, string/char literals and preprocessor lines blanked out
+/// (newlines preserved), so braces and subscripts inside them never confuse
+/// the walk, and a directive such as `#pragma GCC unroll 19` never stands
+/// between a loop and the statement before it.
 std::string strip_comments(const std::string& in) {
   std::string out = in;
-  enum class State { kCode, kLine, kBlock, kString, kChar };
+  enum class State { kCode, kLine, kDirective, kBlock, kString, kChar };
   State state = State::kCode;
+  bool line_start = true;  // only blanks so far on this line of code
   for (std::size_t i = 0; i < out.size(); ++i) {
     const char c = out[i];
     const char next = i + 1 < out.size() ? out[i + 1] : '\0';
+    if (c == '\n') line_start = true;
     switch (state) {
       case State::kCode:
-        if (c == '/' && next == '/') state = State::kLine;
+        if (c == '#' && line_start) state = State::kDirective;
+        else if (c == '/' && next == '/') state = State::kLine;
         else if (c == '/' && next == '*') state = State::kBlock;
         else if (c == '"') state = State::kString;
         else if (c == '\'') state = State::kChar;
         if (state != State::kCode && c != '\n') out[i] = ' ';
+        if (!std::isspace(static_cast<unsigned char>(c))) line_start = false;
         break;
       case State::kLine:
         if (c == '\n') state = State::kCode;
         else out[i] = ' ';
+        break;
+      case State::kDirective:
+        // A backslash-newline continues the directive onto the next line.
+        if (c == '\\' && next == '\n') {
+          out[i] = ' ';
+          ++i;
+        } else if (c == '\n') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
         break;
       case State::kBlock:
         if (c == '*' && next == '/') {

@@ -95,6 +95,6 @@ cudaxError_t cudaxLaunchKernel(dim3x grid, dim3x block, Kernel kernel) {
   }
   const std::int64_t n = static_cast<std::int64_t>(grid.x) *
                          static_cast<std::int64_t>(block.x);
-  engine().parallel_for(n, [&kernel](std::int64_t i) { kernel(i); });
+  engine().parallel_for(n, [kernel](std::int64_t i) { kernel(i); });
   return cudaxSuccess;
 }

@@ -63,14 +63,15 @@ void DeviceEngine::copy_d2d(void* dst, const void* src, std::size_t bytes) {
   counters_.bytes_d2d += static_cast<std::int64_t>(bytes);
 }
 
-void DeviceEngine::parallel_for(
-    std::int64_t n, const std::function<void(std::int64_t)>& fn) {
+void DeviceEngine::run_chunks(
+    std::int64_t n,
+    const std::function<void(std::int64_t, std::int64_t)>& chunk) {
   ++counters_.kernel_launches;
   counters_.kernel_indices += n;
   if (n <= 0) return;
 
   if (threads_ <= 1 || n < 2 * threads_) {
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
+    chunk(0, n);
     return;
   }
 
@@ -80,9 +81,7 @@ void DeviceEngine::parallel_for(
   for (int t = 0; t < workers; ++t) {
     const std::int64_t lo = n * t / workers;
     const std::int64_t hi = n * (t + 1) / workers;
-    pool.emplace_back([&fn, lo, hi] {
-      for (std::int64_t i = lo; i < hi; ++i) fn(i);
-    });
+    pool.emplace_back([&chunk, lo, hi] { chunk(lo, hi); });
   }
   for (std::thread& th : pool) th.join();
 }

@@ -17,6 +17,19 @@
 
 namespace hemo::hal {
 
+namespace detail {
+
+/// Runs body(i) for every i in [lo, hi), flattened so the kernel inlines
+/// into the loop.  Taking `body` by value keeps its captures (a kernel's
+/// KernelArgs) in registers across the kernel's stores.
+template <typename Body>
+[[gnu::flatten]] void for_range(std::int64_t lo, std::int64_t hi,
+                                const Body body) {
+  for (std::int64_t i = lo; i < hi; ++i) body(i);
+}
+
+}  // namespace detail
+
 struct EngineCounters {
   std::int64_t allocations = 0;
   std::int64_t bytes_allocated = 0;
@@ -55,10 +68,18 @@ class DeviceEngine {
   void copy_d2h(void* dst, const void* src, std::size_t bytes);
   void copy_d2d(void* dst, const void* src, std::size_t bytes);
 
-  /// Executes fn(i) for every i in [0, n).  With more than one worker
-  /// thread the range is split into contiguous chunks; the kernel bodies
-  /// used in HemoFlow write only to index i, so chunking is race-free.
-  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
+  /// Executes body(i) for every i in [0, n).  With more than one worker
+  /// thread the range is split into contiguous chunks, one per worker, and
+  /// each worker runs its chunk as one inlined loop over a copy of `body`.
+  /// Chunking is race-free for every kernel body in HemoFlow because each
+  /// slot a launch writes is written by exactly one index — index i's own
+  /// slots, or for the AA odd step the neighbours' slots it scatters to.
+  template <typename Body>
+  void parallel_for(std::int64_t n, const Body& body) {
+    run_chunks(n, [&body](std::int64_t lo, std::int64_t hi) {
+      detail::for_range(lo, hi, body);
+    });
+  }
 
   /// Number of worker threads used by parallel_for (default 1).
   void set_threads(int threads);
@@ -71,6 +92,12 @@ class DeviceEngine {
   std::size_t live_allocations() const { return allocations_.size(); }
 
  private:
+  /// Counts one launch of n indices, then runs chunk(lo, hi) over
+  /// contiguous pieces of [0, n): one per worker thread, or all of it on
+  /// the calling thread when threading would not pay.
+  void run_chunks(std::int64_t n,
+                  const std::function<void(std::int64_t, std::int64_t)>& chunk);
+
   std::unordered_map<void*, std::unique_ptr<std::byte[]>> allocations_;
   std::unordered_map<const void*, std::size_t> sizes_;
   EngineCounters counters_;

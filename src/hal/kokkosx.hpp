@@ -207,7 +207,7 @@ void parallel_for(const std::string& /*label*/, RangePolicy policy,
   HEMO_EXPECTS(is_initialized());
   DeviceEngine::instance().parallel_for(
       policy.end() - policy.begin(),
-      [&functor, b = policy.begin()](std::int64_t i) { functor(b + i); });
+      [functor, b = policy.begin()](std::int64_t i) { functor(b + i); });
 }
 
 template <typename Functor>

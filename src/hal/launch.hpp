@@ -17,7 +17,11 @@
 //
 // Each dialect keeps its own launch primitive, so the device engine's
 // launch and work-item counters read exactly as the dialect would issue
-// them: the grid-rounded range for cudax/hipx, n for syclx/kokkosx.
+// them: the grid-rounded range for cudax/hipx, n for syclx/kokkosx.  Every
+// path ends in the same flattened loop (hal::detail::for_range): the host
+// loop directly, the dialects through DeviceEngine::parallel_for, once per
+// worker chunk.  The wrappers capture the kernel by value on the way down,
+// so the kernel and its KernelArgs inline into that loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,16 +47,6 @@ inline syclx::queue& default_queue() {
   return queue;
 }
 
-/// The host loop, flattened so the kernel inlines into it.  The dialect
-/// branches of launch() reuse the same body, so left to itself the
-/// compiler outlines the kernel and the host loop would pay a call per
-/// index; taking `body` by value also keeps its captures in registers
-/// across the kernel's stores.
-template <typename Body>
-[[gnu::flatten]] void host_loop(std::int64_t n, const Body body) {
-  for (std::int64_t i = 0; i < n; ++i) body(i);
-}
-
 }  // namespace detail
 
 /// Runs body(i) for every i in [0, n) through `model`'s launch primitive,
@@ -62,7 +56,7 @@ template <typename Body>
 void launch(std::optional<Model> model, std::int64_t n, const Body& body) {
   HEMO_EXPECTS(n >= 0);
   if (!model.has_value()) {
-    detail::host_loop(n, body);
+    detail::for_range(0, n, body);
     return;
   }
   if (is_kokkos(*model)) {
@@ -73,7 +67,7 @@ void launch(std::optional<Model> model, std::int64_t n, const Body& body) {
   if (*model == Model::kSycl) {
     syclx::queue& queue = detail::default_queue();
     queue.parallel_for(syclx::range<1>(static_cast<std::size_t>(n)),
-                       [&body](syclx::id<1> i) {
+                       [body](syclx::id<1> i) {
                          body(static_cast<std::int64_t>(i));
                        });
     queue.wait();
@@ -82,7 +76,7 @@ void launch(std::optional<Model> model, std::int64_t n, const Body& body) {
   if (n == 0) return;
   const dim3x grid(static_cast<unsigned>(
       (n + kLaunchBlock - 1) / static_cast<std::int64_t>(kLaunchBlock)));
-  const auto guarded = [&body, n](std::int64_t i) {
+  const auto guarded = [body, n](std::int64_t i) {
     if (i >= n) return;
     body(i);
   };

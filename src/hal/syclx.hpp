@@ -81,7 +81,7 @@ class handler {
   void parallel_for(range<1> r, F f) {
     work_ = [r, f](DeviceEngine& eng) {
       eng.parallel_for(static_cast<std::int64_t>(r.size()),
-                       [&f](std::int64_t i) {
+                       [f](std::int64_t i) {
                          f(id<1>(static_cast<std::size_t>(i)));
                        });
     };
@@ -99,7 +99,7 @@ class handler {
     }
     work_ = [global, local, f](DeviceEngine& eng) {
       eng.parallel_for(static_cast<std::int64_t>(global),
-                       [&f, local](std::int64_t i) {
+                       [f, local](std::int64_t i) {
                          const auto gi = static_cast<std::size_t>(i);
                          f(nd_item(gi, gi % local, gi / local));
                        });

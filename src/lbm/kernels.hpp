@@ -58,9 +58,18 @@ struct Moments {
   double ux = 0.0, uy = 0.0, uz = 0.0;
 };
 
+// Every per-point direction loop carries `#pragma GCC unroll 19`.  GCC
+// peels a loop completely only up to 16 iterations on its own, so without
+// the pragma each D3Q19 loop stays rolled: c(q, a), opposite(q) and
+// kWeights[q] become table loads, f[kQ] and out[kQ] live on the stack, and
+// boundary_unknown runs per direction at run time.  Unrolling leaves the
+// order of the floating-point operations unchanged.
+static_assert(kQ == 19, "the unroll pragmas spell out kQ");
+
 /// Density and (force-corrected) velocity moments of one distribution set.
 inline Moments moments_of(const double f[kQ], double fx, double fy, double fz) {
   Moments m;
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     m.rho += f[q];
     m.ux += f[q] * c(q, 0);
@@ -78,6 +87,7 @@ inline Moments moments_of(const double f[kQ], double fx, double fy, double fz) {
 inline void bgk_collide(const double f[kQ], const Moments& m, double omega,
                         double fx, double fy, double fz, double out[kQ]) {
   const double prefactor = 1.0 - 0.5 * omega;
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     const double feq = equilibrium(q, m.rho, m.ux, m.uy, m.uz);
     const double cu = c(q, 0) * m.ux + c(q, 1) * m.uy + c(q, 2) * m.uz;
@@ -111,6 +121,7 @@ inline bool boundary_unknown(NodeType type, int q) {
 inline void zou_he_complete(double f[kQ], std::uint32_t unknown, double rho,
                             double ux, double uy, double uz, int qa_x, int qb_x,
                             int qa_y, int qb_y) {
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     if (!(unknown & (1u << q))) continue;
     const int qo = opposite(q);
@@ -122,6 +133,7 @@ inline void zou_he_complete(double f[kQ], std::uint32_t unknown, double rho,
   };
   if (both_unknown(qa_x, qb_x)) {
     double mx = 0.0;
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) mx += f[q] * c(q, 0);
     const double err = 0.5 * (mx - rho * ux);
     f[qa_x] -= err * c(qa_x, 0);
@@ -129,6 +141,7 @@ inline void zou_he_complete(double f[kQ], std::uint32_t unknown, double rho,
   }
   if (both_unknown(qa_y, qb_y)) {
     double my = 0.0;
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) my += f[q] * c(q, 1);
     const double err = 0.5 * (my - rho * uy);
     f[qa_y] -= err * c(qa_y, 1);
@@ -151,6 +164,7 @@ inline void complete_boundary(NodeType type, std::uint32_t unknown,
     // Prescribed u = (0, 0, w); unknowns have c_z > 0.  Density follows
     // from the z-momentum balance: rho = (S_0 + 2 S_-) / (1 - w).
     double s0 = 0.0, sm = 0.0;
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
       if (c(q, 2) == 0) s0 += f[q];
       if (c(q, 2) < 0) sm += f[q];
@@ -164,6 +178,7 @@ inline void complete_boundary(NodeType type, std::uint32_t unknown,
     // Prescribed rho; unknowns have c_z < 0.  Outflow velocity follows
     // from the same balance with the opposite normal.
     double s0 = 0.0, sp = 0.0;
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
       if (c(q, 2) == 0) s0 += f[q];
       if (c(q, 2) > 0) sp += f[q];
@@ -177,6 +192,7 @@ inline void complete_boundary(NodeType type, std::uint32_t unknown,
     // Pressure boundary on a z-min face (outflow toward -z); unknowns have
     // c_z > 0 and the velocity follows with the normal flipped.
     double s0 = 0.0, sm = 0.0;
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
       if (c(q, 2) == 0) s0 += f[q];
       if (c(q, 2) < 0) sm += f[q];
@@ -195,6 +211,7 @@ inline void complete_boundary(NodeType type, std::uint32_t unknown,
 inline std::uint32_t gather(const KernelArgs& a, std::int64_t i,
                             NodeType type, double f[kQ]) {
   std::uint32_t unknown = 0;
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     const PointIndex up = a.adjacency[static_cast<std::size_t>(q) * a.n + i];
     if (up != kSolidNeighbor) {
@@ -237,6 +254,7 @@ inline void stream_collide_point(const KernelArgs& a, std::int64_t i) {
   const Moments m = moments_of(f, a.force_x, a.force_y, a.force_z);
   double out[kQ];
   bgk_collide(f, m, a.omega, a.force_x, a.force_y, a.force_z, out);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     a.f_out[static_cast<std::size_t>(q) * a.n + i] = out[q];
 }
@@ -246,6 +264,7 @@ inline void stream_collide_point(const KernelArgs& a, std::int64_t i) {
 inline void stream_point(const KernelArgs& a, std::int64_t i) {
   double f[kQ];
   gather_pre_collision(a, i, f);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     a.f_out[static_cast<std::size_t>(q) * a.n + i] = f[q];
 }
@@ -253,11 +272,13 @@ inline void stream_point(const KernelArgs& a, std::int64_t i) {
 /// Ablation variant: collision only, applied in place over f_out.
 inline void collide_point(const KernelArgs& a, std::int64_t i) {
   double f[kQ];
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     f[q] = a.f_out[static_cast<std::size_t>(q) * a.n + i];
   const Moments m = moments_of(f, a.force_x, a.force_y, a.force_z);
   double out[kQ];
   bgk_collide(f, m, a.omega, a.force_x, a.force_y, a.force_z, out);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     a.f_out[static_cast<std::size_t>(q) * a.n + i] = out[q];
 }
@@ -268,6 +289,7 @@ inline void stream_collide_point_aos(const KernelArgs& a, std::int64_t i) {
   const auto type = static_cast<NodeType>(a.node_type[i]);
   double f[kQ];
   std::uint32_t unknown = 0;
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     const PointIndex up = a.adjacency[static_cast<std::size_t>(q) * a.n + i];
     if (up != kSolidNeighbor) {
@@ -284,6 +306,7 @@ inline void stream_collide_point_aos(const KernelArgs& a, std::int64_t i) {
   const Moments m = moments_of(f, a.force_x, a.force_y, a.force_z);
   double out[kQ];
   bgk_collide(f, m, a.omega, a.force_x, a.force_y, a.force_z, out);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     a.f_out[static_cast<std::size_t>(i) * kQ + q] = out[q];
 }
@@ -301,9 +324,11 @@ inline void stream_collide_point_aa_even(const KernelArgs& a, std::int64_t i) {
   double f[kQ];
   std::uint32_t unknown = 0;
   if (type == NodeType::kBulk) {
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q)
       f[q] = a.f[static_cast<std::size_t>(q) * a.n + i];
   } else {
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
       const PointIndex up = a.adjacency[static_cast<std::size_t>(q) * a.n + i];
       if (up == kSolidNeighbor && detail::boundary_unknown(type, q)) {
@@ -319,6 +344,7 @@ inline void stream_collide_point_aa_even(const KernelArgs& a, std::int64_t i) {
   const Moments m = moments_of(f, a.force_x, a.force_y, a.force_z);
   double out[kQ];
   bgk_collide(f, m, a.omega, a.force_x, a.force_y, a.force_z, out);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     a.f[static_cast<std::size_t>(opposite(q)) * a.n + i] = out[q];
 }
@@ -337,8 +363,10 @@ inline void stream_collide_point_aa_odd(const KernelArgs& a, std::int64_t i) {
   std::int64_t up[kQ];
   double f[kQ];
   std::uint32_t unknown = 0;
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
     up[q] = a.adjacency[static_cast<std::size_t>(q) * a.n + i];
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     const std::int64_t u = up[q];
     if (u != kSolidNeighbor) {
@@ -355,6 +383,7 @@ inline void stream_collide_point_aa_odd(const KernelArgs& a, std::int64_t i) {
   const Moments m = moments_of(f, a.force_x, a.force_y, a.force_z);
   double out[kQ];
   bgk_collide(f, m, a.omega, a.force_x, a.force_y, a.force_z, out);
+  #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
     const std::int64_t down = up[opposite(q)];
     if (down != kSolidNeighbor) {

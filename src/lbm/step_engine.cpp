@@ -53,6 +53,7 @@ void StepEngine::fill_equilibrium(const SolverOptions& o,
   const PointIndex* adjacency = adjacency_;
   const auto stride = static_cast<std::size_t>(stride_);
   hal::launch(model, stride_, [=](std::int64_t i) {
+    #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
       const std::size_t at = static_cast<std::size_t>(q) * stride +
                              static_cast<std::size_t>(i);

@@ -89,6 +89,7 @@ std::vector<analysis::Diagnostic> scan_live_health(
   for (std::int64_t i = 0; i < points; ++i) {
     double fi[lbm::kQ];
     bool finite = true;
+    #pragma GCC unroll 19
     for (int q = 0; q < lbm::kQ; ++q) {
       const std::size_t row =
           static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *

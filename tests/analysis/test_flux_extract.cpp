@@ -246,6 +246,42 @@ struct WeightKernel {
   EXPECT_DOUBLE_EQ(p->total_bytes_per_point(), 19.0 * 8.0 + 8.0);
 }
 
+TEST(FluxExtract, UnrollPragmaLinesLeaveTheProfileUnchanged) {
+  // lbm/kernels.hpp puts `#pragma GCC unroll 19` above every direction
+  // loop; a directive line between the statements must not change what
+  // the walk derives.  The pragma replaces a blank line, so the two
+  // sources also agree line for line.
+  const auto profile_with = [](const std::string& line) {
+    const std::string header =
+        "inline void copy_point(const hemo::lbm::KernelArgs& a,\n"
+        "                       std::int64_t i) {\n"
+        "  double f[kQ];\n" +
+        line + "\n" +
+        "  for (int q = 0; q < kQ; ++q) f[q] = a.f_in[q * a.n + i];\n" +
+        line + "\n" +
+        "  for (int q = 0; q < kQ; ++q) a.f_out[q * a.n + i] = f[q];\n"
+        "}\n";
+    const std::string functor = R"(
+struct CopyKernel {
+  hemo::lbm::KernelArgs args;
+  void operator()(std::int64_t i) const { copy_point(args, i); }
+};
+)";
+    const auto profiles = analysis::extract_kernel_profiles(
+        {analysis::FluxSource{"fixture/kernels.h", functor},
+         analysis::FluxSource{"fixture/kernels.hpp", header}});
+    EXPECT_EQ(profiles.size(), 1u);
+    return profiles.empty() ? analysis::KernelProfile{} : profiles.front();
+  };
+  const analysis::KernelProfile plain = profile_with("");
+  const analysis::KernelProfile pragma = profile_with("  #pragma GCC unroll 19");
+  EXPECT_DOUBLE_EQ(plain.distribution_bytes_per_point(), 304.0);
+  EXPECT_EQ(pragma.kernel, plain.kernel);
+  EXPECT_EQ(pragma.line, plain.line);
+  EXPECT_EQ(pragma.accesses, plain.accesses);
+  EXPECT_DOUBLE_EQ(pragma.flops_per_point, plain.flops_per_point);
+}
+
 TEST(FluxExtract, ProfilesComeBackSortedAndLocated) {
   for (const port::CorpusDialect dialect : kAllDialects) {
     const auto profiles = analysis::extract_dialect_profiles(dialect);

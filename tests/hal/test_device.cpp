@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "hal/device.hpp"
@@ -64,13 +65,25 @@ TEST(DeviceEngine, ParallelForVisitsEveryIndexOnce) {
 }
 
 TEST(DeviceEngine, ThreadedChunkingVisitsEveryIndexOnce) {
-  DeviceEngine eng;
-  eng.set_threads(4);
-  std::vector<std::atomic<int>> hits(5000);
-  eng.parallel_for(5000, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Every worker count against ranges that fall back to one thread
+  // (n < 2 * threads), split exactly at the threshold, and split unevenly.
+  for (const int threads : {1, 2, 3, 7}) {
+    for (const std::int64_t n :
+         {std::int64_t{0}, std::int64_t{1}, std::int64_t{2 * threads - 1},
+          std::int64_t{2 * threads}, std::int64_t{5000}, std::int64_t{5001}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", n " +
+                   std::to_string(n));
+      DeviceEngine eng;
+      eng.set_threads(threads);
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      eng.parallel_for(n, [&](std::int64_t i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+      EXPECT_EQ(eng.counters().kernel_launches, 1);
+      EXPECT_EQ(eng.counters().kernel_indices, n);
+    }
+  }
 }
 
 TEST(DeviceEngine, EmptyRangeLaunchesButExecutesNothing) {

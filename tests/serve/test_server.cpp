@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <limits>
@@ -211,14 +212,21 @@ TEST(ServeFairness, InteractiveTenantFinishesIndependentOfBulkBacklog) {
       series_of("summit:cuda:proxy:cylinder-slab")};
 
   // One worker, window of one: dispatch order is the completion order.
-  // The gate holds the first execution until both tenants are queued.
+  // The gate holds the first execution until both tenants are queued.  The
+  // hook records that order (true = an interactive point) as it runs.
   Gate gate;
   std::atomic<bool> first{true};
+  std::mutex order_mu;
+  std::vector<bool> order;
   ServeOptions options;
   options.workers = 1;
   options.max_inflight = 1;
-  options.execution_hook = [&gate, &first](const rt::SeriesSpec&,
-                                           const sys::SchedulePoint&) {
+  options.execution_hook = [&](const rt::SeriesSpec& spec,
+                               const sys::SchedulePoint&) {
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(spec.app == sim::App::kProxy);
+    }
     if (first.exchange(false)) gate.wait();
   };
   Server server(options);
@@ -234,15 +242,23 @@ TEST(ServeFairness, InteractiveTenantFinishesIndependentOfBulkBacklog) {
 
   const rt::CampaignResult result = interactive.wait(i.request_id);
   const std::size_t interactive_points = result.total_points();
-
-  // Round-robin bounds the interactive tenant's completion: when its
-  // done event fired, at most ~one bulk point per interactive point had
-  // run.  A FIFO would have priced all 46 bulk points first.
-  const ServeStats stats = server.stats();
-  EXPECT_LE(stats.points_completed, 2 * interactive_points + 4);
-  bulk.wait(b.request_id);  // drain before teardown
+  bulk.wait(b.request_id);  // drain before reading the order
   EXPECT_EQ(server.stats().points_completed,
-            stats.points_admitted);
+            server.stats().points_admitted);
+
+  // Round-robin bounds the interactive tenant's completion: by its last
+  // point, at most ~one bulk point per interactive point had run.  A FIFO
+  // would have priced all 46 bulk points first.  The bound is read off
+  // the execution order, not the live completion counter, because the
+  // worker keeps pricing bulk points after the interactive series is done.
+  std::lock_guard<std::mutex> lock(order_mu);
+  ASSERT_EQ(static_cast<std::size_t>(
+                std::count(order.begin(), order.end(), true)),
+            interactive_points);
+  const auto last_interactive =
+      std::find(order.rbegin(), order.rend(), true).base();
+  EXPECT_LE(static_cast<std::size_t>(last_interactive - order.begin()),
+            2 * interactive_points + 4);
 }
 
 // ---------------------------------------------------------------------------
