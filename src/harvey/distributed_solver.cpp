@@ -156,6 +156,7 @@ void DistributedSolver::build_decomposition() {
   }
   exchanges_.reserve(pairs.size());
   for (auto& [key, e] : pairs) exchanges_.push_back(std::move(e));
+  plan_audit_tiles();
 }
 
 void DistributedSolver::set_network(std::unique_ptr<comm::Network> network) {
@@ -207,6 +208,75 @@ void DistributedSolver::advance_state() {
   ++steps_done_;
 }
 
+// ---------------------------------------------------------------------------
+// State audit: the health guards, the mass reduction and the sentinel
+// digests all read one pass over the (rank, tile) grid.
+// ---------------------------------------------------------------------------
+
+void DistributedSolver::plan_audit_tiles() {
+  const std::int64_t tile_points =
+      resilience_.has_value() ? resilience_->sentinel.tile_points
+                              : resilience::SentinelPolicy{}.tile_points;
+  audit_tiles_.clear();
+  rank_first_tile_.assign(1, 0);
+  for (Rank r = 0; r < partition_.n_ranks; ++r) {
+    const std::int64_t owned = ranks_[static_cast<std::size_t>(r)].owned;
+    for (std::int64_t begin = 0; begin < owned; begin += tile_points)
+      audit_tiles_.push_back(
+          TileSpan{r, begin, std::min(begin + tile_points, owned)});
+    rank_first_tile_.push_back(audit_tiles_.size());
+  }
+}
+
+std::vector<resilience::TileAudit> DistributedSolver::audit_state(
+    bool health) const {
+  std::vector<resilience::TileAudit> audits(audit_tiles_.size());
+  resilience::TileAudit* out = audits.data();
+  const TileSpan* tiles = audit_tiles_.data();
+  const RankState* ranks = ranks_.data();
+  const resilience::HealthPolicy policy = health_policy();
+  const Vec3 force = options_.body_force;
+  // Each index writes only its own slot of `audits`, so the launch is
+  // race-free and its result does not depend on how it is chunked.
+  hal::launch(model_, static_cast<std::int64_t>(audit_tiles_.size()),
+              [=](std::int64_t k) {
+                const TileSpan& t = tiles[k];
+                const RankState& rs = ranks[t.rank];
+                out[k] = health
+                             ? resilience::audit_tile(
+                                   rs.current(), rs.local, t.begin, t.end,
+                                   lbm::LiveLayout::kCanonical, policy,
+                                   force.x, force.y, force.z)
+                             : resilience::TileAudit{lbm::tile_digest(
+                                   rs.current(), rs.local, t.begin, t.end,
+                                   lbm::LiveLayout::kCanonical)};
+              });
+  return audits;
+}
+
+double DistributedSolver::mass_of(
+    const std::vector<resilience::TileAudit>& audits) {
+  double mass = 0.0;
+  for (const resilience::TileAudit& a : audits) mass += a.digest.mass;
+  return mass;
+}
+
+std::span<const resilience::TileAudit> DistributedSolver::rank_audits(
+    const std::vector<resilience::TileAudit>& audits, Rank r) const {
+  const std::size_t first = rank_first_tile_[static_cast<std::size_t>(r)];
+  const std::size_t last = rank_first_tile_[static_cast<std::size_t>(r) + 1];
+  return std::span<const resilience::TileAudit>(audits).subspan(
+      first, last - first);
+}
+
+std::vector<lbm::TileDigest> DistributedSolver::digests_of(
+    const std::vector<resilience::TileAudit>& audits, Rank r) const {
+  std::vector<lbm::TileDigest> digests;
+  for (const resilience::TileAudit& a : rank_audits(audits, r))
+    digests.push_back(a.digest);
+  return digests;
+}
+
 void DistributedSolver::step() {
   if (resilience_.has_value()) {
     resilient_step();
@@ -233,11 +303,15 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
   HEMO_EXPECTS(options.recovery.max_retransmits >= 0);
   HEMO_EXPECTS(options.recovery.checkpoint_interval >= 1);
   HEMO_EXPECTS(options.recovery.max_rollbacks >= 0);
+  HEMO_EXPECTS(options.sentinel.tile_points >= 1);
   resilience_ = options;
   stats_ = resilience::RunStats{};
   rollbacks_used_ = 0;
   snapshot_ = Snapshot{};
-  initial_mass_ = prev_mass_ = total_mass();
+  plan_audit_tiles();  // the audit tiles are the sentinel's
+  const std::vector<resilience::TileAudit> audits =
+      audit_state(/*health=*/false);
+  initial_mass_ = prev_mass_ = mass_of(audits);
 
   sentinel_.reset();
   sdc_hits_.assign(static_cast<std::size_t>(partition_.n_ranks), 0);
@@ -247,7 +321,7 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
     // Anchor the sentinel: digest the initial state and snapshot it, so a
     // corruption landing before the first checkpoint boundary still has a
     // verified-clean rollback target.
-    sentinel_record_all();
+    sentinel_record_all(audits);
     take_snapshot();
   }
 }
@@ -414,33 +488,45 @@ bool DistributedSolver::resilient_exchange(Rank* suspect) {
   return true;
 }
 
+resilience::HealthPolicy DistributedSolver::health_policy() const {
+  return resilience_.has_value() ? resilience_->health
+                                 : resilience::HealthPolicy{};
+}
+
 std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
-  const resilience::HealthPolicy health =
-      resilience_.has_value() ? resilience_->health
-                              : resilience::HealthPolicy{};
+  return health_of(audit_state(/*health=*/true));
+}
+
+std::vector<analysis::Diagnostic> DistributedSolver::health_of(
+    const std::vector<resilience::TileAudit>& audits) const {
+  const resilience::HealthPolicy health = health_policy();
   std::vector<analysis::Diagnostic> out;
 
-  if (health.scan_nonfinite || health.check_velocity) {
-    // The point-wise scan is the shared layout-aware routine (it also
-    // guards the live AA arrays of the single-domain solvers); the
-    // distributed ranks are always canonical pull-SoA.
-    for (Rank r = 0; r < partition_.n_ranks; ++r) {
-      const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-      std::ostringstream where;
-      where << "rank " << r;
-      const std::vector<analysis::Diagnostic> rank_diags =
-          resilience::scan_live_health(
-              rs.current(), rs.local, rs.owned, lbm::LiveLayout::kCanonical,
-              health, options_.body_force.x, options_.body_force.y,
-              options_.body_force.z, steps_done_, where.str());
-      out.insert(out.end(), rank_diags.begin(), rank_diags.end());
-    }
+  for (Rank r = 0; r < partition_.n_ranks; ++r) {
+    const std::vector<analysis::Diagnostic> rank_diags =
+        resilience::health_diagnostics(rank_audits(audits, r), health,
+                                       steps_done_,
+                                       "rank " + std::to_string(r));
+    out.insert(out.end(), rank_diags.begin(), rank_diags.end());
   }
 
   if (health.check_mass) {
-    const double mass = total_mass();
+    const double mass = mass_of(audits);
     if (!std::isfinite(mass)) {
-      // Covered point-wise by RS001; skip the drift arithmetic.
+      // RS001 already names the non-finite points when it fired.  With the
+      // scan off, or with finite slots whose sum overflowed, this guard is
+      // the only one to see the state has left the representable range.
+      const bool reported = std::any_of(
+          out.begin(), out.end(),
+          [](const analysis::Diagnostic& d) { return d.rule_id == "RS001"; });
+      if (!reported) {
+        std::ostringstream msg;
+        msg << "step " << steps_done_ << ": global mass is non-finite ("
+            << mass << ")";
+        out.push_back(analysis::Diagnostic{
+            "RS002", analysis::Severity::kError, "global", 0, msg.str(),
+            "roll back to the last checkpoint"});
+      }
     } else if (health.closed_system) {
       const double tol =
           resilience::conserved_mass_tolerance(total_values(), steps_done_);
@@ -508,7 +594,8 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
   network_->reset();
   // The digests described the abandoned state; re-anchor on the restored
   // (verified-clean) snapshot.
-  if (sentinel_.has_value()) sentinel_record_all();
+  if (sentinel_.has_value())
+    sentinel_record_all(audit_state(/*health=*/false));
 }
 
 // ---------------------------------------------------------------------------
@@ -526,11 +613,12 @@ resilience::Sentinel::RankView DistributedSolver::rank_view(
   return view;
 }
 
-void DistributedSolver::sentinel_record_all() {
+void DistributedSolver::sentinel_record_all(
+    const std::vector<resilience::TileAudit>& audits) {
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
     if (rs.owned == 0) continue;  // dead rank post-shrink
-    sentinel_->record(r, rank_view(rs), steps_done_);
+    sentinel_->record(r, rank_view(rs), digests_of(audits, r), steps_done_);
   }
 }
 
@@ -579,12 +667,14 @@ bool DistributedSolver::handle_sdc(
 bool DistributedSolver::sentinel_verify_all(bool force) {
   const resilience::SentinelPolicy& pol = sentinel_->policy();
   if (!force && steps_done_ % pol.check_interval != 0) return false;
+  const std::vector<resilience::TileAudit> audits =
+      audit_state(/*health=*/false);
   std::vector<resilience::Sentinel::Mismatch> found;
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
     if (rs.owned == 0) continue;
-    sentinel_->verify(r, rank_view(rs), &found, &stats_.sdc_checks,
-                      &stats_.sdc_false_positive);
+    sentinel_->verify(r, rank_view(rs), digests_of(audits, r), &found,
+                      &stats_.sdc_checks, &stats_.sdc_false_positive);
   }
   return handle_sdc(found, /*reexec=*/false);
 }
@@ -773,7 +863,7 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   if (sentinel_.has_value()) {
     // New decomposition, new tile geometry: old digests are meaningless.
     sentinel_->reset(partition_.n_ranks);
-    sentinel_record_all();
+    sentinel_record_all(audit_state(/*health=*/false));
   }
 
   ++stats_.shrinks;
@@ -840,7 +930,10 @@ void DistributedSolver::resilient_step() {
   // exist.
   if (sentinel_.has_value() && reexec_vote_sample()) return;
 
-  std::vector<analysis::Diagnostic> health = check_health();
+  // One audit pass feeds the guards, the mass reference and the record.
+  const std::vector<resilience::TileAudit> audits =
+      audit_state(/*health=*/true);
+  std::vector<analysis::Diagnostic> health = health_of(audits);
   if (!health.empty()) {
     stats_.health_errors += static_cast<std::int64_t>(health.size());
     stats_.diagnostics.insert(stats_.diagnostics.end(), health.begin(),
@@ -850,10 +943,10 @@ void DistributedSolver::resilient_step() {
     rollback_or_fault(why.str());
     return;
   }
-  prev_mass_ = total_mass();
+  prev_mass_ = mass_of(audits);
   // Close the record/verify window: digest the state the step produced.
   // Anything that changes it before the next verify is corruption.
-  if (sentinel_.has_value()) sentinel_record_all();
+  if (sentinel_.has_value()) sentinel_record_all(audits);
 }
 
 // ---------------------------------------------------------------------------
@@ -926,8 +1019,14 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
 
   steps_done_ = meta.step;
   snapshot_ = Snapshot{};  // pre-restore snapshots are no longer valid
-  initial_mass_ = prev_mass_ = total_mass();
-  if (sentinel_.has_value()) sentinel_record_all();
+  reanchor_after_restore();
+}
+
+void DistributedSolver::reanchor_after_restore() {
+  const std::vector<resilience::TileAudit> audits =
+      audit_state(/*health=*/false);
+  initial_mass_ = prev_mass_ = mass_of(audits);
+  if (sentinel_.has_value()) sentinel_record_all(audits);
 }
 
 std::int64_t DistributedSolver::restore_rank_checkpoint(
@@ -954,8 +1053,7 @@ std::int64_t DistributedSolver::restore_rank_checkpoint(
               reinterpret_cast<char*>(rs.current()));
     steps_done_ = meta.step;
     snapshot_ = Snapshot{};
-    initial_mass_ = prev_mass_ = total_mass();
-    if (sentinel_.has_value()) sentinel_record_all();
+    reanchor_after_restore();
     return meta.step;
   }
   throw io::BlobError("checkpoint '" + path + "': no record for rank " +
@@ -1086,14 +1184,7 @@ lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
 }
 
 double DistributedSolver::total_mass() const {
-  double mass = 0.0;
-  for (const RankState& rs : ranks_)
-    for (std::int64_t li = 0; li < rs.owned; ++li)
-      for (int q = 0; q < lbm::kQ; ++q)
-        mass += rs.current()[static_cast<std::size_t>(q) *
-                                 static_cast<std::size_t>(rs.local) +
-                             static_cast<std::size_t>(li)];
-  return mass;
+  return mass_of(audit_state(/*health=*/false));
 }
 
 std::int64_t DistributedSolver::owned_count(Rank r) const {

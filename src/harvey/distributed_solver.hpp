@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,10 +120,11 @@ class DistributedSolver {
     injected_faults_ = plan;
   }
 
-  /// Per-step numerical-health guards (RS001 non-finite, RS002 mass drift,
-  /// RS003 velocity ceiling) evaluated against the current state.  Run
-  /// automatically after every resilient step; callable directly for
-  /// diagnostics.  Does not advance the mass-drift reference.
+  /// Per-step numerical-health guards (RS001 non-finite, RS002 mass drift
+  /// or non-finite mass, RS003 velocity ceiling) evaluated against the
+  /// current state by one audit pass over its tiles.  Run automatically
+  /// after every resilient step; callable directly for diagnostics.  Does
+  /// not advance the mass-drift reference.
   std::vector<analysis::Diagnostic> check_health() const;
 
   // -- Checkpoint / restart -------------------------------------------------
@@ -158,6 +160,8 @@ class DistributedSolver {
   std::optional<hal::Model> execution_model() const { return model_; }
 
   lbm::Moments global_moments(PointIndex global_index) const;
+  /// Sum of the audit tiles' masses in (rank, tile) order: the solver's
+  /// one mass reduction, deterministic for every dialect and thread count.
   double total_mass() const;
 
   /// Points owned by one rank (count, for balance statistics).
@@ -196,6 +200,15 @@ class DistributedSolver {
     std::vector<std::vector<double>> state;  // per rank, kQ * local values
   };
 
+  /// One tile of the state audit: owned points [begin, end) of a rank.
+  /// The tiles are the sentinel's (SentinelPolicy::tile_points), so one
+  /// audit also yields every digest the sentinel records or verifies.
+  struct TileSpan {
+    Rank rank = 0;
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+  };
+
   /// One halo edge that failed past the retransmit budget, and whether
   /// every failure was pure absence (kMissing) — the signature of a silent
   /// rank, as opposed to corruption or truncation.
@@ -207,6 +220,23 @@ class DistributedSolver {
 
   void exchange_halos();
   void advance_state();
+
+  // State audit: one launch over every (rank, tile) of the live ranks.
+  /// Rebuilds audit_tiles_ for the current decomposition and tile size.
+  void plan_audit_tiles();
+  /// Audits every tile of the current state under the execution model:
+  /// digests, plus the RS001/RS003 partials when `health` is set.
+  std::vector<resilience::TileAudit> audit_state(bool health) const;
+  /// RS001-RS003 diagnostics of an audit of the current state.
+  std::vector<analysis::Diagnostic> health_of(
+      const std::vector<resilience::TileAudit>& audits) const;
+  resilience::HealthPolicy health_policy() const;
+  static double mass_of(const std::vector<resilience::TileAudit>& audits);
+  /// Rank r's share of an audit, and its tile digests.
+  std::span<const resilience::TileAudit> rank_audits(
+      const std::vector<resilience::TileAudit>& audits, Rank r) const;
+  std::vector<lbm::TileDigest> digests_of(
+      const std::vector<resilience::TileAudit>& audits, Rank r) const;
 
   /// Builds ranks_ and exchanges_ from the current partition_.  Called by
   /// the constructor and again by shrink_to_survivors() after the
@@ -223,13 +253,16 @@ class DistributedSolver {
   void record(const char* rule, analysis::Severity severity,
               const std::string& where, const std::string& message);
   void take_snapshot();
+  /// After a checkpoint restore: the restored state becomes the mass
+  /// reference and the sentinel's record.
+  void reanchor_after_restore();
   void rollback_or_fault(const std::string& why);
   std::int64_t total_values() const;
   void resilient_step();
 
   // SDC sentinel (RS006) machinery.
   resilience::Sentinel::RankView rank_view(const RankState& rs) const;
-  void sentinel_record_all();
+  void sentinel_record_all(const std::vector<resilience::TileAudit>& audits);
   /// Verifies every rank's recorded digests (when due, or `force`d because
   /// a snapshot is about to be taken).  Returns true when a confirmed
   /// detection was escalated (rollback or quarantine) — the step attempt
@@ -260,6 +293,9 @@ class DistributedSolver {
   std::unique_ptr<comm::Network> network_;
   std::vector<RankState> ranks_;
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
+  std::vector<TileSpan> audit_tiles_;  // (rank, tile) order
+  // Rank r's audit tiles are [rank_first_tile_[r], rank_first_tile_[r + 1]).
+  std::vector<std::size_t> rank_first_tile_;
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
   bool owns_kokkos_runtime_ = false;

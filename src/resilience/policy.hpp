@@ -38,7 +38,8 @@ namespace hemo::resilience {
 /// Rule ids used by the health guards (same Diagnostic plumbing as the
 /// hemo-lint LC/HL rules):
 ///   RS001 non-finite distribution value        (error)
-///   RS002 global mass drift beyond tolerance   (error)
+///   RS002 global mass drift beyond tolerance,  (error)
+///         or a non-finite global mass
 ///   RS003 velocity-magnitude ceiling exceeded  (error)
 ///   RS004 halo traffic disagrees with the plan (warning; auto-recovered)
 ///   RS005 rank declared dead; domain shrunk    (warning; auto-recovered

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "base/contracts.hpp"
 #include "lbm/kernels.hpp"
@@ -22,10 +23,20 @@ void Sentinel::reset(int n_ranks) {
 }
 
 void Sentinel::record(Rank r, const RankView& view, std::int64_t step) {
+  record(r, view,
+         lbm::digest_tiles(view.f, view.stride, view.owned,
+                           policy_.tile_points, view.layout),
+         step);
+}
+
+void Sentinel::record(Rank r, const RankView& view,
+                      std::vector<lbm::TileDigest> digests,
+                      std::int64_t step) {
   HEMO_EXPECTS(r >= 0 && static_cast<std::size_t>(r) < tables_.size());
+  HEMO_EXPECTS(static_cast<std::int64_t>(digests.size()) ==
+               tiles_of(view.owned));
   RankTable& table = tables_[static_cast<std::size_t>(r)];
-  table.digests = lbm::digest_tiles(view.f, view.stride, view.owned,
-                                    policy_.tile_points, view.layout);
+  table.digests = std::move(digests);
   table.step = step;
   table.owned = view.owned;
   table.layout = view.layout;
@@ -40,74 +51,130 @@ std::int64_t Sentinel::recorded_step(Rank r) const {
   return has_record(r) ? tables_[static_cast<std::size_t>(r)].step : -1;
 }
 
-void Sentinel::verify(Rank r, const RankView& view,
-                      std::vector<Mismatch>* mismatches, std::int64_t* checks,
-                      std::int64_t* false_positives) const {
-  if (!has_record(r)) return;
+const Sentinel::RankTable* Sentinel::comparable_table(
+    Rank r, const RankView& view) const {
+  if (!has_record(r)) return nullptr;
   const RankTable& table = tables_[static_cast<std::size_t>(r)];
   // A record describing different coverage or a different layout cannot be
   // compared against the current state; treat it as absent rather than as
   // a wall of mismatches.  (The solver re-records after every transition
   // that changes either, so this only guards against misuse.)
-  if (table.owned != view.owned || table.layout != view.layout) return;
+  if (table.owned != view.owned || table.layout != view.layout) return nullptr;
+  return &table;
+}
+
+void Sentinel::verify(Rank r, const RankView& view,
+                      std::vector<Mismatch>* mismatches, std::int64_t* checks,
+                      std::int64_t* false_positives) const {
+  if (comparable_table(r, view) == nullptr) return;
+  verify(r, view,
+         lbm::digest_tiles(view.f, view.stride, view.owned,
+                           policy_.tile_points, view.layout),
+         mismatches, checks, false_positives);
+}
+
+void Sentinel::verify(Rank r, const RankView& view,
+                      std::span<const lbm::TileDigest> now,
+                      std::vector<Mismatch>* mismatches, std::int64_t* checks,
+                      std::int64_t* false_positives) const {
+  const RankTable* table = comparable_table(r, view);
+  if (table == nullptr) return;
   const std::int64_t tiles = tiles_of(view.owned);
-  HEMO_EXPECTS(static_cast<std::int64_t>(table.digests.size()) == tiles);
+  HEMO_EXPECTS(static_cast<std::int64_t>(table->digests.size()) == tiles);
+  HEMO_EXPECTS(static_cast<std::int64_t>(now.size()) == tiles);
   for (std::int64_t t = 0; t < tiles; ++t) {
-    const std::int64_t begin = t * policy_.tile_points;
-    const std::int64_t end = std::min(begin + policy_.tile_points, view.owned);
-    const lbm::TileDigest now =
-        lbm::tile_digest(view.f, view.stride, begin, end, view.layout);
+    const lbm::TileDigest& digest = now[static_cast<std::size_t>(t)];
     if (checks != nullptr) ++*checks;
-    if (now == table.digests[static_cast<std::size_t>(t)]) continue;
+    if (digest == table->digests[static_cast<std::size_t>(t)]) continue;
     // Confirm before accusing the state: a second, independent pass over
     // the same slots.  Agreement between the two fresh digests means the
     // state really changed under us; disagreement means the first pass
     // itself misread — a checker fault, retracted and counted but never
     // escalated into a rollback.
+    const std::int64_t begin = t * policy_.tile_points;
+    const std::int64_t end = std::min(begin + policy_.tile_points, view.owned);
     const lbm::TileDigest again =
         lbm::tile_digest(view.f, view.stride, begin, end, view.layout);
-    if (again != now) {
+    if (again != digest) {
       if (false_positives != nullptr) ++*false_positives;
       continue;
     }
     if (mismatches != nullptr)
-      mismatches->push_back(Mismatch{r, t, table.step});
+      mismatches->push_back(Mismatch{r, t, table->step});
   }
 }
 
-std::vector<analysis::Diagnostic> scan_live_health(
-    const double* f, std::int64_t stride, std::int64_t points,
-    lbm::LiveLayout layout, const HealthPolicy& health, double force_x,
-    double force_y, double force_z, std::int64_t step,
-    const std::string& where) {
-  std::vector<analysis::Diagnostic> out;
-  if (!health.scan_nonfinite && !health.check_velocity) return out;
+namespace {
 
+/// Health partials of points [begin, end) into `a`.  kTestSlots = false
+/// skips the per-slot finiteness test, for a tile already proven finite.
+template <bool kTestSlots>
+void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
+                 std::int64_t end, lbm::LiveLayout layout, bool velocity,
+                 double force_x, double force_y, double force_z,
+                 TileAudit* a) {
+  const double* rows[lbm::kQ];
+  for (int q = 0; q < lbm::kQ; ++q)
+    rows[q] = f + static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
+                      static_cast<std::size_t>(stride);
   std::int64_t bad = 0;
   std::int64_t first_bad = -1;
   double max_speed2 = 0.0;
-  for (std::int64_t i = 0; i < points; ++i) {
+  for (std::int64_t i = begin; i < end; ++i) {
     double fi[lbm::kQ];
     bool finite = true;
     #pragma GCC unroll 19
     for (int q = 0; q < lbm::kQ; ++q) {
-      const std::size_t row =
-          static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
-          static_cast<std::size_t>(stride);
-      fi[q] = f[row + static_cast<std::size_t>(i)];
-      if (!std::isfinite(fi[q])) finite = false;
+      fi[q] = rows[q][i];
+      if constexpr (kTestSlots)
+        if (!std::isfinite(fi[q])) finite = false;
     }
     if (!finite) {
       ++bad;
       if (first_bad < 0) first_bad = i;
       continue;  // moments of a non-finite set are meaningless
     }
-    if (health.check_velocity) {
+    if (velocity) {
       const lbm::Moments m = lbm::moments_of(fi, force_x, force_y, force_z);
       const double s2 = m.ux * m.ux + m.uy * m.uy + m.uz * m.uz;
       max_speed2 = std::max(max_speed2, s2);
     }
   }
+  a->nonfinite = bad;
+  a->first_nonfinite = first_bad;
+  a->max_speed2 = max_speed2;
+}
+
+}  // namespace
+
+TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
+                     std::int64_t end, lbm::LiveLayout layout,
+                     const HealthPolicy& health, double force_x,
+                     double force_y, double force_z) {
+  TileAudit a;
+  a.digest = lbm::tile_digest(f, stride, begin, end, layout);
+  if (!health.scan_nonfinite && !health.check_velocity) return a;
+  if (!std::isfinite(a.digest.mass))
+    scan_points<true>(f, stride, begin, end, layout, health.check_velocity,
+                      force_x, force_y, force_z, &a);
+  else if (health.check_velocity)
+    scan_points<false>(f, stride, begin, end, layout, /*velocity=*/true,
+                       force_x, force_y, force_z, &a);
+  return a;
+}
+
+std::vector<analysis::Diagnostic> health_diagnostics(
+    std::span<const TileAudit> audits, const HealthPolicy& health,
+    std::int64_t step, const std::string& where) {
+  std::int64_t bad = 0;
+  std::int64_t first_bad = -1;
+  double max_speed2 = 0.0;  // max is exact, so the fold is order-free
+  for (const TileAudit& a : audits) {
+    bad += a.nonfinite;
+    if (first_bad < 0) first_bad = a.first_nonfinite;
+    max_speed2 = std::max(max_speed2, a.max_speed2);
+  }
+  std::vector<analysis::Diagnostic> out;
   if (health.scan_nonfinite && bad > 0) {
     std::ostringstream msg;
     msg << "step " << step << ": " << bad
@@ -128,6 +195,25 @@ std::vector<analysis::Diagnostic> scan_live_health(
         "roll back to the last checkpoint"});
   }
   return out;
+}
+
+std::vector<analysis::Diagnostic> scan_live_health(
+    const double* f, std::int64_t stride, std::int64_t points,
+    lbm::LiveLayout layout, const HealthPolicy& health, double force_x,
+    double force_y, double force_z, std::int64_t step,
+    const std::string& where) {
+  if (!health.scan_nonfinite && !health.check_velocity) return {};
+  // The fold is exact for any tiling; the sentinel's default tile keeps
+  // each audited tile cache-resident.
+  const std::int64_t tile_points = SentinelPolicy{}.tile_points;
+  std::vector<TileAudit> audits;
+  audits.reserve(
+      static_cast<std::size_t>(lbm::tile_count(points, tile_points)));
+  for (std::int64_t begin = 0; begin < points; begin += tile_points)
+    audits.push_back(audit_tile(f, stride, begin,
+                                std::min(begin + tile_points, points), layout,
+                                health, force_x, force_y, force_z));
+  return health_diagnostics(audits, health, step, where);
 }
 
 }  // namespace hemo::resilience

@@ -16,12 +16,18 @@
 // detection is retracted as a false positive instead of triggering a
 // rollback.
 //
+// The same tile pass feeds the numerical-health guards: audit_tile()
+// produces a tile's digest and its RS001/RS003 partials together, so a
+// solver reads its state once per step for the guards, the mass check and
+// the sentinel record, instead of once per consumer.
+//
 // The digests cover a rank's owned points only.  Ghost slots are
 // legitimately rewritten by every halo exchange (and are CRC-framed on
 // the wire already), so including them would turn every exchange into a
 // false detection.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +68,10 @@ class Sentinel {
 
   /// (Re-)digests every tile of one rank's current state.
   void record(Rank r, const RankView& view, std::int64_t step);
+  /// Records digests the caller already computed over `view`'s tiles
+  /// (`digests[t]` of tile t, as lbm::digest_tiles would produce them).
+  void record(Rank r, const RankView& view,
+              std::vector<lbm::TileDigest> digests, std::int64_t step);
 
   bool has_record(Rank r) const;
   std::int64_t recorded_step(Rank r) const;
@@ -72,6 +82,13 @@ class Sentinel {
   /// retracted (non-reproducing) mismatches.  A rank with no record
   /// verifies vacuously.
   void verify(Rank r, const RankView& view,
+              std::vector<Mismatch>* mismatches, std::int64_t* checks,
+              std::int64_t* false_positives) const;
+  /// Same, against digests the caller already computed over `view`'s
+  /// tiles.  A mismatching tile is still confirmed by a second, serial
+  /// digest of `view` before it is reported.
+  void verify(Rank r, const RankView& view,
+              std::span<const lbm::TileDigest> now,
               std::vector<Mismatch>* mismatches, std::int64_t* checks,
               std::int64_t* false_positives) const;
 
@@ -88,17 +105,48 @@ class Sentinel {
     lbm::LiveLayout layout = lbm::LiveLayout::kCanonical;
   };
 
+  /// Rank r's record when it can be compared against `view`, else null.
+  const RankTable* comparable_table(Rank r, const RankView& view) const;
+
   SentinelPolicy policy_;
   std::vector<RankTable> tables_;
 };
 
-/// Layout-aware RS001/RS003 scan over a live distribution array: reads
-/// each point's populations through the LiveLayout slot mapping, so a
-/// corrupted slot in the live AA array is caught in place — before the
+/// One tile's share of a state audit: its sentinel digest plus the
+/// partials the RS001/RS003 guards fold across tiles.
+struct TileAudit {
+  lbm::TileDigest digest;
+  std::int64_t nonfinite = 0;         // points with a non-finite slot
+  std::int64_t first_nonfinite = -1;  // first such point (array index)
+  double max_speed2 = 0.0;            // largest |u|^2 over finite points
+};
+
+/// Audits points [begin, end) of a live array: the digest is exactly
+/// lbm::tile_digest's, and the health partials are computed over the same
+/// (now cached) tile when `health` enables RS001 or RS003.  The digest's
+/// mass sums every slot, and NaN and +-Inf survive any sum, so a finite
+/// tile mass proves every slot finite and the per-slot test is skipped; a
+/// non-finite mass (a bad slot, or finite values that overflowed) falls
+/// back to testing each point.  |u|^2 comes from lbm::moments_of per
+/// point, as in the guards it feeds.
+TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
+                     std::int64_t end, lbm::LiveLayout layout,
+                     const HealthPolicy& health, double force_x,
+                     double force_y, double force_z);
+
+/// Folds the audits of one array's tiles (in tile order) into its RS001
+/// and RS003 diagnostics.  `where` labels the diagnostics ("rank 3",
+/// "solver"); `step` stamps the messages.
+std::vector<analysis::Diagnostic> health_diagnostics(
+    std::span<const TileAudit> audits, const HealthPolicy& health,
+    std::int64_t step, const std::string& where);
+
+/// Layout-aware RS001/RS003 scan over a live distribution array: audits
+/// its tiles, reading each point's populations through the LiveLayout
+/// slot mapping, then folds them with health_diagnostics().  A corrupted
+/// slot in a live AA array is thus caught in place — before the
 /// canonical-layout conversion (which does not read every slot) could
-/// mask it.  `where` labels the diagnostics ("rank 3", "solver"); `step`
-/// stamps the messages.  Emits the same diagnostics the distributed
-/// solver's canonical-layout guards always produced.
+/// mask it.
 std::vector<analysis::Diagnostic> scan_live_health(
     const double* f, std::int64_t stride, std::int64_t points,
     lbm::LiveLayout layout, const HealthPolicy& health, double force_x,

@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
+#include "hal/device.hpp"
+#include "hal/model.hpp"
 #include "harvey/distributed_solver.hpp"
 #include "io/blob.hpp"
 #include "resilience/fault.hpp"
@@ -50,6 +56,38 @@ std::vector<double> clean_run(int ranks, int steps) {
                            flow_options());
   solver.run(steps);
   return solver.global_distributions();
+}
+
+/// kBitFlip events at `step` that set every zero exponent bit of direction
+/// q of global point `point`, read from the clean state at that step:
+/// together they turn the live slot into Inf/NaN in place.
+std::vector<resilience::FaultEvent> saturate_exponent(
+    const std::vector<double>& clean_state, hemo::PointIndex n,
+    hemo::PointIndex point, int q, std::int64_t step) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits,
+              &clean_state[static_cast<std::size_t>(q) *
+                               static_cast<std::size_t>(n) +
+                           static_cast<std::size_t>(point)],
+              sizeof bits);
+  std::vector<resilience::FaultEvent> flips;
+  for (int bit = 52; bit < 63; ++bit) {
+    if (((bits >> bit) & 1ull) != 0) continue;
+    resilience::FaultEvent e;
+    e.kind = resilience::FaultKind::kBitFlip;
+    e.step = step;
+    e.flip_point = point;
+    e.flip_q = q;
+    e.flip_bit = bit;
+    flips.push_back(e);
+  }
+  return flips;
+}
+
+bool has_rule(const std::vector<hemo::analysis::Diagnostic>& diags,
+              const std::string& rule) {
+  return std::any_of(diags.begin(), diags.end(),
+                     [&](const auto& d) { return d.rule_id == rule; });
 }
 
 /// Removes `path` when the test scope ends, pass or fail.
@@ -188,7 +226,11 @@ TEST(ResilientSolver, ExhaustedBudgetsRaiseStructuredFault) {
 
 TEST(ResilientSolver, HealthGuardCatchesCorruptionWithoutFrames) {
   // With CRC frames disabled the corrupted payload reaches the state; the
-  // RS001 non-finite scan must catch it post-step and roll back.
+  // health guards must catch it post-step and roll back.  The XOR mask
+  // below does not make the value non-finite: it turns an O(0.05) payload
+  // value (exponent 2^-5) into a finite O(100) one (exponent 2^6), which
+  // trips the velocity ceiling (RS003) and the mass-jump guard (RS002),
+  // not RS001.  NonFiniteLiveSlotTripsRS001AndRollsBack covers RS001.
   constexpr int kRanks = 4;
   constexpr int kSteps = 10;
   const std::vector<double> reference = clean_run(kRanks, kSteps);
@@ -202,7 +244,7 @@ TEST(ResilientSolver, HealthGuardCatchesCorruptionWithoutFrames) {
   e.step = 4;
   e.src = 0;
   e.dst = 1;
-  e.xor_mask = 0x7FF0000000000000ull;  // force the exponent to inf/nan
+  e.xor_mask = 0x7FF0000000000000ull;  // flips the exponent, stays finite
   plan.add(e);
   solver.set_network(
       std::make_unique<resilience::FaultyNetwork>(kRanks, plan));
@@ -214,6 +256,73 @@ TEST(ResilientSolver, HealthGuardCatchesCorruptionWithoutFrames) {
 
   EXPECT_GE(solver.resilience_stats().health_errors, 1);
   EXPECT_GE(solver.resilience_stats().rollbacks, 1);
+  EXPECT_EQ(solver.global_distributions(), reference);
+}
+
+TEST(ResilientSolver, NonFiniteLiveSlotTripsRS001AndRollsBack) {
+  // A live slot made truly non-finite on its rank (every zero exponent bit
+  // set) is consumed by the next kernel step; the post-step audit must
+  // name it (RS001), roll back, and replay to the clean bits.
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 10;
+  constexpr int kFlipStep = 5;
+  const std::vector<double> reference = clean_run(kRanks, kSteps);
+
+  auto lattice = small_cylinder();
+  resilience::FaultPlan plan;
+  for (const resilience::FaultEvent& e :
+       saturate_exponent(clean_run(kRanks, kFlipStep), lattice->size(),
+                         lattice->size() / 2, /*q=*/0, kFlipStep))
+    plan.add(e);
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  solver.set_fault_injection(&plan);
+  solver.enable_resilience(resilience::Options{});
+
+  solver.run(kSteps);
+
+  const resilience::RunStats& stats = solver.resilience_stats();
+  EXPECT_TRUE(has_rule(stats.diagnostics, "RS001"));
+  EXPECT_FALSE(has_rule(stats.diagnostics, "RS002"));  // RS001 names it
+  EXPECT_GE(stats.rollbacks, 1);
+  EXPECT_EQ(solver.global_distributions(), reference);
+}
+
+TEST(ResilientSolver, NonFiniteMassTripsRS002WhenScanIsOff) {
+  // With the point-wise RS001 scan disabled, a NaN in the state is skipped
+  // by the velocity ceiling and poisons the global mass; the mass guard
+  // must report the non-finite mass instead of waving it through.
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 8;
+  constexpr int kFlipStep = 4;
+  const std::vector<double> reference = clean_run(kRanks, kSteps);
+
+  auto lattice = small_cylinder();
+  resilience::FaultPlan plan;
+  for (const resilience::FaultEvent& e :
+       saturate_exponent(clean_run(kRanks, kFlipStep), lattice->size(),
+                         lattice->size() / 2, /*q=*/0, kFlipStep))
+    plan.add(e);
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  solver.set_fault_injection(&plan);
+  resilience::Options opts;
+  opts.health.scan_nonfinite = false;
+  solver.enable_resilience(opts);
+
+  solver.run(kSteps);
+
+  const resilience::RunStats& stats = solver.resilience_stats();
+  const auto rs002 = std::find_if(
+      stats.diagnostics.begin(), stats.diagnostics.end(),
+      [](const auto& d) { return d.rule_id == "RS002"; });
+  ASSERT_NE(rs002, stats.diagnostics.end());
+  EXPECT_NE(rs002->message.find("global mass is non-finite"),
+            std::string::npos)
+      << rs002->message;
+  EXPECT_FALSE(has_rule(stats.diagnostics, "RS001"));
+  EXPECT_GE(stats.health_errors, 1);
+  EXPECT_GE(stats.rollbacks, 1);
   EXPECT_EQ(solver.global_distributions(), reference);
 }
 
@@ -416,4 +525,89 @@ TEST(ResilientSolver, OffPlanHaloTrafficIsRecordedAsRS004) {
     saw_rs004 |= (d.rule_id == "RS004");
   EXPECT_TRUE(saw_rs004);
   EXPECT_EQ(solver.global_distributions(), reference);
+}
+
+// ---------------------------------------------------------------------------
+// The state audit runs as one launch over every (rank, tile): its results
+// must not depend on the dialect or on how the engine chunks the launch.
+
+namespace {
+
+struct AuditedRun {
+  std::vector<double> state;
+  resilience::RunStats stats;
+};
+
+/// A seeded resilient + sentinel run that trips every audit consumer: wire
+/// faults, a mantissa flip the sentinel catches (RS006), and an exponent
+/// saturation on a step the sentinel does not verify, which the post-step
+/// audit catches (RS001).
+AuditedRun audited_run(std::optional<hemo::hal::Model> model, int threads) {
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 24;
+  hemo::hal::DeviceEngine& engine = hemo::hal::DeviceEngine::instance();
+  engine.set_threads(threads);
+
+  auto lattice = small_cylinder();
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  resilience::FaultPlan plan = resilience::FaultPlan::random(
+      /*seed=*/11, kSteps, solver.exchange_pairs(),
+      {std::begin(resilience::kAllFaultKinds),
+       std::end(resilience::kAllFaultKinds)},
+      /*events_per_kind=*/1);
+  resilience::FaultEvent flip;
+  flip.kind = resilience::FaultKind::kBitFlip;
+  flip.step = 12;  // a verified step: check_interval divides it
+  flip.flip_point = lattice->size() / 3;
+  flip.flip_q = 5;
+  flip.flip_bit = 41;
+  plan.add(flip);
+  for (const resilience::FaultEvent& e :
+       saturate_exponent(clean_run(kRanks, 13), lattice->size(),
+                         lattice->size() / 2, /*q=*/0, /*step=*/13))
+    plan.add(e);
+  auto network =
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan));
+  resilience::FaultPlan* live_plan = &network->plan();
+  solver.set_network(std::move(network));
+  solver.set_fault_injection(live_plan);
+  if (model.has_value()) solver.set_execution_model(*model);
+  resilience::Options options;
+  options.recovery.checkpoint_interval = 4;
+  options.sentinel.enabled = true;
+  options.sentinel.tile_points = 48;
+  options.sentinel.check_interval = 4;
+  solver.enable_resilience(options);
+
+  solver.run(kSteps);
+  engine.set_threads(1);
+  return {solver.global_distributions(), solver.resilience_stats()};
+}
+
+}  // namespace
+
+TEST(AuditTile, SeededRunIsIdenticalAcrossDialectsAndEngineThreads) {
+  const AuditedRun host = audited_run(std::nullopt, 1);
+  EXPECT_TRUE(has_rule(host.stats.diagnostics, "RS001"));
+  EXPECT_TRUE(has_rule(host.stats.diagnostics, "RS006"));
+  EXPECT_GT(host.stats.retransmits, 0);
+  EXPECT_EQ(host.state, clean_run(4, 24));
+
+  for (const hemo::hal::Model model : hemo::hal::kAllModels)
+    for (const int threads : {1, 2, 3}) {
+      const AuditedRun run = audited_run(model, threads);
+      const std::string label = std::string(hemo::hal::name_of(model)) +
+                                ", " + std::to_string(threads) + " thread(s)";
+      EXPECT_EQ(run.stats.diagnostics, host.stats.diagnostics) << label;
+      EXPECT_EQ(run.stats.health_errors, host.stats.health_errors) << label;
+      EXPECT_EQ(run.stats.rollbacks, host.stats.rollbacks) << label;
+      EXPECT_EQ(run.stats.snapshots, host.stats.snapshots) << label;
+      EXPECT_EQ(run.stats.retransmits, host.stats.retransmits) << label;
+      EXPECT_EQ(run.stats.sdc_checks, host.stats.sdc_checks) << label;
+      EXPECT_EQ(run.stats.sdc_detected, host.stats.sdc_detected) << label;
+      EXPECT_EQ(run.stats.sdc_false_positive, host.stats.sdc_false_positive)
+          << label;
+      EXPECT_TRUE(run.state == host.state) << label;
+    }
 }
