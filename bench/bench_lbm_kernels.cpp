@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the LBM kernels on the host engine:
 // the fused stream-collide versus the two-pass pipeline (ablation), the
 // SoA versus AoS storage layout (ablation), the boundary-condition cost
-// on inlet/outlet-capped geometry, and the pull versus AA (in-place)
-// propagation patterns.
+// on inlet/outlet-capped geometry, the pull versus AA (in-place)
+// propagation patterns, and the step engine's bulk path per ISA build.
 //
 // After the microbenchmarks the binary prints a pull-vs-AA MFLUPS table
 // on a memory-bound cylinder (distribution arrays far larger than cache,
@@ -20,13 +20,16 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/table.hpp"
 #include "geom/cylinder.hpp"
+#include "lbm/bulk_kernels.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/propagation.hpp"
 #include "lbm/solver.hpp"
+#include "lbm/step_engine.hpp"
 
 namespace {
 
@@ -168,6 +171,57 @@ void BM_FullSolverStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * solver.size());
 }
 BENCHMARK(BM_FullSolverStep);
+
+/// One iteration = two steps (an AA even/odd pair) of the step engine on
+/// the 230,912-point inlet/outlet cylinder of HemoBench's cyl-device,
+/// with the bulk loops of one ISA build: range(0) 0 baseline, 1 AVX-512;
+/// range(1) 0 pull, 1 AA.
+void BM_EngineStep(benchmark::State& state) {
+  const lbm::BulkIsa isa =
+      state.range(0) == 0 ? lbm::BulkIsa::kBaseline : lbm::BulkIsa::kAvx512;
+  const lbm::Propagation pattern = state.range(1) == 0
+                                       ? lbm::Propagation::kPullSoA
+                                       : lbm::Propagation::kAAInPlace;
+  if (!lbm::bulk_isa_supported(isa)) {
+    state.SkipWithError("this CPU lacks AVX-512F");
+    return;
+  }
+  geom::CylinderSpec spec;
+  spec.scale = 1.0;
+  spec.radius_per_scale = 24.0;
+  spec.axial_per_scale = 128.0;
+  const auto lattice =
+      geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+  const std::int64_t n = lattice->size();
+  const bool aa = pattern == lbm::Propagation::kAAInPlace;
+  std::vector<double> f_a(static_cast<std::size_t>(lbm::kQ) *
+                          static_cast<std::size_t>(n));
+  std::vector<double> f_b(aa ? 0 : f_a.size());
+  lbm::StepEngine engine(
+      pattern,
+      {f_a.data(), aa ? nullptr : f_b.data(), lattice->adjacency().data(),
+       reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()), n,
+       n},
+      isa);
+  lbm::SolverOptions options;
+  options.tau = 0.9;
+  options.inlet_velocity = 0.01;
+  options.propagation = pattern;
+  engine.fill_equilibrium(options);
+  for (auto _ : state) {
+    engine.step(options);
+    engine.step(options);
+    benchmark::DoNotOptimize(engine.live());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+  state.SetLabel(
+      std::string(isa == lbm::BulkIsa::kAvx512 ? "avx512" : "baseline") +
+      (aa ? " aa" : " pull"));
+}
+BENCHMARK(BM_EngineStep)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Pull-vs-AA MFLUPS table on a memory-bound geometry.

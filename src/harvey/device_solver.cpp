@@ -22,20 +22,19 @@ DeviceSolver::DeviceSolver(std::shared_ptr<const lbm::SparseLattice> lattice,
   HEMO_EXPECTS(options_.tau > 0.5);
   owns_kokkos_runtime_ = hal::acquire_kokkos_runtime(model_);
 
-  const std::vector<PointIndex>& adjacency = lattice_->adjacency();
   const std::vector<lbm::NodeType>& types = lattice_->node_types();
   const std::size_t fbytes =
       static_cast<std::size_t>(lbm::kQ) * types.size() * sizeof(double);
   const bool pull = options_.propagation == lbm::Propagation::kPullSoA;
   f_a_ = allocate(fbytes, nullptr);
   if (pull) f_b_ = allocate(fbytes, nullptr);  // AA runs in place
-  adjacency_ =
-      allocate(adjacency.size() * sizeof(PointIndex), adjacency.data());
   node_type_ = allocate(types.size() * sizeof(lbm::NodeType), types.data());
+  // The engine builds its slot table from the lattice's adjacency, so no
+  // int64 adjacency is uploaded.
   engine_ = lbm::StepEngine(
       options_.propagation,
       {static_cast<double*>(f_a_.get()), static_cast<double*>(f_b_.get()),
-       static_cast<const PointIndex*>(adjacency_.get()),
+       lattice_->adjacency().data(),
        static_cast<const std::uint8_t*>(node_type_.get()), lattice_->size(),
        lattice_->size()});
   engine_.fill_equilibrium(options_, model_);

@@ -73,7 +73,7 @@ class DeviceSolver {
   lbm::SolverOptions options_;
   hal::Model model_;
   bool owns_kokkos_runtime_ = false;
-  DeviceArray f_a_, f_b_, adjacency_, node_type_;
+  DeviceArray f_a_, f_b_, node_type_;
   lbm::StepEngine engine_;
 };
 

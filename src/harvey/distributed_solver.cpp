@@ -102,10 +102,12 @@ void DistributedSolver::build_decomposition() {
     rs.local = rs.owned + static_cast<std::int64_t>(ghosts.size());
 
     // Local adjacency and node types; ghost rows are never executed, so
-    // their adjacency stays kSolidNeighbor and their type kBulk.
-    rs.adjacency.assign(static_cast<std::size_t>(lbm::kQ) *
-                            static_cast<std::size_t>(rs.local),
-                        kSolidNeighbor);
+    // their adjacency stays kSolidNeighbor and their type kBulk.  The
+    // engine keeps its own 32-bit slot table built from the adjacency, so
+    // the adjacency itself is dropped once the engine exists.
+    std::vector<PointIndex> adjacency(static_cast<std::size_t>(lbm::kQ) *
+                                          static_cast<std::size_t>(rs.local),
+                                      kSolidNeighbor);
     rs.node_type.assign(static_cast<std::size_t>(rs.local),
                         static_cast<std::uint8_t>(lbm::NodeType::kBulk));
     for (std::int64_t li = 0; li < rs.owned; ++li) {
@@ -115,9 +117,9 @@ void DistributedSolver::build_decomposition() {
       for (int q = 0; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up == kSolidNeighbor) continue;
-        rs.adjacency[static_cast<std::size_t>(q) *
-                         static_cast<std::size_t>(rs.local) +
-                     static_cast<std::size_t>(li)] = map.at(up);
+        adjacency[static_cast<std::size_t>(q) *
+                      static_cast<std::size_t>(rs.local) +
+                  static_cast<std::size_t>(li)] = map.at(up);
       }
     }
 
@@ -129,7 +131,7 @@ void DistributedSolver::build_decomposition() {
     rs.f_b.resize(rs.f_a.size());
     rs.engine = lbm::StepEngine(
         options_.propagation,
-        {rs.f_a.data(), rs.f_b.data(), rs.adjacency.data(),
+        {rs.f_a.data(), rs.f_b.data(), adjacency.data(),
          rs.node_type.data(), rs.owned, rs.local});
     rs.engine.fill_equilibrium(options_, model_);
   }
@@ -173,27 +175,32 @@ std::vector<std::pair<Rank, Rank>> DistributedSolver::exchange_pairs() const {
   return pairs;
 }
 
+void DistributedSolver::pack(const Exchange& e, double* out) const {
+  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
+  for (std::size_t k = 0; k < e.q.size(); ++k)
+    out[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
+                               static_cast<std::size_t>(src.local) +
+                           static_cast<std::size_t>(e.src_local[k])];
+}
+
+void DistributedSolver::unpack(const Exchange& e, const double* values) {
+  RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
+  for (std::size_t k = 0; k < e.q.size(); ++k)
+    dst.current()[static_cast<std::size_t>(e.q[k]) *
+                      static_cast<std::size_t>(dst.local) +
+                  static_cast<std::size_t>(e.dst_local[k])] = values[k];
+}
+
 void DistributedSolver::exchange_halos() {
   // Post every send, then drain every receive: the classic halo-exchange
   // schedule (non-blocking sends + receives in MPI terms).
   for (const Exchange& e : exchanges_) {
-    const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
     std::vector<double> payload(e.q.size());
-    for (std::size_t k = 0; k < e.q.size(); ++k)
-      payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
-                                     static_cast<std::size_t>(src.local) +
-                                 static_cast<std::size_t>(e.src_local[k])];
+    pack(e, payload.data());
     network_->send(e.src, e.dst, std::move(payload));
   }
-  for (const Exchange& e : exchanges_) {
-    RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-    const std::vector<double> payload =
-        network_->receive(e.dst, e.src, e.q.size());
-    for (std::size_t k = 0; k < e.q.size(); ++k)
-      dst.current()[static_cast<std::size_t>(e.q[k]) *
-                        static_cast<std::size_t>(dst.local) +
-                    static_cast<std::size_t>(e.dst_local[k])] = payload[k];
-  }
+  for (const Exchange& e : exchanges_)
+    unpack(e, network_->receive(e.dst, e.src, e.q.size()).data());
   HEMO_ASSERT(network_->drained());
 }
 
@@ -338,17 +345,12 @@ void DistributedSolver::record(const char* rule, analysis::Severity severity,
 }
 
 std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
-  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
-  std::vector<double> payload(e.q.size());
-  for (std::size_t k = 0; k < e.q.size(); ++k)
-    payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
-                                   static_cast<std::size_t>(src.local) +
-                               static_cast<std::size_t>(e.src_local[k])];
-  if (resilience_->recovery.checksum_frames) {
-    const std::uint32_t crc =
-        io::crc32(payload.data(), payload.size() * sizeof(double));
-    payload.push_back(static_cast<double>(crc));
-  }
+  const bool frames = resilience_->recovery.checksum_frames;
+  std::vector<double> payload(e.q.size() + (frames ? 1 : 0));
+  pack(e, payload.data());
+  if (frames)
+    payload.back() = static_cast<double>(
+        io::crc32(payload.data(), e.q.size() * sizeof(double)));
   return payload;
 }
 
@@ -380,11 +382,7 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
     }
     if (have_payload) {
       if (!frames || frame_ok(payload)) {
-        RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-        for (std::size_t k = 0; k < e.q.size(); ++k)
-          dst.current()[static_cast<std::size_t>(e.q[k]) *
-                            static_cast<std::size_t>(dst.local) +
-                        static_cast<std::size_t>(e.dst_local[k])] = payload[k];
+        unpack(e, payload.data());
         return true;
       }
       ++stats_.crc_mismatch;  // corrupted in flight; retransmit replaces it

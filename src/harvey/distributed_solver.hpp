@@ -170,7 +170,6 @@ class DistributedSolver {
  private:
   struct RankState {
     std::vector<PointIndex> owned_global;  // global index of local point i
-    std::vector<PointIndex> adjacency;     // local, kQ * local_n, q-major
     std::vector<std::uint8_t> node_type;   // local
     std::vector<double> f_a, f_b;
     lbm::StepEngine engine;  // steps the owned points of f_a/f_b
@@ -218,6 +217,11 @@ class DistributedSolver {
     bool missing_only = true;
   };
 
+  /// Gathers exchange e's values from its source rank's current state
+  /// into out[0, e.q.size()).
+  void pack(const Exchange& e, double* out) const;
+  /// Scatters e.q.size() values into exchange e's destination ghost slots.
+  void unpack(const Exchange& e, const double* values);
   void exchange_halos();
   void advance_state();
 
@@ -245,6 +249,8 @@ class DistributedSolver {
   void build_decomposition();
 
   // Resilient halo machinery.
+  /// pack() into a payload sized once, plus the CRC-32 frame word when
+  /// frames are on.
   std::vector<double> pack_payload(const Exchange& e) const;
   void post_all_halos();
   bool receive_exchange(const Exchange& e, bool* missing_only);

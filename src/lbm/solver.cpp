@@ -97,6 +97,7 @@ std::array<double, 6> Solver::stress(PointIndex i) const {
   // canonical snapshot.  The gather never writes f_out.
   KernelArgs a = engine_.args(options_);
   a.f_in = distributions().data();
+  a.adjacency = lattice_->adjacency().data();
   double f[kQ];
   gather_pre_collision(a, i, f);
   return deviatoric_stress(f, 1.0 / options_.tau, options_.body_force.x,

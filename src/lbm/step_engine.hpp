@@ -11,15 +11,40 @@
 // The engine owns the decisions every front-end would otherwise repeat:
 // the KernelArgs built from SolverOptions, the initial equilibrium fill
 // laid out for the propagation pattern, and the choice of pull, AA-even or
-// AA-odd kernel from the pattern and the step parity.  It owns no storage:
-// the front-end hands it the arrays and keeps them alive as long as the
-// engine.
+// AA-odd kernel from the pattern and the step parity.  It owns no
+// distribution storage: the front-end hands it the arrays and keeps them
+// alive as long as the engine.
+//
+// What the engine does own is its addressing.  At construction it turns
+// the int64 adjacency into one 32-bit slot table (kQ x n, q-major) with
+// wall bounce-back folded in, and a list of the inlet/outlet (Zou-He)
+// points:
+//
+//   pull     slots[q][i] = q * stride + up            up = adjacency[q][i]
+//                        = opposite(q) * stride + i   at a wall
+//   AA       slots[q][i] = opposite(q) * stride + up  (the odd step's read)
+//                        = q * stride + i             at a wall
+//
+// The AA odd step writes result q to slots[opposite(q)][i], the very slot
+// it read direction opposite(q) from, so one table serves its reads and
+// its writes; the AA even bulk loop is local and reads no table.  The
+// adjacency is read during construction only.
+//
+// A step is one launch over fixed kStepBlock-point blocks.  A block runs
+// the vectorized bulk loop (lbm/bulk_kernels.hpp) over the runs of kBulk
+// points between its Zou-He points, and the unchanged per-point reference
+// kernel (lbm/kernels.hpp) on each Zou-He point, so a Zou-He point never
+// enters the SIMD loop.  That matters under AA, which updates in place: a
+// point the SIMD loop computed and the reference kernel then recomputed
+// would read its own overwritten slots.
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "base/types.hpp"
 #include "hal/model.hpp"
+#include "lbm/bulk_kernels.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/propagation.hpp"
 #include "lbm/tile_probe.hpp"
@@ -36,13 +61,18 @@ struct SolverOptions {
   Propagation propagation = Propagation::kPullSoA;
 };
 
+/// Points per work-item of a step launch.
+inline constexpr std::int64_t kStepBlock = 256;
+
 /// The arrays an engine steps.  Distributions are q-major SoA with row
 /// stride `stride`; the first `n` points are updated, the rest (a rank's
-/// ghost points) are only read.
+/// ghost points) are only read.  AA steps every point it holds (n ==
+/// stride).
 struct StepStorage {
   double* f_a = nullptr;  // pull: the initial current buffer; AA: the array
   double* f_b = nullptr;  // pull: the second buffer; AA: unused, null
-  const PointIndex* adjacency = nullptr;    // kQ * stride, q-major
+  const PointIndex* adjacency = nullptr;    // kQ * stride, q-major; read by
+                                            // the constructor only
   const std::uint8_t* node_type = nullptr;  // NodeType per point
   std::int64_t n = 0;
   std::int64_t stride = 0;
@@ -51,7 +81,11 @@ struct StepStorage {
 class StepEngine {
  public:
   StepEngine() = default;
-  StepEngine(Propagation pattern, const StepStorage& storage);
+  /// Builds the slot table and the Zou-He list.  Requires
+  /// kQ * stride < 2^31, so every slot fits a 32-bit Slot.  The bulk loops
+  /// run the `isa` build; it defaults to the widest this CPU supports.
+  StepEngine(Propagation pattern, const StepStorage& storage,
+             BulkIsa isa = native_bulk_isa());
 
   /// Fills every slot of the live array with the uniform equilibrium of
   /// the options' initial density and velocity, laid out for step 0.
@@ -65,12 +99,15 @@ class StepEngine {
 
   /// Pull only: recomputes the last step over points [begin, end) into
   /// `out` (same stride), from its input, which survives in the second
-  /// buffer.  The SDC sentinel's duplicate re-execution.
+  /// buffer.  The SDC sentinel's duplicate re-execution; it runs the
+  /// per-point reference kernel on every point, so it stays a different
+  /// implementation from the bulk loop it checks.
   void recompute_range(const SolverOptions& options, std::int64_t begin,
                        std::int64_t end, double* out) const;
 
   /// Kernel arguments of the next step: f_in and f the live array, f_out
-  /// the second buffer (null under AA).
+  /// the second buffer (null under AA).  The engine keeps no int64
+  /// adjacency, so `adjacency` is null; a caller that gathers sets it.
   KernelArgs args(const SolverOptions& options) const;
 
   /// The array the next step reads, in live_layout().
@@ -83,14 +120,22 @@ class StepEngine {
   void set_steps_done(std::int64_t steps);
 
  private:
+  /// The step's arguments for the bulk loops and the Zou-He points.
+  BulkArgs bulk_args(const SolverOptions& options) const;
+
   Propagation pattern_ = Propagation::kPullSoA;
   double* f_ = nullptr;
   double* spare_ = nullptr;
-  const PointIndex* adjacency_ = nullptr;
   const std::uint8_t* node_type_ = nullptr;
   std::int64_t n_ = 0;
   std::int64_t stride_ = 0;
   std::int64_t steps_ = 0;
+  const BulkKernels* bulk_ = nullptr;
+  std::vector<Slot> slots_;  // kQ * n, q-major (see the header comment)
+  // Zou-He points in ascending order; block b's are
+  // boundary_[block_boundary_[b], block_boundary_[b + 1]).
+  std::vector<std::int64_t> boundary_;
+  std::vector<std::int64_t> block_boundary_;
 };
 
 }  // namespace hemo::lbm
