@@ -1,19 +1,24 @@
 #pragma once
 // DeviceEngine: the execution substrate beneath every programming-model
 // dialect in hemo::hal.  It stands in for a GPU: it owns "device"
-// allocations, executes data-parallel index ranges (optionally across host
-// threads), and keeps byte/launch counters that the tests and the cluster
-// simulator consume.
+// allocations, executes data-parallel index ranges (optionally across a
+// pool of persistent host worker threads), and keeps byte/launch counters
+// that the tests and the cluster simulator consume.
 //
 // All four dialects (cudax, hipx, syclx, kokkosx) lower onto this engine,
 // mirroring how CUDA/HIP/SYCL/Kokkos all drive the same physical device in
 // the paper's study.
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 namespace hemo::hal {
 
@@ -69,11 +74,14 @@ class DeviceEngine {
   void copy_d2d(void* dst, const void* src, std::size_t bytes);
 
   /// Executes body(i) for every i in [0, n).  With more than one worker
-  /// thread the range is split into contiguous chunks, one per worker, and
-  /// each worker runs its chunk as one inlined loop over a copy of `body`.
-  /// Chunking is race-free for every kernel body in HemoFlow because each
-  /// slot a launch writes is written by exactly one index — index i's own
-  /// slots, or for the AA odd step the neighbours' slots it scatters to.
+  /// thread the range is cut into contiguous chunks that the workers take
+  /// from a shared counter, and each worker runs a chunk as one inlined
+  /// loop over a copy of `body`.  Chunking is race-free for every kernel
+  /// body in HemoFlow because each slot a launch writes is written by
+  /// exactly one index — index i's own slots, or for the AA odd step the
+  /// neighbours' slots it scatters to.  A body must not launch: a launch
+  /// from inside a running launch is a precondition violation.  One thread
+  /// launches on an engine at a time, as on an in-order device queue.
   template <typename Body>
   void parallel_for(std::int64_t n, const Body& body) {
     run_chunks(n, [&body](std::int64_t lo, std::int64_t hi) {
@@ -81,7 +89,9 @@ class DeviceEngine {
     });
   }
 
-  /// Number of worker threads used by parallel_for (default 1).
+  /// Number of worker threads used by parallel_for (default 1): the
+  /// launching thread plus threads - 1 persistent helpers.  Changing the
+  /// count joins the old helpers and starts new ones.
   void set_threads(int threads);
   int threads() const { return threads_; }
 
@@ -92,16 +102,45 @@ class DeviceEngine {
   std::size_t live_allocations() const { return allocations_.size(); }
 
  private:
+  using Chunk = std::function<void(std::int64_t, std::int64_t)>;
+
+  /// The launch the helpers are invited to join.
+  struct Job {
+    const Chunk* chunk = nullptr;
+    std::int64_t n = 0;
+    std::int64_t grain = 1;  // indices per chunk
+  };
+
   /// Counts one launch of n indices, then runs chunk(lo, hi) over
-  /// contiguous pieces of [0, n): one per worker thread, or all of it on
-  /// the calling thread when threading would not pay.
-  void run_chunks(std::int64_t n,
-                  const std::function<void(std::int64_t, std::int64_t)>& chunk);
+  /// contiguous pieces of [0, n): taken from a shared counter by the
+  /// calling thread and every helper that joins while pieces remain, or
+  /// all of it on the calling thread when threading would not pay.
+  void run_chunks(std::int64_t n, const Chunk& chunk);
+  /// Runs pieces of `job` until the shared counter passes its end.
+  void take_chunks(const Job& job);
+  /// A helper's loop: waits for a launch newer than `seen`, joins it while
+  /// it is open, and returns once stop_helpers() asks.
+  void helper_main(std::uint64_t seen);
+  void start_helpers();
+  void stop_helpers();
 
   std::unordered_map<void*, std::unique_ptr<std::byte[]>> allocations_;
   std::unordered_map<const void*, std::size_t> sizes_;
   EngineCounters counters_;
   int threads_ = 1;
+
+  // The worker pool.  mutex_ guards job_, generation_, open_, joined_ and
+  // stopping_; next_ is the open launch's shared chunk counter.
+  std::mutex mutex_;
+  std::condition_variable wake_;  // helpers: a launch opened, or stop
+  std::condition_variable done_;  // launcher: the last joined helper left
+  Job job_;
+  std::uint64_t generation_ = 0;  // launches handed to the pool so far
+  bool open_ = false;             // job_ may still be joined
+  int joined_ = 0;                // helpers inside job_
+  bool stopping_ = false;
+  std::atomic<std::int64_t> next_{0};
+  std::vector<std::thread> helpers_;  // threads_ - 1 of them
 };
 
 }  // namespace hemo::hal

@@ -158,7 +158,7 @@ void DistributedSolver::build_decomposition() {
   }
   exchanges_.reserve(pairs.size());
   for (auto& [key, e] : pairs) exchanges_.push_back(std::move(e));
-  plan_audit_tiles();
+  plan_step();
 }
 
 void DistributedSolver::set_network(std::unique_ptr<comm::Network> network) {
@@ -210,9 +210,38 @@ void DistributedSolver::set_execution_model(hal::Model model) {
 }
 
 void DistributedSolver::advance_state() {
+  // One launch runs every live rank's blocks.  A block writes only its own
+  // rank's slots, so the result does not depend on how the launch is
+  // chunked across engine workers.
+  std::vector<lbm::StepEngine::BlockStep> rank_blocks;
+  rank_blocks.reserve(ranks_.size());
+  for (const RankState& rs : ranks_)
+    rank_blocks.push_back(rs.engine.blocks(options_));
+  const lbm::StepEngine::BlockStep* blocks = rank_blocks.data();
+  const KernelItem* items = plan_.blocks.data();
+  hal::launch(model_, static_cast<std::int64_t>(plan_.blocks.size()),
+              [=](std::int64_t k) { blocks[items[k].rank](items[k].block); });
   for (RankState& rs : ranks_)
-    if (rs.owned > 0) rs.engine.step(options_, model_);  // dead ranks idle
+    if (rs.owned > 0) rs.engine.commit();  // dead ranks idle
   ++steps_done_;
+}
+
+void DistributedSolver::plan_step() {
+  const std::int64_t tile_points =
+      resilience_.has_value() ? resilience_->sentinel.tile_points
+                              : resilience::SentinelPolicy{}.tile_points;
+  plan_ = StepPlan{};
+  plan_.rank_first_tile.assign(1, 0);
+  for (Rank r = 0; r < partition_.n_ranks; ++r) {
+    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    const std::int64_t blocks = rs.engine.blocks(options_).count;
+    for (std::int64_t b = 0; b < blocks; ++b)
+      plan_.blocks.push_back(KernelItem{r, b});
+    for (std::int64_t begin = 0; begin < rs.owned; begin += tile_points)
+      plan_.tiles.push_back(
+          TileSpan{r, begin, std::min(begin + tile_points, rs.owned)});
+    plan_.rank_first_tile.push_back(plan_.tiles.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,32 +249,17 @@ void DistributedSolver::advance_state() {
 // digests all read one pass over the (rank, tile) grid.
 // ---------------------------------------------------------------------------
 
-void DistributedSolver::plan_audit_tiles() {
-  const std::int64_t tile_points =
-      resilience_.has_value() ? resilience_->sentinel.tile_points
-                              : resilience::SentinelPolicy{}.tile_points;
-  audit_tiles_.clear();
-  rank_first_tile_.assign(1, 0);
-  for (Rank r = 0; r < partition_.n_ranks; ++r) {
-    const std::int64_t owned = ranks_[static_cast<std::size_t>(r)].owned;
-    for (std::int64_t begin = 0; begin < owned; begin += tile_points)
-      audit_tiles_.push_back(
-          TileSpan{r, begin, std::min(begin + tile_points, owned)});
-    rank_first_tile_.push_back(audit_tiles_.size());
-  }
-}
-
 std::vector<resilience::TileAudit> DistributedSolver::audit_state(
     bool health) const {
-  std::vector<resilience::TileAudit> audits(audit_tiles_.size());
+  std::vector<resilience::TileAudit> audits(plan_.tiles.size());
   resilience::TileAudit* out = audits.data();
-  const TileSpan* tiles = audit_tiles_.data();
+  const TileSpan* tiles = plan_.tiles.data();
   const RankState* ranks = ranks_.data();
   const resilience::HealthPolicy policy = health_policy();
   const Vec3 force = options_.body_force;
   // Each index writes only its own slot of `audits`, so the launch is
   // race-free and its result does not depend on how it is chunked.
-  hal::launch(model_, static_cast<std::int64_t>(audit_tiles_.size()),
+  hal::launch(model_, static_cast<std::int64_t>(plan_.tiles.size()),
               [=](std::int64_t k) {
                 const TileSpan& t = tiles[k];
                 const RankState& rs = ranks[t.rank];
@@ -270,8 +284,9 @@ double DistributedSolver::mass_of(
 
 std::span<const resilience::TileAudit> DistributedSolver::rank_audits(
     const std::vector<resilience::TileAudit>& audits, Rank r) const {
-  const std::size_t first = rank_first_tile_[static_cast<std::size_t>(r)];
-  const std::size_t last = rank_first_tile_[static_cast<std::size_t>(r) + 1];
+  const std::size_t first = plan_.rank_first_tile[static_cast<std::size_t>(r)];
+  const std::size_t last =
+      plan_.rank_first_tile[static_cast<std::size_t>(r) + 1];
   return std::span<const resilience::TileAudit>(audits).subspan(
       first, last - first);
 }
@@ -315,7 +330,7 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
   stats_ = resilience::RunStats{};
   rollbacks_used_ = 0;
   snapshot_ = Snapshot{};
-  plan_audit_tiles();  // the audit tiles are the sentinel's
+  plan_step();  // the audit tiles are the sentinel's
   const std::vector<resilience::TileAudit> audits =
       audit_state(/*health=*/false);
   initial_mass_ = prev_mass_ = mass_of(audits);

@@ -208,6 +208,23 @@ class DistributedSolver {
     std::int64_t end = 0;
   };
 
+  /// One work-item of the step launch: block `block` of rank `rank`'s
+  /// engine (StepEngine::BlockStep).
+  struct KernelItem {
+    Rank rank = 0;
+    std::int64_t block = 0;
+  };
+
+  /// The step-wide work plan of the current decomposition, rank by rank:
+  /// every kernel block one step launches and every tile one audit
+  /// launches.  Dead ranks own no points and contribute nothing.
+  struct StepPlan {
+    std::vector<KernelItem> blocks;  // (rank, block) order
+    std::vector<TileSpan> tiles;     // (rank, tile) order
+    // Rank r's tiles are tiles[rank_first_tile[r], rank_first_tile[r + 1]).
+    std::vector<std::size_t> rank_first_tile;
+  };
+
   /// One halo edge that failed past the retransmit budget, and whether
   /// every failure was pure absence (kMissing) — the signature of a silent
   /// rank, as opposed to corruption or truncation.
@@ -223,11 +240,12 @@ class DistributedSolver {
   /// Scatters e.q.size() values into exchange e's destination ghost slots.
   void unpack(const Exchange& e, const double* values);
   void exchange_halos();
+  /// Runs one step of every live rank as one launch over plan_.blocks.
   void advance_state();
 
+  /// Rebuilds plan_ for the current decomposition and audit tile size.
+  void plan_step();
   // State audit: one launch over every (rank, tile) of the live ranks.
-  /// Rebuilds audit_tiles_ for the current decomposition and tile size.
-  void plan_audit_tiles();
   /// Audits every tile of the current state under the execution model:
   /// digests, plus the RS001/RS003 partials when `health` is set.
   std::vector<resilience::TileAudit> audit_state(bool health) const;
@@ -299,9 +317,7 @@ class DistributedSolver {
   std::unique_ptr<comm::Network> network_;
   std::vector<RankState> ranks_;
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
-  std::vector<TileSpan> audit_tiles_;  // (rank, tile) order
-  // Rank r's audit tiles are [rank_first_tile_[r], rank_first_tile_[r + 1]).
-  std::vector<std::size_t> rank_first_tile_;
+  StepPlan plan_;
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
   bool owns_kokkos_runtime_ = false;

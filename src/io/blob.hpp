@@ -28,8 +28,9 @@ class BlobError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
-/// `seed` chains incremental computations: crc32(b, crc32(a)) == crc32(ab).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range
+/// at any alignment, eight bytes per step (slicing-by-8).  `seed` chains
+/// incremental computations: crc32(b, crc32(a)) == crc32(ab).
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 

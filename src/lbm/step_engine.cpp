@@ -95,9 +95,11 @@ void aa_odd_reference_point(const BulkArgs& b, std::int64_t i) {
   const std::uint32_t walls = wall_mask(b, /*aa=*/true, i);
   PointFrame frame(b, walls, i);
   // Direction q is read from the upstream's opposite slot, or at a wall
-  // from the point's own straight slot.
+  // from the point's own straight slot.  The point's other straight slots
+  // belong to the neighbours this step updates, so they are not read.
   for (int q = 0; q < kQ; ++q) {
-    frame.f[PointFrame::self(q)] = b.k.f[flat(q, b.k.n, i)];
+    if (walls & (1u << q))
+      frame.f[PointFrame::self(q)] = b.k.f[flat(q, b.k.n, i)];
     frame.f[PointFrame::upstream(opposite(q))] =
         b.k.f[b.slots[flat(q, b.rows, i)]];
   }
@@ -112,29 +114,6 @@ void aa_odd_reference_point(const BulkArgs& b, std::int64_t i) {
                           : frame.f[PointFrame::upstream(q)];
   }
 }
-
-/// Everything one block of a step reads, captured by value.
-struct BlockStep {
-  BulkArgs args;
-  BulkLoop bulk = nullptr;
-  void (*boundary_point)(const BulkArgs&, std::int64_t) = nullptr;
-  const std::int64_t* boundary = nullptr;
-  const std::int64_t* block_boundary = nullptr;
-  std::int64_t n = 0;
-
-  void operator()(std::int64_t block) const {
-    std::int64_t lo = block * kStepBlock;
-    const std::int64_t hi = std::min(lo + kStepBlock, n);
-    const std::int64_t* zh = boundary + block_boundary[block];
-    const std::int64_t* const zh_end = boundary + block_boundary[block + 1];
-    for (; zh != zh_end; ++zh) {
-      bulk(args, lo, *zh);
-      boundary_point(args, *zh);
-      lo = *zh + 1;
-    }
-    bulk(args, lo, hi);
-  }
-};
 
 }  // namespace
 
@@ -228,10 +207,12 @@ void StepEngine::fill_equilibrium(const SolverOptions& o,
   });
 }
 
-void StepEngine::step(const SolverOptions& o,
-                      std::optional<hal::Model> model) {
-  BlockStep block{bulk_args(o), nullptr, nullptr, boundary_.data(),
-                  block_boundary_.data(), n_};
+StepEngine::BlockStep StepEngine::blocks(const SolverOptions& o) const {
+  BlockStep block{.args = bulk_args(o),
+                  .boundary = boundary_.data(),
+                  .block_boundary = block_boundary_.data(),
+                  .n = n_,
+                  .count = (n_ + kStepBlock - 1) / kStepBlock};
   if (pattern_ == Propagation::kPullSoA) {
     block.bulk = bulk_->pull;
     block.boundary_point = pull_reference_point;
@@ -242,9 +223,19 @@ void StepEngine::step(const SolverOptions& o,
     block.bulk = bulk_->aa_odd;
     block.boundary_point = aa_odd_reference_point;
   }
-  hal::launch(model, (n_ + kStepBlock - 1) / kStepBlock, block);
+  return block;
+}
+
+void StepEngine::commit() {
   if (pattern_ == Propagation::kPullSoA) std::swap(f_, spare_);
   ++steps_;
+}
+
+void StepEngine::step(const SolverOptions& o,
+                      std::optional<hal::Model> model) {
+  const BlockStep block = blocks(o);
+  hal::launch(model, block.count, block);
+  commit();
 }
 
 void StepEngine::recompute_range(const SolverOptions& o, std::int64_t begin,

@@ -37,7 +37,13 @@
 // enters the SIMD loop.  That matters under AA, which updates in place: a
 // point the SIMD loop computed and the reference kernel then recomputed
 // would read its own overwritten slots.
+//
+// The block work is public (blocks() and commit()), so a front-end that
+// steps several engines at once — DistributedSolver's ranks — can run all
+// their blocks in one launch of its own; step() is that sequence for one
+// engine.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -92,8 +98,42 @@ class StepEngine {
   void fill_equilibrium(const SolverOptions& options,
                         std::optional<hal::Model> model = std::nullopt);
 
+  /// The next step as per-block work: block(b) for every b in
+  /// [0, block.count) computes points [b * kStepBlock, (b + 1) * kStepBlock)
+  /// of this engine and writes no slot another block writes, so the blocks
+  /// may run in any order and on any thread.  Captured by value; it stays
+  /// valid until commit().
+  struct BlockStep {
+    BulkArgs args;
+    BulkLoop bulk = nullptr;
+    void (*boundary_point)(const BulkArgs&, std::int64_t) = nullptr;
+    const std::int64_t* boundary = nullptr;
+    const std::int64_t* block_boundary = nullptr;
+    std::int64_t n = 0;
+    std::int64_t count = 0;  // blocks
+
+    void operator()(std::int64_t block) const {
+      std::int64_t lo = block * kStepBlock;
+      const std::int64_t hi = std::min(lo + kStepBlock, n);
+      const std::int64_t* zh = boundary + block_boundary[block];
+      const std::int64_t* const zh_end = boundary + block_boundary[block + 1];
+      for (; zh != zh_end; ++zh) {
+        bulk(args, lo, *zh);
+        boundary_point(args, *zh);
+        lo = *zh + 1;
+      }
+      bulk(args, lo, hi);
+    }
+  };
+
+  /// The next step's blocks; run every one of them, then commit().
+  BlockStep blocks(const SolverOptions& options) const;
+  /// Completes the step whose blocks() all ran: the pull buffers swap and
+  /// the step counter advances.
+  void commit();
+
   /// Advances one step through `model`'s launch primitive (a host loop
-  /// when empty).
+  /// when empty): blocks(), one launch over them, commit().
   void step(const SolverOptions& options,
             std::optional<hal::Model> model = std::nullopt);
 

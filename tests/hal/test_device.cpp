@@ -1,11 +1,14 @@
 // DeviceEngine tests: allocation registry, byte accounting, and the
-// parallel_for execution contract (including threaded chunking).
+// parallel_for execution contract (including threaded chunking on the
+// persistent worker pool).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hal/device.hpp"
@@ -104,4 +107,55 @@ TEST(DeviceEngine, ResetCountersClearsEverything) {
   EXPECT_EQ(eng.counters().kernel_launches, 0);
   EXPECT_EQ(eng.counters().kernel_indices, 0);
   eng.deallocate(p);
+}
+
+TEST(DeviceEngine, ThreadCountChangesBetweenLaunchesKeepEveryLaunchExact) {
+  // Helpers are joined and restarted on every change of the count.  A
+  // restarted helper must not replay the launch before the change: each
+  // launch visits every index once, nothing runs between launches, and the
+  // counters read one launch of n indices each.
+  DeviceEngine eng;
+  constexpr std::int64_t kMax = 5001;
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kMax));
+  std::int64_t launches = 0;
+  std::int64_t indices = 0;
+  for (const int threads : {1, 3, 2, 1, 3, 1}) {
+    eng.set_threads(threads);
+    EXPECT_EQ(eng.threads(), threads);
+    for (const std::int64_t n :
+         {std::int64_t{5000}, std::int64_t{1}, std::int64_t{kMax}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", n " +
+                   std::to_string(n));
+      for (auto& h : hits) h.store(0);
+      eng.parallel_for(n, [&hits](std::int64_t i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      // Give a stale helper time to show itself before the check.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      for (std::int64_t i = 0; i < kMax; ++i)
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), i < n ? 1 : 0)
+            << "index " << i;
+      ++launches;
+      indices += n;
+      EXPECT_EQ(eng.counters().kernel_launches, launches);
+      EXPECT_EQ(eng.counters().kernel_indices, indices);
+    }
+  }
+}
+
+TEST(DeviceEngineDeathTest, NestedLaunchIsRejected) {
+  // The launching thread and the helpers all run launch bodies; a launch
+  // from any of them would wait for pieces its own caller holds.
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_DEATH(
+        {
+          DeviceEngine eng;
+          eng.set_threads(threads);
+          eng.parallel_for(64, [&eng](std::int64_t) {
+            eng.parallel_for(1, [](std::int64_t) {});
+          });
+        },
+        "Precondition");
+  }
 }

@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace hemo::hal {
@@ -64,6 +69,39 @@ TEST(Launch, ChunkedEngineStillVisitsEveryIndexExactlyOnce) {
   engine.set_threads(3);
   for (const std::optional<Model>& model : all_launch_models())
     for (std::int64_t n : kSizes) expect_each_index_once(model, n);
+  engine.set_threads(1);
+}
+
+TEST(Launch, GridDialectsRunASubBlockLiveRangeOnEveryWorker) {
+  // 100 live indices of one 256-wide grid block, on 2 engine threads: the
+  // guarded-out tail holds most of the grid, yet both workers must run live
+  // indices.  Each live index waits (with a timeout, so the test fails
+  // instead of hanging) until two threads have run one.
+  constexpr std::int64_t kLive = 100;
+  DeviceEngine& engine = DeviceEngine::instance();
+  engine.set_threads(2);
+  for (const Model model : {Model::kCuda, Model::kHip}) {
+    std::mutex mutex;
+    std::condition_variable arrived;
+    std::set<std::thread::id> workers;
+    bool timed_out = false;
+    engine.reset_counters();
+    launch(model, kLive, [&](std::int64_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      workers.insert(std::this_thread::get_id());
+      arrived.notify_all();
+      if (!arrived.wait_for(lock, std::chrono::seconds(5), [&] {
+            return workers.size() >= 2 || timed_out;
+          }))
+        timed_out = true;
+    });
+    EXPECT_EQ(workers.size(), 2u) << name_of(model);
+    EXPECT_FALSE(timed_out) << name_of(model);
+    // The counters still read the grid the dialect issued.
+    EXPECT_EQ(engine.counters().kernel_launches, 1) << name_of(model);
+    EXPECT_EQ(engine.counters().kernel_indices, 256) << name_of(model);
+  }
+  engine.reset_counters();
   engine.set_threads(1);
 }
 

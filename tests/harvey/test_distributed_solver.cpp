@@ -6,10 +6,14 @@
 
 #include <iterator>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "decomp/partition.hpp"
 #include "geom/aorta.hpp"
 #include "geom/cylinder.hpp"
+#include "hal/device.hpp"
 #include "harvey/distributed_solver.hpp"
 #include "lbm/hemodynamics.hpp"
 #include "lbm/solver.hpp"
@@ -266,6 +270,130 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return n;
     });
+
+namespace {
+
+/// Sets the process-wide device engine's thread count for its lifetime.
+class EngineThreads {
+ public:
+  explicit EngineThreads(int threads) {
+    hemo::hal::DeviceEngine::instance().set_threads(threads);
+  }
+  ~EngineThreads() { hemo::hal::DeviceEngine::instance().set_threads(1); }
+  EngineThreads(const EngineThreads&) = delete;
+  EngineThreads& operator=(const EngineThreads&) = delete;
+};
+
+/// A cylinder with several step blocks per rank at every rank count below,
+/// so a step launch holds blocks of many ranks in one engine chunk and one
+/// rank's blocks in several.
+std::shared_ptr<lbm::SparseLattice> multi_block_cylinder() {
+  geom::CylinderSpec spec;
+  spec.scale = 2.0;
+  spec.radius_per_scale = 4.0;
+  spec.axial_per_scale = 16.0;
+  return geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+}
+
+}  // namespace
+
+/// (dialect, engine threads)
+class DistributedDialectsThreaded
+    : public ::testing::TestWithParam<std::tuple<hemo::hal::Model, int>> {};
+
+// A distributed step is one launch over every live rank's blocks, chunked
+// across the engine workers: the result must not depend on the dialect,
+// the thread count or the rank count.
+TEST_P(DistributedDialectsThreaded, SingleStepLaunchMatchesReferenceBitwise) {
+  const auto [model, threads] = GetParam();
+  const EngineThreads engine_threads(threads);
+  auto lattice = multi_block_cylinder();
+  lbm::Solver reference(lattice, flow_options());
+  reference.run(12);
+  const std::vector<double>& ref = reference.distributions();
+  for (const int ranks : {1, 2, 5, 8}) {
+    DistributedSolver distributed(
+        lattice, decomp::bisection_partition(*lattice, ranks), flow_options());
+    distributed.set_execution_model(model);
+    distributed.run(12);
+    const std::vector<double> dist = distributed.global_distributions();
+    ASSERT_EQ(ref.size(), dist.size());
+    for (std::size_t k = 0; k < ref.size(); ++k)
+      ASSERT_EQ(ref[k], dist[k])
+          << hemo::hal::name_of(model) << ", " << threads << " threads, "
+          << ranks << " ranks: diverged at " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsThreads, DistributedDialectsThreaded,
+    ::testing::Combine(::testing::ValuesIn(std::begin(hemo::hal::kAllModels),
+                                           std::end(hemo::hal::kAllModels)),
+                       ::testing::Values(2, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<hemo::hal::Model, int>>&
+           info) {
+      std::string n{hemo::hal::name_of(std::get<0>(info.param))};
+      for (char& c : n)
+        if (c == '-') c = '_';
+      return n + "_" + std::to_string(std::get<1>(info.param)) + "threads";
+    });
+
+// The step launch covers every live rank: one kernel launch per step,
+// whose work-items are the ranks' blocks together (grid-rounded for hipx).
+TEST(DistributedDialects, StepIsOneKernelLaunchOverEveryRanksBlocks) {
+  constexpr int kRanks = 5;
+  auto lattice = multi_block_cylinder();
+  DistributedSolver solver(
+      lattice, decomp::bisection_partition(*lattice, kRanks), flow_options());
+  solver.set_execution_model(hemo::hal::Model::kHip);
+  std::int64_t blocks = 0;
+  for (int r = 0; r < kRanks; ++r)
+    blocks += (solver.owned_count(r) + lbm::kStepBlock - 1) / lbm::kStepBlock;
+  ASSERT_GT(blocks, 2 * kRanks);
+
+  hemo::hal::DeviceEngine& engine = hemo::hal::DeviceEngine::instance();
+  engine.reset_counters();
+  solver.step();
+  EXPECT_EQ(engine.counters().kernel_launches, 1);
+  EXPECT_EQ(engine.counters().kernel_indices, (blocks + 255) / 256 * 256);
+  engine.reset_counters();
+}
+
+// A rank killed mid-run under hipx on 2 engine threads: the shrink rebuilds
+// the step plan over the survivors, and the run must end bit-identical to
+// the unfaulted host-loop run.
+TEST(DistributedDialects, RankKillShrinkOnTwoThreadsMatchesHostLoopBitwise) {
+  constexpr int kRanks = 5;
+  constexpr int kSteps = 24;
+  auto lattice = multi_block_cylinder();
+  const decomp::Partition partition =
+      decomp::bisection_partition(*lattice, kRanks);
+  DistributedSolver host(lattice, partition, flow_options());
+  host.run(kSteps);
+
+  const EngineThreads engine_threads(2);
+  DistributedSolver solver(lattice, partition, flow_options());
+  resilience::FaultPlan plan;
+  plan.kill_rank(3, /*step=*/9);
+  solver.set_network(
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan)));
+  solver.set_execution_model(hemo::hal::Model::kHip);
+  resilience::Options options;
+  options.shrink.enabled = true;
+  options.shrink.death_deadline = 2;
+  solver.enable_resilience(options);
+  solver.run(kSteps);
+
+  EXPECT_EQ(solver.resilience_stats().shrinks, 1);
+  EXPECT_EQ(solver.survivor_count(), kRanks - 1);
+  EXPECT_EQ(solver.owned_count(3), 0);
+  EXPECT_EQ(solver.step_count(), kSteps);
+  const std::vector<double> expected = host.global_distributions();
+  const std::vector<double> actual = solver.global_distributions();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t k = 0; k < expected.size(); ++k)
+    ASSERT_EQ(expected[k], actual[k]) << "diverged at " << k;
+}
 
 TEST(DistributedDialects, PulsatileInflowMatchesReference) {
   auto lattice = cylinder_workload_for_dialects();

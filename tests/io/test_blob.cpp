@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,37 @@ TEST(Blob, Crc32MatchesKnownVectorAndChains) {
   const std::uint32_t whole = crc32(check.data(), check.size());
   const std::uint32_t first = crc32(check.data(), 4);
   EXPECT_EQ(crc32(check.data() + 4, check.size() - 4, first), whole);
+}
+
+/// The textbook bytewise CRC-32, the reference the sliced one must match.
+std::uint32_t bytewise_crc32(const unsigned char* bytes, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Blob, Crc32MatchesBytewiseReferenceAtAnyLengthAndAlignment) {
+  std::mt19937_64 rng(20231117);
+  std::vector<unsigned char> buffer(4096 + 16);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  std::uniform_int_distribution<std::size_t> length(0, 4096);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Every length up to 64 (the tail loop's cases), then random ones.
+    const std::size_t size =
+        trial <= 64 ? static_cast<std::size_t>(trial) : length(rng);
+    const std::size_t offset = static_cast<std::size_t>(trial) % 16;
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const unsigned char* start = buffer.data() + offset;
+    ASSERT_EQ(crc32(start, size), bytewise_crc32(start, size, 0))
+        << "size " << size << ", offset " << offset;
+    ASSERT_EQ(crc32(start, size, seed), bytewise_crc32(start, size, seed))
+        << "size " << size << ", offset " << offset << ", seed " << seed;
+  }
 }
 
 }  // namespace
