@@ -209,18 +209,32 @@ void DistributedSolver::set_execution_model(hal::Model model) {
   model_ = model;
 }
 
-void DistributedSolver::advance_state() {
-  // One launch runs every live rank's blocks.  A block writes only its own
-  // rank's slots, so the result does not depend on how the launch is
-  // chunked across engine workers.
-  std::vector<lbm::StepEngine::BlockStep> rank_blocks;
-  rank_blocks.reserve(ranks_.size());
+void DistributedSolver::advance_state(bool audit) {
+  // One launch runs every live rank's tiles.  A tile writes only its own
+  // rank's slots of its own points, so the result does not depend on how
+  // the launch is chunked across engine workers; the audit of a tile reads
+  // exactly the points its work-item just wrote.
+  std::vector<lbm::StepEngine::BlockStep> rank_steps;
+  rank_steps.reserve(ranks_.size());
   for (const RankState& rs : ranks_)
-    rank_blocks.push_back(rs.engine.blocks(options_));
-  const lbm::StepEngine::BlockStep* blocks = rank_blocks.data();
-  const KernelItem* items = plan_.blocks.data();
-  hal::launch(model_, static_cast<std::int64_t>(plan_.blocks.size()),
-              [=](std::int64_t k) { blocks[items[k].rank](items[k].block); });
+    rank_steps.push_back(rs.engine.blocks(options_));
+  const lbm::StepEngine::BlockStep* steps = rank_steps.data();
+  const TileSpan* tiles = plan_.tiles.data();
+  const RankState* ranks = ranks_.data();
+  resilience::TileAudit* audits = audit ? step_audits_.data() : nullptr;
+  const resilience::HealthPolicy policy = health_policy();
+  const Vec3 force = options_.body_force;
+  hal::launch(model_, static_cast<std::int64_t>(plan_.tiles.size()),
+              [=](std::int64_t k) {
+                const TileSpan& t = tiles[k];
+                const lbm::StepEngine::BlockStep& s = steps[t.rank];
+                s.range(t.begin, t.end);
+                if (audits != nullptr)
+                  audits[k] = resilience::audit_tile(
+                      s.output(), ranks[t.rank].local, t.begin, t.end,
+                      lbm::LiveLayout::kCanonical, policy, force.x, force.y,
+                      force.z);
+              });
   for (RankState& rs : ranks_)
     if (rs.owned > 0) rs.engine.commit();  // dead ranks idle
   ++steps_done_;
@@ -234,14 +248,12 @@ void DistributedSolver::plan_step() {
   plan_.rank_first_tile.assign(1, 0);
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::int64_t blocks = rs.engine.blocks(options_).count;
-    for (std::int64_t b = 0; b < blocks; ++b)
-      plan_.blocks.push_back(KernelItem{r, b});
     for (std::int64_t begin = 0; begin < rs.owned; begin += tile_points)
       plan_.tiles.push_back(
           TileSpan{r, begin, std::min(begin + tile_points, rs.owned)});
     plan_.rank_first_tile.push_back(plan_.tiles.size());
   }
+  step_audits_.assign(plan_.tiles.size(), resilience::TileAudit{});
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +318,7 @@ void DistributedSolver::step() {
   }
   network_->begin_step(steps_done_);
   exchange_halos();
-  advance_state();
+  advance_state(/*audit=*/false);
 }
 
 void DistributedSolver::run(int steps) {
@@ -575,13 +587,37 @@ void DistributedSolver::take_snapshot() {
   snapshot_.step = steps_done_;
   snapshot_.prev_mass = prev_mass_;
   snapshot_.state.resize(ranks_.size());
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& rs = ranks_[r];
-    snapshot_.state[r].assign(
-        rs.current(), rs.current() + static_cast<std::size_t>(lbm::kQ) *
-                                       static_cast<std::size_t>(rs.local));
-  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r)
+    snapshot_.state[r].resize(static_cast<std::size_t>(lbm::kQ) *
+                              static_cast<std::size_t>(ranks_[r].local));
+  copy_snapshot_rows(/*to_snapshot=*/true);
   ++stats_.snapshots;
+}
+
+void DistributedSolver::copy_snapshot_rows(bool to_snapshot) {
+  struct RankRows {
+    const double* from = nullptr;
+    double* to = nullptr;
+    std::size_t row = 0;  // values per q-row
+  };
+  std::vector<RankRows> rows;
+  rows.reserve(ranks_.size());
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    double* live = ranks_[r].current();
+    double* saved = snapshot_.state[r].data();
+    rows.push_back(RankRows{to_snapshot ? live : saved,
+                            to_snapshot ? saved : live,
+                            static_cast<std::size_t>(ranks_[r].local)});
+  }
+  // Work-item k copies q-row k % kQ of rank k / kQ: disjoint destinations.
+  const RankRows* copies = rows.data();
+  hal::launch(model_, static_cast<std::int64_t>(rows.size()) * lbm::kQ,
+              [=](std::int64_t k) {
+                const RankRows& r = copies[k / lbm::kQ];
+                const std::size_t at =
+                    static_cast<std::size_t>(k % lbm::kQ) * r.row;
+                std::copy_n(r.from + at, r.row, r.to + at);
+              });
 }
 
 void DistributedSolver::rollback_or_fault(const std::string& why) {
@@ -596,11 +632,7 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
   }
   ++rollbacks_used_;
   ++stats_.rollbacks;
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    RankState& rs = ranks_[r];
-    std::copy(snapshot_.state[r].begin(), snapshot_.state[r].end(),
-              rs.current());
-  }
+  copy_snapshot_rows(/*to_snapshot=*/false);
   steps_done_ = snapshot_.step;
   prev_mass_ = snapshot_.prev_mass;
   // Traffic of the abandoned step must not leak into the replay.
@@ -935,7 +967,7 @@ void DistributedSolver::resilient_step() {
   }
   suspect_rank_ = -1;
   suspect_count_ = 0;
-  advance_state();
+  advance_state(/*audit=*/true);
 
   // Compute-SDC cross-check: the step's input still survives in each
   // rank engine's second buffer (the swap's other half), so sampled tiles
@@ -943,10 +975,9 @@ void DistributedSolver::resilient_step() {
   // exist.
   if (sentinel_.has_value() && reexec_vote_sample()) return;
 
-  // One audit pass feeds the guards, the mass reference and the record.
-  const std::vector<resilience::TileAudit> audits =
-      audit_state(/*health=*/true);
-  std::vector<analysis::Diagnostic> health = health_of(audits);
+  // The step launch's audits feed the guards, the mass reference and the
+  // record.
+  std::vector<analysis::Diagnostic> health = health_of(step_audits_);
   if (!health.empty()) {
     stats_.health_errors += static_cast<std::int64_t>(health.size());
     stats_.diagnostics.insert(stats_.diagnostics.end(), health.begin(),
@@ -956,10 +987,11 @@ void DistributedSolver::resilient_step() {
     rollback_or_fault(why.str());
     return;
   }
-  prev_mass_ = mass_of(audits);
-  // Close the record/verify window: digest the state the step produced.
-  // Anything that changes it before the next verify is corruption.
-  if (sentinel_.has_value()) sentinel_record_all(audits);
+  prev_mass_ = mass_of(step_audits_);
+  // Close the record/verify window: record the digests of the state the
+  // step produced.  Anything that changes it before the next verify is
+  // corruption.
+  if (sentinel_.has_value()) sentinel_record_all(step_audits_);
 }
 
 // ---------------------------------------------------------------------------

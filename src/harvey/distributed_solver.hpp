@@ -53,6 +53,10 @@
 namespace hemo::harvey {
 
 class DistributedSolver {
+  // Tests compare the audits made inside the step launch against a
+  // separate audit of the committed state.
+  friend struct DistributedSolverPeer;
+
  public:
   /// Runs the pull pattern only: `options.propagation` must be kPullSoA.
   /// AA in place would need halo slot maps keyed by the step parity.
@@ -122,8 +126,9 @@ class DistributedSolver {
 
   /// Per-step numerical-health guards (RS001 non-finite, RS002 mass drift
   /// or non-finite mass, RS003 velocity ceiling) evaluated against the
-  /// current state by one audit pass over its tiles.  Run automatically
-  /// after every resilient step; callable directly for diagnostics.  Does
+  /// current state by one audit pass over its tiles.  A resilient step
+  /// evaluates the same guards on the audits its step launch makes, which
+  /// equal this pass bit for bit; callable directly for diagnostics.  Does
   /// not advance the mass-drift reference.
   std::vector<analysis::Diagnostic> check_health() const;
 
@@ -199,28 +204,20 @@ class DistributedSolver {
     std::vector<std::vector<double>> state;  // per rank, kQ * local values
   };
 
-  /// One tile of the state audit: owned points [begin, end) of a rank.
-  /// The tiles are the sentinel's (SentinelPolicy::tile_points), so one
-  /// audit also yields every digest the sentinel records or verifies.
+  /// One tile: owned points [begin, end) of a rank.  The tiles are the
+  /// sentinel's (SentinelPolicy::tile_points), so one audit over them also
+  /// yields every digest the sentinel records or verifies.
   struct TileSpan {
     Rank rank = 0;
     std::int64_t begin = 0;
     std::int64_t end = 0;
   };
 
-  /// One work-item of the step launch: block `block` of rank `rank`'s
-  /// engine (StepEngine::BlockStep).
-  struct KernelItem {
-    Rank rank = 0;
-    std::int64_t block = 0;
-  };
-
-  /// The step-wide work plan of the current decomposition, rank by rank:
-  /// every kernel block one step launches and every tile one audit
-  /// launches.  Dead ranks own no points and contribute nothing.
+  /// The step-wide work plan of the current decomposition: every tile of
+  /// every rank, the work-items of both the step launch and the audit
+  /// launch.  Dead ranks own no points and contribute nothing.
   struct StepPlan {
-    std::vector<KernelItem> blocks;  // (rank, block) order
-    std::vector<TileSpan> tiles;     // (rank, tile) order
+    std::vector<TileSpan> tiles;  // (rank, tile) order
     // Rank r's tiles are tiles[rank_first_tile[r], rank_first_tile[r + 1]).
     std::vector<std::size_t> rank_first_tile;
   };
@@ -240,8 +237,11 @@ class DistributedSolver {
   /// Scatters e.q.size() values into exchange e's destination ghost slots.
   void unpack(const Exchange& e, const double* values);
   void exchange_halos();
-  /// Runs one step of every live rank as one launch over plan_.blocks.
-  void advance_state();
+  /// Runs one step of every live rank as one launch over plan_.tiles.
+  /// With `audit`, each work-item then audits the tile it just wrote,
+  /// health partials included, into step_audits_: the audit of the state
+  /// the step commits, read from cache instead of from memory.
+  void advance_state(bool audit);
 
   /// Rebuilds plan_ for the current decomposition and audit tile size.
   void plan_step();
@@ -277,6 +277,9 @@ class DistributedSolver {
   void record(const char* rule, analysis::Severity severity,
               const std::string& where, const std::string& message);
   void take_snapshot();
+  /// Copies every rank's live array into the snapshot (`to_snapshot`) or
+  /// back, as one launch over (rank, q-row) copies.
+  void copy_snapshot_rows(bool to_snapshot);
   /// After a checkpoint restore: the restored state becomes the mass
   /// reference and the sentinel's record.
   void reanchor_after_restore();
@@ -318,6 +321,9 @@ class DistributedSolver {
   std::vector<RankState> ranks_;
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
   StepPlan plan_;
+  // The audits of the last advance_state(/*audit=*/true), in plan_.tiles
+  // order.
+  std::vector<resilience::TileAudit> step_audits_;
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
   bool owns_kokkos_runtime_ = false;

@@ -234,7 +234,9 @@ void StepEngine::commit() {
 void StepEngine::step(const SolverOptions& o,
                       std::optional<hal::Model> model) {
   const BlockStep block = blocks(o);
-  hal::launch(model, block.count, block);
+  hal::launch(model, block.count, [=](std::int64_t b) {
+    block.range(b * kStepBlock, std::min((b + 1) * kStepBlock, block.n));
+  });
   commit();
 }
 

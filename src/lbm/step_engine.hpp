@@ -38,10 +38,10 @@
 // point the SIMD loop computed and the reference kernel then recomputed
 // would read its own overwritten slots.
 //
-// The block work is public (blocks() and commit()), so a front-end that
+// The span work is public (blocks() and commit()), so a front-end that
 // steps several engines at once — DistributedSolver's ranks — can run all
-// their blocks in one launch of its own; step() is that sequence for one
-// engine.
+// their work in one launch of its own, over spans of its choosing
+// (BlockStep::range); step() is the block sequence for one engine.
 
 #include <algorithm>
 #include <cstdint>
@@ -98,11 +98,11 @@ class StepEngine {
   void fill_equilibrium(const SolverOptions& options,
                         std::optional<hal::Model> model = std::nullopt);
 
-  /// The next step as per-block work: block(b) for every b in
-  /// [0, block.count) computes points [b * kStepBlock, (b + 1) * kStepBlock)
-  /// of this engine and writes no slot another block writes, so the blocks
-  /// may run in any order and on any thread.  Captured by value; it stays
-  /// valid until commit().
+  /// The next step as span work: range(lo, hi) computes points [lo, hi) of
+  /// this engine and writes no slot of a point outside them, so spans that
+  /// cover [0, n) once make the same step in any order and on any threads.
+  /// step() runs one span per kStepBlock-point block, `count` of them.
+  /// Captured by value; it stays valid until commit().
   struct BlockStep {
     BulkArgs args;
     BulkLoop bulk = nullptr;
@@ -112,21 +112,30 @@ class StepEngine {
     std::int64_t n = 0;
     std::int64_t count = 0;  // blocks
 
-    void operator()(std::int64_t block) const {
-      std::int64_t lo = block * kStepBlock;
-      const std::int64_t hi = std::min(lo + kStepBlock, n);
-      const std::int64_t* zh = boundary + block_boundary[block];
-      const std::int64_t* const zh_end = boundary + block_boundary[block + 1];
-      for (; zh != zh_end; ++zh) {
+    /// Computes points [lo, hi), 0 <= lo <= hi <= n, finding its Zou-He
+    /// points in the blocks the span touches.
+    void range(std::int64_t lo, std::int64_t hi) const {
+      const std::int64_t* first = boundary + block_boundary[lo / kStepBlock];
+      const std::int64_t* last =
+          boundary + block_boundary[(hi + kStepBlock - 1) / kStepBlock];
+      const std::int64_t* const zh_end = std::lower_bound(first, last, hi);
+      for (const std::int64_t* zh = std::lower_bound(first, last, lo);
+           zh != zh_end; ++zh) {
         bulk(args, lo, *zh);
         boundary_point(args, *zh);
         lo = *zh + 1;
       }
       bulk(args, lo, hi);
     }
+
+    /// The array this step writes: pull's second buffer, or the AA array
+    /// in place.  It is the engine's live() once commit() ran.
+    double* output() const {
+      return args.k.f_out != nullptr ? args.k.f_out : args.k.f;
+    }
   };
 
-  /// The next step's blocks; run every one of them, then commit().
+  /// The next step's span work; cover [0, n) with range(), then commit().
   BlockStep blocks(const SolverOptions& options) const;
   /// Completes the step whose blocks() all ran: the pull buffers swap and
   /// the step counter advances.

@@ -152,7 +152,9 @@ struct SentinelPolicy {
 
   /// Points per digest tile — the localization granularity.  Smaller
   /// tiles localize more precisely and re-execute cheaper, at more
-  /// digest-table overhead per step.
+  /// digest-table overhead per step.  DistributedSolver's step launch runs
+  /// one work-item per tile, so keep it well below a rank's owned points
+  /// divided by the engine threads, or workers sit idle (DESIGN.md §13).
   std::int64_t tile_points = 256;
 
   /// Verify recorded digests every N steps.  1 (the default) checks every

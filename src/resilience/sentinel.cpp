@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -106,46 +108,88 @@ void Sentinel::verify(Rank r, const RankView& view,
 
 namespace {
 
-/// Health partials of points [begin, end) into `a`.  kTestSlots = false
-/// skips the per-slot finiteness test, for a tile already proven finite.
-template <bool kTestSlots>
+/// The q-row of every direction of a live array under `layout`.
+struct LiveRows {
+  const double* rows[lbm::kQ];
+
+  LiveRows(const double* f, std::int64_t stride, lbm::LiveLayout layout) {
+    for (int q = 0; q < lbm::kQ; ++q)
+      rows[q] = f + static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
+                        static_cast<std::size_t>(stride);
+  }
+};
+
+/// |u|^2 of one point from lbm::moments_of, as in the guards it feeds.  A
+/// NaN |u|^2 (rho = 0, or Inf / Inf) becomes +Inf: such a point is over
+/// every ceiling, where std::max would silently drop it.
+[[gnu::always_inline]] inline double speed2_of(const double f[lbm::kQ],
+                                               double force_x, double force_y,
+                                               double force_z) {
+  const lbm::Moments m = lbm::moments_of(f, force_x, force_y, force_z);
+  const double s2 = m.ux * m.ux + m.uy * m.uy + m.uz * m.uz;
+  return s2 == s2 ? s2 : std::numeric_limits<double>::infinity();
+}
+
+/// |u|^2 of point i of `live`: max_speed2's per-point body, a separate
+/// function for the reason given in lbm/bulk_kernels.cpp.
+[[gnu::always_inline]] inline double speed2_at(const LiveRows& live,
+                                               std::int64_t i, double force_x,
+                                               double force_y, double force_z) {
+  double fi[lbm::kQ];
+  #pragma GCC unroll 19
+  for (int q = 0; q < lbm::kQ; ++q) fi[q] = live.rows[q][i];
+  return speed2_of(fi, force_x, force_y, force_z);
+}
+
+/// Health partials of points [begin, end) into `a`, testing every slot:
+/// the path of a tile whose mass is not finite.
 void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
                  std::int64_t end, lbm::LiveLayout layout, bool velocity,
                  double force_x, double force_y, double force_z,
                  TileAudit* a) {
-  const double* rows[lbm::kQ];
-  for (int q = 0; q < lbm::kQ; ++q)
-    rows[q] = f + static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
-                      static_cast<std::size_t>(stride);
+  const LiveRows live(f, stride, layout);
   std::int64_t bad = 0;
   std::int64_t first_bad = -1;
-  double max_speed2 = 0.0;
+  double largest = 0.0;
   for (std::int64_t i = begin; i < end; ++i) {
     double fi[lbm::kQ];
     bool finite = true;
     #pragma GCC unroll 19
     for (int q = 0; q < lbm::kQ; ++q) {
-      fi[q] = rows[q][i];
-      if constexpr (kTestSlots)
-        if (!std::isfinite(fi[q])) finite = false;
+      fi[q] = live.rows[q][i];
+      if (!std::isfinite(fi[q])) finite = false;
     }
     if (!finite) {
       ++bad;
       if (first_bad < 0) first_bad = i;
       continue;  // moments of a non-finite set are meaningless
     }
-    if (velocity) {
-      const lbm::Moments m = lbm::moments_of(fi, force_x, force_y, force_z);
-      const double s2 = m.ux * m.ux + m.uy * m.uy + m.uz * m.uz;
-      max_speed2 = std::max(max_speed2, s2);
-    }
+    if (velocity)
+      largest = std::max(largest, speed2_of(fi, force_x, force_y, force_z));
   }
   a->nonfinite = bad;
   a->first_nonfinite = first_bad;
-  a->max_speed2 = max_speed2;
+  a->max_speed2 = largest;
 }
 
 }  // namespace
+
+// Vectorized across points.  The library is built with -ffp-contract=off,
+// so each lane runs moments_of's operations in order, and max is exact and
+// order-free once no NaN is left, so the loop returns the plain per-point
+// loop's bits.
+[[gnu::flatten]] double max_speed2(const double* f, std::int64_t stride,
+                                   std::int64_t begin, std::int64_t end,
+                                   lbm::LiveLayout layout, double force_x,
+                                   double force_y, double force_z) {
+  const LiveRows live(f, stride, layout);
+  double largest = 0.0;
+  #pragma omp simd reduction(max : largest)
+  for (std::int64_t i = begin; i < end; ++i)
+    largest =
+        std::max(largest, speed2_at(live, i, force_x, force_y, force_z));
+  return largest;
+}
 
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
                      std::int64_t end, lbm::LiveLayout layout,
@@ -155,11 +199,11 @@ TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
   a.digest = lbm::tile_digest(f, stride, begin, end, layout);
   if (!health.scan_nonfinite && !health.check_velocity) return a;
   if (!std::isfinite(a.digest.mass))
-    scan_points<true>(f, stride, begin, end, layout, health.check_velocity,
-                      force_x, force_y, force_z, &a);
+    scan_points(f, stride, begin, end, layout, health.check_velocity,
+                force_x, force_y, force_z, &a);
   else if (health.check_velocity)
-    scan_points<false>(f, stride, begin, end, layout, /*velocity=*/true,
-                       force_x, force_y, force_z, &a);
+    a.max_speed2 =
+        max_speed2(f, stride, begin, end, layout, force_x, force_y, force_z);
   return a;
 }
 

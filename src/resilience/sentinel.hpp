@@ -17,9 +17,13 @@
 // rollback.
 //
 // The same tile pass feeds the numerical-health guards: audit_tile()
-// produces a tile's digest and its RS001/RS003 partials together, so a
-// solver reads its state once per step for the guards, the mass check and
-// the sentinel record, instead of once per consumer.
+// produces a tile's digest and its RS001/RS003 partials together, so one
+// audit serves the guards, the mass check and the sentinel record.  The
+// distributed solver makes that audit inside its step launch: the
+// work-item that computes a tile audits it right after, while the tile is
+// still in cache, and the solver records the digests once the guards have
+// passed.  Verify is the only pass that reads the state from memory: it
+// has to re-read whatever sat in memory between two steps.
 //
 // The digests cover a rank's owned points only.  Ghost slots are
 // legitimately rewritten by every halo exchange (and are CRC-framed on
@@ -125,14 +129,24 @@ struct TileAudit {
 /// lbm::tile_digest's, and the health partials are computed over the same
 /// (now cached) tile when `health` enables RS001 or RS003.  The digest's
 /// mass sums every slot, and NaN and +-Inf survive any sum, so a finite
-/// tile mass proves every slot finite and the per-slot test is skipped; a
-/// non-finite mass (a bad slot, or finite values that overflowed) falls
-/// back to testing each point.  |u|^2 comes from lbm::moments_of per
-/// point, as in the guards it feeds.
+/// tile mass proves every slot finite: the per-slot test is skipped and
+/// max_speed2() scans the tile.  A non-finite mass (a bad slot, or finite
+/// values that overflowed) falls back to testing each point.  |u|^2 comes
+/// from lbm::moments_of per point, as in the guards it feeds; a finite
+/// point whose |u|^2 is NaN (rho = 0) counts as +Inf, over the ceiling.
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
                      std::int64_t end, lbm::LiveLayout layout,
                      const HealthPolicy& health, double force_x,
                      double force_y, double force_z);
+
+/// The RS003 partial of points [begin, end) of a live array: the largest
+/// |u|^2 from lbm::moments_of, a NaN |u|^2 counted as +Inf.  The loop runs
+/// across points in SIMD lanes; each point performs moments_of's
+/// operations in order, so it returns the bits of the plain per-point
+/// loop, on any input.  audit_tile uses it on tiles proven finite.
+double max_speed2(const double* f, std::int64_t stride, std::int64_t begin,
+                  std::int64_t end, lbm::LiveLayout layout, double force_x,
+                  double force_y, double force_z);
 
 /// Folds the audits of one array's tiles (in tile order) into its RS001
 /// and RS003 diagnostics.  `where` labels the diagnostics ("rank 3",

@@ -359,6 +359,33 @@ TEST(DistributedDialects, StepIsOneKernelLaunchOverEveryRanksBlocks) {
   engine.reset_counters();
 }
 
+// A resilient step with the sentinel on reads its state in two launches:
+// the pre-step verify, and the step launch, whose work-items audit the
+// tiles they just wrote.  A snapshot step adds one launch for the copy.
+TEST(DistributedDialects, SentinelResilientStepIsTwoLaunches) {
+  constexpr int kRanks = 5;
+  auto lattice = multi_block_cylinder();
+  DistributedSolver solver(
+      lattice, decomp::bisection_partition(*lattice, kRanks), flow_options());
+  solver.set_execution_model(hemo::hal::Model::kHip);
+  resilience::Options options;
+  options.recovery.checkpoint_interval = 4;
+  options.sentinel.enabled = true;
+  solver.enable_resilience(options);
+  solver.step();  // step 0 follows the snapshot enable_resilience took
+
+  hemo::hal::DeviceEngine& engine = hemo::hal::DeviceEngine::instance();
+  engine.reset_counters();
+  solver.step();  // step 1: verify, step
+  EXPECT_EQ(engine.counters().kernel_launches, 2);
+  solver.run(2);
+  engine.reset_counters();
+  solver.step();  // step 4: verify, snapshot, step
+  EXPECT_EQ(engine.counters().kernel_launches, 3);
+  EXPECT_EQ(solver.resilience_stats().snapshots, 2);
+  engine.reset_counters();
+}
+
 // A rank killed mid-run under hipx on 2 engine threads: the shrink rebuilds
 // the step plan over the survivors, and the run must end bit-identical to
 // the unfaulted host-loop run.

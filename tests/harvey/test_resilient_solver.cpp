@@ -611,3 +611,85 @@ TEST(AuditTile, SeededRunIsIdenticalAcrossDialectsAndEngineThreads) {
       EXPECT_TRUE(run.state == host.state) << label;
     }
 }
+
+// ---------------------------------------------------------------------------
+// The audit inside the step launch: each work-item audits the tile it just
+// wrote, from cache, in place of a separate audit pass after the step.
+
+namespace hemo::harvey {
+
+/// Reaches the audits the last step launch made, and a separate audit of
+/// the committed state, as the guards would read it.
+struct DistributedSolverPeer {
+  static const std::vector<resilience::TileAudit>& step_audits(
+      const DistributedSolver& solver) {
+    return solver.step_audits_;
+  }
+  static std::vector<resilience::TileAudit> separate_audit(
+      const DistributedSolver& solver) {
+    return solver.audit_state(/*health=*/true);
+  }
+};
+
+}  // namespace hemo::harvey
+
+namespace {
+
+bool same_audit(const resilience::TileAudit& a,
+                const resilience::TileAudit& b) {
+  return std::memcmp(&a.digest, &b.digest, sizeof a.digest) == 0 &&
+         a.nonfinite == b.nonfinite &&
+         a.first_nonfinite == b.first_nonfinite &&
+         std::memcmp(&a.max_speed2, &b.max_speed2, sizeof a.max_speed2) == 0;
+}
+
+}  // namespace
+
+TEST(AuditTile, StepLaunchAuditsEqualASeparateAuditOfTheCommittedState) {
+  using hemo::harvey::DistributedSolverPeer;
+  constexpr int kSteps = 6;
+  geom::CylinderSpec spec;
+  spec.scale = 2.0;
+  spec.radius_per_scale = 4.0;
+  spec.axial_per_scale = 16.0;
+  auto lattice =
+      geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+  lbm::SolverOptions options = flow_options();
+  options.body_force = {1e-6, -2e-6, 5e-7};
+  hemo::hal::DeviceEngine& engine = hemo::hal::DeviceEngine::instance();
+
+  for (const int ranks : {1, 2, 5, 8}) {
+    const decomp::Partition partition =
+        decomp::bisection_partition(*lattice, ranks);
+    for (const hemo::hal::Model model : hemo::hal::kAllModels)
+      for (const int threads : {1, 2, 3})
+        for (const std::int64_t tile_points : {48, 100, 256, 1000}) {
+          const std::string label =
+              std::string(hemo::hal::name_of(model)) + ", " +
+              std::to_string(threads) + " thread(s), " +
+              std::to_string(tile_points) + "-point tiles, " +
+              std::to_string(ranks) + " rank(s)";
+          engine.set_threads(threads);
+          DistributedSolver solver(lattice, partition, options);
+          solver.set_execution_model(model);
+          resilience::Options resilient;
+          resilient.recovery.checkpoint_interval = 4;
+          resilient.sentinel.enabled = true;
+          resilient.sentinel.tile_points = tile_points;
+          solver.enable_resilience(resilient);
+          for (int step = 1; step <= kSteps; ++step) {
+            solver.step();
+            ASSERT_EQ(solver.step_count(), step) << label;
+            const std::vector<resilience::TileAudit>& fused =
+                DistributedSolverPeer::step_audits(solver);
+            const std::vector<resilience::TileAudit> separate =
+                DistributedSolverPeer::separate_audit(solver);
+            ASSERT_EQ(fused.size(), separate.size()) << label;
+            for (std::size_t t = 0; t < fused.size(); ++t)
+              ASSERT_TRUE(same_audit(fused[t], separate[t]))
+                  << label << ", step " << step << ", tile " << t;
+          }
+        }
+  }
+  engine.set_threads(1);
+}

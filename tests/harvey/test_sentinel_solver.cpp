@@ -9,12 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <iterator>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
 #include "harvey/device_solver.hpp"
 #include "harvey/distributed_solver.hpp"
+#include "hal/device.hpp"
 #include "lbm/tile_probe.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
@@ -268,6 +274,128 @@ TEST(SentinelSolver, FullInstrumentationStaysQuietOnACleanRun) {
   EXPECT_EQ(stats.rollbacks, 0);
   EXPECT_FALSE(has_rule(stats.diagnostics, "RS006"));
   expect_bit_identical(solver.global_distributions(), reference);
+}
+
+// ---------------------------------------------------------------------------
+// Chaos parity: the seeded bit-flip campaign of `hemo_chaos --sdc --ranks 4
+// --steps 24 --seed 7 --flips 6` (the default 5 x 24 cylinder, slab
+// partition), under several dialects, engine thread counts and tile
+// sizes.  Every detection (rank, tile, step, latency), the rollback and
+// snapshot counts and the health errors are pinned to the values the
+// separate post-step audit produced, so moving the audit into the step
+// launch cannot move a single verdict.
+
+namespace {
+
+struct ChaosCase {
+  const char* name;
+  std::optional<hal::Model> model;
+  int threads;
+  std::int64_t tile_points;
+  // In place of the bit-flip campaign: one fault of every wire kind, a
+  // verify every 4th step, and an exponent flip on an unverified step,
+  // which only the health guards see.
+  bool wire_faults;
+  const char* golden;
+};
+
+/// Sets the process-wide device engine's thread count for its lifetime.
+class EngineThreads {
+ public:
+  explicit EngineThreads(int threads) {
+    hal::DeviceEngine::instance().set_threads(threads);
+  }
+  ~EngineThreads() { hal::DeviceEngine::instance().set_threads(1); }
+  EngineThreads(const EngineThreads&) = delete;
+  EngineThreads& operator=(const EngineThreads&) = delete;
+};
+
+std::string chaos_summary(const resilience::RunStats& s) {
+  std::ostringstream out;
+  for (const resilience::SdcDetection& d : s.sdc_detections)
+    out << "r" << d.rank << " t" << d.tile << " s" << d.step << " l"
+        << d.latency_steps << (d.reexec ? " x" : "") << "; ";
+  out << "checks " << s.sdc_checks << ", rollbacks " << s.rollbacks
+      << ", snapshots " << s.snapshots << ", health_errors "
+      << s.health_errors << ", false_positives " << s.sdc_false_positive;
+  return out.str();
+}
+
+}  // namespace
+
+TEST(SentinelSolver, SeededSdcCampaignMatchesGoldenRunStats) {
+  constexpr int kChaosRanks = 4;
+  constexpr int kChaosSteps = 24;
+  constexpr int kFlips = 6;
+  constexpr const char* k256 =
+      "r0 t1 s6 l0; r0 t0 s7 l0; r2 t1 s7 l0; r2 t1 s10 l0; r1 t1 s15 l0; "
+      "r2 t1 s17 l0; checks 424, rollbacks 4, snapshots 4, health_errors 0, "
+      "false_positives 0";
+  const ChaosCase cases[] = {
+      {"host loops, 256-point tiles", std::nullopt, 1, 256, false, k256},
+      {"hipx, 2 threads, 256-point tiles", hal::Model::kHip, 2, 256, false,
+       k256},
+      {"kokkosx, 3 threads, 100-point tiles", hal::Model::kKokkosHip, 3, 100,
+       false,
+       "r0 t3 s6 l0; r0 t0 s7 l0; r2 t2 s7 l0; r2 t4 s10 l0; r1 t4 s15 l0; "
+       "r2 t4 s17 l0; checks 1048, rollbacks 4, snapshots 4, health_errors 0, "
+       "false_positives 0"},
+      {"cudax, 2 threads, 48-point tiles", hal::Model::kCuda, 2, 48, false,
+       "r0 t6 s6 l0; r0 t1 s7 l0; r2 t5 s7 l0; r2 t9 s10 l0; r1 t9 s15 l0; "
+       "r2 t8 s17 l0; checks 2096, rollbacks 4, snapshots 4, health_errors 0, "
+       "false_positives 0"},
+      {"host loops, wire faults", std::nullopt, 1, 256, true,
+       "checks 72, rollbacks 2, snapshots 3, health_errors 1, "
+       "false_positives 0"},
+      {"syclx, 3 threads, 100-point tiles, wire faults", hal::Model::kSycl, 3,
+       100, true,
+       "checks 180, rollbacks 2, snapshots 3, health_errors 1, "
+       "false_positives 0"},
+  };
+  geom::CylinderSpec spec;
+  spec.radius_per_scale = 5.0;
+  spec.axial_per_scale = 24.0;
+  auto lattice =
+      geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+  const decomp::Partition partition =
+      decomp::slab_partition(*lattice, kChaosRanks);
+  DistributedSolver clean(lattice, partition, flow_options());
+  clean.run(kChaosSteps);
+
+  for (const ChaosCase& c : cases) {
+    const EngineThreads engine_threads(c.threads);
+    resilience::FaultPlan plan = resilience::FaultPlan::bit_flips(
+        /*seed=*/7, kChaosSteps, lattice->size(), kFlips);
+    DistributedSolver solver(lattice, partition, flow_options());
+    resilience::Options options;  // as hemo_chaos --sdc arms it
+    resilience::FaultPlan* live_plan = &plan;
+    if (c.wire_faults) {
+      resilience::FaultPlan wire = resilience::FaultPlan::random(
+          /*seed=*/11, kChaosSteps, solver.exchange_pairs(),
+          {std::begin(resilience::kAllFaultKinds),
+           std::end(resilience::kAllFaultKinds)},
+          /*events_per_kind=*/1);
+      wire.add(bit_flip_at(/*step=*/13, lattice->size() / 2, /*q=*/0,
+                           /*bit=*/62));
+      auto network = std::make_unique<resilience::FaultyNetwork>(
+          kChaosRanks, std::move(wire));
+      live_plan = &network->plan();
+      solver.set_network(std::move(network));
+      options.sentinel.check_interval = 4;
+    }
+    if (c.model) solver.set_execution_model(*c.model);
+    solver.set_fault_injection(live_plan);
+    options.recovery.max_rollbacks += kFlips;
+    options.shrink.enabled = true;
+    options.sentinel.enabled = true;
+    options.sentinel.tile_points = c.tile_points;
+    solver.enable_resilience(options);
+    solver.run(kChaosSteps);
+
+    EXPECT_EQ(chaos_summary(solver.resilience_stats()), c.golden) << c.name;
+    expect_bit_identical(solver.global_distributions(),
+                         clean.global_distributions());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -251,3 +251,89 @@ TEST(AuditTile, FiniteOverflowRaisesRS003NotRS001) {
                        HealthPolicy{}, kForce[0], kForce[1], kForce[2], 4,
                        "solver"));
 }
+
+// ---------------------------------------------------------------------------
+// The vectorized RS003 scan against the plain per-point loop, and the
+// vacuum point that the plain std::max fold used to drop.
+
+namespace {
+
+/// |u|^2 as the guards define it, point by point: moments_of, then a NaN
+/// |u|^2 counted as +Inf.
+double scalar_max_speed2(const std::vector<double>& f, std::int64_t begin,
+                         std::int64_t end, LiveLayout layout) {
+  double largest = 0.0;
+  for (std::int64_t i = begin; i < end; ++i) {
+    double fi[lbm::kQ];
+    for (int q = 0; q < lbm::kQ; ++q)
+      fi[q] = f[static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
+                    kStride +
+                static_cast<std::size_t>(i)];
+    const lbm::Moments m = lbm::moments_of(fi, kForce[0], kForce[1], kForce[2]);
+    const double s2 = m.ux * m.ux + m.uy * m.uy + m.uz * m.uz;
+    largest = std::max(largest, std::isnan(s2) ? kInf : s2);
+  }
+  return largest;
+}
+
+/// Zeroes every slot of point i: rho = 0, so |u|^2 = 0 / 0.
+void make_vacuum(std::vector<double>* f, LiveLayout layout, std::int64_t i) {
+  for (int q = 0; q < lbm::kQ; ++q) set_slot(f, layout, i, q, 0.0);
+}
+
+}  // namespace
+
+// Every tile length 1-300 at misaligned begins, in every layout, on a
+// state with a fast point, an Inf slot and a vacuum point in it.
+TEST(AuditTile, VelocityScanMatchesScalarLoop) {
+  for (const LiveLayout layout : kAllLayouts) {
+    std::vector<double> f = synthetic_state();
+    set_slot(&f, layout, 150, 4, 0.5);   // fast but finite
+    set_slot(&f, layout, 290, 2, kInf);  // non-finite slot
+    make_vacuum(&f, layout, 340);        // rho = 0
+    for (const std::int64_t begin : {0, 1, 3, 5, 7, 13, 255, 333}) {
+      for (std::int64_t len = 1; len <= 300 && begin + len <= kStride;
+           ++len) {
+        const double simd = resilience::max_speed2(
+            f.data(), kStride, begin, begin + len, layout, kForce[0],
+            kForce[1], kForce[2]);
+        const double scalar = scalar_max_speed2(f, begin, begin + len, layout);
+        std::uint64_t a = 0, b = 0;
+        std::memcpy(&a, &simd, sizeof a);
+        std::memcpy(&b, &scalar, sizeof b);
+        ASSERT_EQ(a, b) << "layout " << static_cast<int>(layout) << ", ["
+                        << begin << ", " << begin + len << "): " << simd
+                        << " vs " << scalar;
+      }
+    }
+  }
+}
+
+// A finite point with rho = 0 has |u|^2 = 0 / 0 = NaN, which std::max
+// drops: the point passed RS001-RS003.  It must count as over the ceiling,
+// on the finite-tile (vectorized) path and on the per-slot path alike.
+TEST(AuditTile, VacuumPointTripsRS003) {
+  for (const LiveLayout layout : kAllLayouts) {
+    std::vector<double> f = synthetic_state();
+    make_vacuum(&f, layout, 100);
+    std::vector<TileAudit> audits = audit_all(f, layout, HealthPolicy{});
+    EXPECT_TRUE(std::isfinite(audits[0].digest.mass));
+    EXPECT_EQ(audits[0].nonfinite, 0);
+    EXPECT_EQ(audits[0].max_speed2, kInf);
+    auto diags =
+        resilience::health_diagnostics(audits, HealthPolicy{}, 3, "rank 0");
+    EXPECT_TRUE(has_rule(diags, "RS003"));
+    EXPECT_FALSE(has_rule(diags, "RS001"));
+
+    // The same point in a tile that also holds a NaN slot.
+    set_slot(&f, layout, 120, 6, std::numeric_limits<double>::quiet_NaN());
+    audits = audit_all(f, layout, HealthPolicy{});
+    EXPECT_EQ(audits[0].nonfinite, 1);
+    EXPECT_EQ(audits[0].max_speed2, kInf);
+    diags = resilience::scan_live_health(f.data(), kStride, kStride, layout,
+                                         HealthPolicy{}, kForce[0], kForce[1],
+                                         kForce[2], 3, "rank 0");
+    EXPECT_TRUE(has_rule(diags, "RS001"));
+    EXPECT_TRUE(has_rule(diags, "RS003"));
+  }
+}
