@@ -5,7 +5,7 @@
 #include <map>
 #include <sstream>
 
-#include "analysis/report.hpp"
+#include "base/format.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/propagation.hpp"
 #include "port/corpus.hpp"

@@ -1,7 +1,8 @@
 #include "analysis/report.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "base/format.hpp"
 
 namespace hemo::analysis {
 
@@ -34,29 +35,6 @@ std::string text_report(const std::vector<Diagnostic>& diagnostics) {
   for (const auto& [rule, count] : by_rule)
     out << "  " << rule << ": " << count << '\n';
   return out.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string json_report(const std::vector<Diagnostic>& diagnostics) {

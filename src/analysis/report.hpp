@@ -22,7 +22,4 @@ std::string text_report(const std::vector<Diagnostic>& diagnostics);
 /// Records keep the caller's order; keys are emitted sorted.
 std::string json_report(const std::vector<Diagnostic>& diagnostics);
 
-/// JSON string escaping (exposed for tests).
-std::string json_escape(const std::string& s);
-
 }  // namespace hemo::analysis

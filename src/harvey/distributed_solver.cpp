@@ -222,7 +222,6 @@ void DistributedSolver::advance_state(bool audit) {
   const TileSpan* tiles = plan_.tiles.data();
   const RankState* ranks = ranks_.data();
   resilience::TileAudit* audits = audit ? step_audits_.data() : nullptr;
-  const resilience::HealthPolicy policy = health_policy();
   const Vec3 force = options_.body_force;
   hal::launch(model_, static_cast<std::int64_t>(plan_.tiles.size()),
               [=](std::int64_t k) {
@@ -232,8 +231,7 @@ void DistributedSolver::advance_state(bool audit) {
                 if (audits != nullptr)
                   audits[k] = resilience::audit_tile(
                       s.output(), ranks[t.rank].local, t.begin, t.end,
-                      lbm::LiveLayout::kCanonical, policy, force.x, force.y,
-                      force.z);
+                      lbm::LiveLayout::kCanonical, force.x, force.y, force.z);
               });
   for (RankState& rs : ranks_)
     if (rs.owned > 0) rs.engine.commit();  // dead ranks idle
@@ -267,7 +265,6 @@ std::vector<resilience::TileAudit> DistributedSolver::audit_state(
   resilience::TileAudit* out = audits.data();
   const TileSpan* tiles = plan_.tiles.data();
   const RankState* ranks = ranks_.data();
-  const resilience::HealthPolicy policy = health_policy();
   const Vec3 force = options_.body_force;
   // Each index writes only its own slot of `audits`, so the launch is
   // race-free and its result does not depend on how it is chunked.
@@ -278,8 +275,8 @@ std::vector<resilience::TileAudit> DistributedSolver::audit_state(
                 out[k] = health
                              ? resilience::audit_tile(
                                    rs.current(), rs.local, t.begin, t.end,
-                                   lbm::LiveLayout::kCanonical, policy,
-                                   force.x, force.y, force.z)
+                                   lbm::LiveLayout::kCanonical, force.x,
+                                   force.y, force.z)
                              : resilience::TileAudit{lbm::tile_digest(
                                    rs.current(), rs.local, t.begin, t.end,
                                    lbm::LiveLayout::kCanonical)};
@@ -495,27 +492,19 @@ bool DistributedSolver::resilient_exchange(Rank* suspect) {
   }
   drain_stragglers();
 
-  if (resilience_->health.audit_halo) {
-    // Audit the wire against the exchange plan: every plan message was
-    // delivered exactly once; anything beyond that is off-plan traffic.
-    const std::int64_t stray = stats_.stragglers_drained - stray_before;
-    if (stray > 0 || !network_->drained()) {
-      ++stats_.halo_audit_mismatches;
-      std::ostringstream msg;
-      msg << "step " << steps_done_ << ": halo traffic off plan (expected "
-          << exchanges_.size() << " messages, observed "
-          << exchanges_.size() + stray << "; " << stray
-          << " strays drained" << (network_->drained() ? ")" : ", wire dirty)");
-      record("RS004", analysis::Severity::kWarning, "halo-exchange",
-             msg.str());
-    }
+  // Audit the wire against the exchange plan: every plan message was
+  // delivered exactly once; anything beyond that is off-plan traffic.
+  const std::int64_t stray = stats_.stragglers_drained - stray_before;
+  if (stray > 0 || !network_->drained()) {
+    ++stats_.halo_audit_mismatches;
+    std::ostringstream msg;
+    msg << "step " << steps_done_ << ": halo traffic off plan (expected "
+        << exchanges_.size() << " messages, observed "
+        << exchanges_.size() + stray << "; " << stray << " strays drained"
+        << (network_->drained() ? ")" : ", wire dirty)");
+    record("RS004", analysis::Severity::kWarning, "halo-exchange", msg.str());
   }
   return true;
-}
-
-resilience::HealthPolicy DistributedSolver::health_policy() const {
-  return resilience_.has_value() ? resilience_->health
-                                 : resilience::HealthPolicy{};
 }
 
 std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
@@ -524,60 +513,53 @@ std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
 
 std::vector<analysis::Diagnostic> DistributedSolver::health_of(
     const std::vector<resilience::TileAudit>& audits) const {
-  const resilience::HealthPolicy health = health_policy();
   std::vector<analysis::Diagnostic> out;
-
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const std::vector<analysis::Diagnostic> rank_diags =
-        resilience::health_diagnostics(rank_audits(audits, r), health,
-                                       steps_done_,
+        resilience::health_diagnostics(rank_audits(audits, r), steps_done_,
                                        "rank " + std::to_string(r));
     out.insert(out.end(), rank_diags.begin(), rank_diags.end());
   }
 
-  if (health.check_mass) {
-    const double mass = mass_of(audits);
-    if (!std::isfinite(mass)) {
-      // RS001 already names the non-finite points when it fired.  With the
-      // scan off, or with finite slots whose sum overflowed, this guard is
-      // the only one to see the state has left the representable range.
-      const bool reported = std::any_of(
-          out.begin(), out.end(),
-          [](const analysis::Diagnostic& d) { return d.rule_id == "RS001"; });
-      if (!reported) {
-        std::ostringstream msg;
-        msg << "step " << steps_done_ << ": global mass is non-finite ("
-            << mass << ")";
-        out.push_back(analysis::Diagnostic{
-            "RS002", analysis::Severity::kError, "global", 0, msg.str(),
-            "roll back to the last checkpoint"});
-      }
-    } else if (health.closed_system) {
-      const double tol =
-          resilience::conserved_mass_tolerance(total_values(), steps_done_);
-      const double drift = std::abs(mass - initial_mass_);
-      if (drift > tol) {
-        std::ostringstream msg;
-        msg << "step " << steps_done_ << ": closed-system mass drift "
-            << drift << " exceeds tolerance " << tol << " (initial "
-            << initial_mass_ << ", current " << mass << ")";
-        out.push_back(analysis::Diagnostic{
-            "RS002", analysis::Severity::kError, "global", 0, msg.str(),
-            "roll back to the last checkpoint"});
-      }
-    } else {
-      const double base = std::max(std::abs(prev_mass_), 1e-300);
-      const double jump = std::abs(mass - prev_mass_) / base;
-      if (jump > health.mass_step_rel) {
-        std::ostringstream msg;
-        msg << "step " << steps_done_ << ": global mass jumped "
-            << jump * 100.0 << "% in one step (limit "
-            << health.mass_step_rel * 100.0
-            << "%); boundary fluxes cannot move mass that fast";
-        out.push_back(analysis::Diagnostic{
-            "RS002", analysis::Severity::kError, "global", 0, msg.str(),
-            "roll back to the last checkpoint"});
-      }
+  const auto rs002 = [&](const std::ostringstream& what) {
+    out.push_back(analysis::Diagnostic{
+        "RS002", analysis::Severity::kError, "global", 0,
+        "step " + std::to_string(steps_done_) + ": " + what.str(),
+        "roll back to the last checkpoint"});
+  };
+  const double mass = mass_of(audits);
+  if (!std::isfinite(mass)) {
+    // RS001 already names the non-finite points when it fired.  With
+    // finite slots whose sum overflowed, this guard is the only one to see
+    // that the state has left the representable range.
+    const bool reported = std::any_of(
+        out.begin(), out.end(),
+        [](const analysis::Diagnostic& d) { return d.rule_id == "RS001"; });
+    if (!reported) {
+      std::ostringstream what;
+      what << "global mass is non-finite (" << mass << ")";
+      rs002(what);
+    }
+  } else if (resilience_.has_value() && resilience_->health.closed_system) {
+    const double tol =
+        resilience::conserved_mass_tolerance(total_values(), steps_done_);
+    const double drift = std::abs(mass - initial_mass_);
+    if (drift > tol) {
+      std::ostringstream what;
+      what << "closed-system mass drift " << drift << " exceeds tolerance "
+           << tol << " (initial " << initial_mass_ << ", current " << mass
+           << ")";
+      rs002(what);
+    }
+  } else {
+    const double base = std::max(std::abs(prev_mass_), 1e-300);
+    const double jump = std::abs(mass - prev_mass_) / base;
+    if (jump > resilience::kMassStepRel) {
+      std::ostringstream what;
+      what << "global mass jumped " << jump * 100.0 << "% in one step (limit "
+           << resilience::kMassStepRel * 100.0
+           << "%); boundary fluxes cannot move mass that fast";
+      rs002(what);
     }
   }
   return out;
@@ -588,8 +570,7 @@ void DistributedSolver::take_snapshot() {
   snapshot_.prev_mass = prev_mass_;
   snapshot_.state.resize(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r)
-    snapshot_.state[r].resize(static_cast<std::size_t>(lbm::kQ) *
-                              static_cast<std::size_t>(ranks_[r].local));
+    snapshot_.state[r].resize(ranks_[r].values());
   copy_snapshot_rows(/*to_snapshot=*/true);
   ++stats_.snapshots;
 }
@@ -732,8 +713,7 @@ bool DistributedSolver::reexec_vote_sample() {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     if (rs.owned == 0) continue;
     const std::int64_t tiles = sentinel_->tiles_of(rs.owned);
-    const std::size_t values = static_cast<std::size_t>(lbm::kQ) *
-                               static_cast<std::size_t>(rs.local);
+    const std::size_t values = rs.values();
     if (reexec_scratch_a_.size() < values) reexec_scratch_a_.resize(values);
     if (reexec_scratch_b_.size() < values) reexec_scratch_b_.resize(values);
 
@@ -824,46 +804,52 @@ bool DistributedSolver::can_shrink() const {
          survivor_count() - 1 >= resilience_->shrink.min_survivors;
 }
 
+template <class Visit>
+void DistributedSolver::for_each_owned_slot(Visit visit) const {
+  const auto n = static_cast<std::size_t>(global_->size());
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const RankState& rs = ranks_[r];
+    const auto local = static_cast<std::size_t>(rs.local);
+    for (std::int64_t li = 0; li < rs.owned; ++li) {
+      const auto gi = static_cast<std::size_t>(
+          rs.owned_global[static_cast<std::size_t>(li)]);
+      for (int q = 0; q < lbm::kQ; ++q) {
+        const auto row = static_cast<std::size_t>(q);
+        visit(r, row * local + static_cast<std::size_t>(li), row * n + gi);
+      }
+    }
+  }
+}
+
+std::vector<double> DistributedSolver::gather_owned(
+    std::span<const double* const> per_rank) const {
+  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) *
+                          static_cast<std::size_t>(global_->size()));
+  for_each_owned_slot([&](std::size_t r, std::size_t at, std::size_t g) {
+    out[g] = per_rank[r][at];
+  });
+  return out;
+}
+
 std::vector<double> DistributedSolver::snapshot_global_state() const {
   // Reassemble the snapshot into global q-major ordering using the
   // *current* (pre-shrink) ownership.  The snapshot holds every rank's
   // state from before the death, so the dead rank's points are recovered
   // from it — this is the redistribution source for the shrink.
   HEMO_EXPECTS(snapshot_.step >= 0);
-  const auto n = static_cast<std::size_t>(global_->size());
-  std::vector<double> f(static_cast<std::size_t>(lbm::kQ) * n);
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& rs = ranks_[r];
-    const std::vector<double>& state = snapshot_.state[r];
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi = static_cast<std::size_t>(
-          rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q)
-        f[static_cast<std::size_t>(q) * n + gi] =
-            state[static_cast<std::size_t>(q) *
-                      static_cast<std::size_t>(rs.local) +
-                  static_cast<std::size_t>(li)];
-    }
-  }
-  return f;
+  std::vector<const double*> saved;
+  for (const std::vector<double>& state : snapshot_.state)
+    saved.push_back(state.data());
+  return gather_owned(saved);
 }
 
 void DistributedSolver::scatter_global_state(const std::vector<double>& f) {
   // Owned slots only: every ghost (q, slot) the kernel will read is
   // overwritten by the first halo exchange after resumption, so ghosts can
   // stay at the equilibrium fill build_decomposition() gave them.
-  const auto n = static_cast<std::size_t>(global_->size());
-  for (RankState& rs : ranks_) {
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi = static_cast<std::size_t>(
-          rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q)
-        rs.current()[static_cast<std::size_t>(q) *
-                         static_cast<std::size_t>(rs.local) +
-                     static_cast<std::size_t>(li)] =
-            f[static_cast<std::size_t>(q) * n + gi];
-    }
-  }
+  for_each_owned_slot([&](std::size_t r, std::size_t at, std::size_t g) {
+    ranks_[r].current()[at] = f[g];
+  });
 }
 
 void DistributedSolver::shrink_to_survivors(Rank dead) {
@@ -1007,28 +993,8 @@ void DistributedSolver::save_checkpoint(const std::string& path) const {
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
     writer.add_record(lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r),
-                      rs.current(),
-                      static_cast<std::uint64_t>(lbm::kQ) *
-                          static_cast<std::uint64_t>(rs.local) *
-                          sizeof(double));
+                      rs.current(), rs.values() * sizeof(double));
   }
-  writer.finish();
-}
-
-void DistributedSolver::save_rank_checkpoint(const std::string& path,
-                                             Rank r) const {
-  HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobWriter writer(path, lbm::kCheckpointMagic,
-                        lbm::kCheckpointVersion);
-  const lbm::CheckpointMeta meta{steps_done_, global_->size(),
-                                 partition_.n_ranks, lbm::kQ};
-  writer.add_record(lbm::kCheckpointMetaTag, &meta, sizeof meta);
-  const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  writer.add_record(lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r),
-                    rs.current(),
-                    static_cast<std::uint64_t>(lbm::kQ) *
-                        static_cast<std::uint64_t>(rs.local) *
-                        sizeof(double));
   writer.finish();
 }
 
@@ -1038,6 +1004,9 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
   const lbm::CheckpointMeta meta = lbm::read_checkpoint_meta(
       reader, path, global_->size(), partition_.n_ranks);
 
+  // All or nothing: every record is read and checked into its rank's spare
+  // pull buffer, which the next step overwrites anyway, and the live state
+  // changes only once the whole file has passed.
   std::vector<bool> seen(ranks_.size(), false);
   while (!reader.at_end()) {
     const io::BlobRecord rec = reader.next();
@@ -1046,15 +1015,12 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
       throw io::BlobError("checkpoint '" + path + "': unknown record tag");
     const std::size_t r = rec.tag - lbm::kCheckpointStateTag;
     RankState& rs = ranks_[r];
-    const std::size_t expected_bytes = static_cast<std::size_t>(lbm::kQ) *
-                                       static_cast<std::size_t>(rs.local) *
-                                       sizeof(double);
-    if (rec.bytes.size() != expected_bytes)
+    if (rec.bytes.size() != rs.values() * sizeof(double))
       throw io::BlobError("checkpoint '" + path + "': rank record size " +
                           std::to_string(rec.bytes.size()) +
                           " does not match this decomposition");
     std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current()));
+              reinterpret_cast<char*>(rs.spare()));
     seen[r] = true;
   }
   for (std::size_t r = 0; r < seen.size(); ++r)
@@ -1062,6 +1028,11 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
       throw io::BlobError("checkpoint '" + path + "': no record for rank " +
                           std::to_string(r));
 
+  // The staged buffers become the live state, as a step's output does.
+  for (RankState& rs : ranks_) {
+    rs.engine.commit();
+    rs.engine.set_steps_done(meta.step);
+  }
   steps_done_ = meta.step;
   snapshot_ = Snapshot{};  // pre-restore snapshots are no longer valid
   reanchor_after_restore();
@@ -1072,37 +1043,6 @@ void DistributedSolver::reanchor_after_restore() {
       audit_state(/*health=*/false);
   initial_mass_ = prev_mass_ = mass_of(audits);
   if (sentinel_.has_value()) sentinel_record_all(audits);
-}
-
-std::int64_t DistributedSolver::restore_rank_checkpoint(
-    const std::string& path, Rank r) {
-  HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobReader reader(path, lbm::kCheckpointMagic,
-                        lbm::kCheckpointVersion);
-  const lbm::CheckpointMeta meta = lbm::read_checkpoint_meta(
-      reader, path, global_->size(), partition_.n_ranks);
-  const std::uint32_t want =
-      lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r);
-  while (!reader.at_end()) {
-    const io::BlobRecord rec = reader.next();
-    if (rec.tag != want) continue;
-    RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::size_t expected_bytes = static_cast<std::size_t>(lbm::kQ) *
-                                       static_cast<std::size_t>(rs.local) *
-                                       sizeof(double);
-    if (rec.bytes.size() != expected_bytes)
-      throw io::BlobError("checkpoint '" + path + "': rank record size " +
-                          std::to_string(rec.bytes.size()) +
-                          " does not match this decomposition");
-    std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current()));
-    steps_done_ = meta.step;
-    snapshot_ = Snapshot{};
-    reanchor_after_restore();
-    return meta.step;
-  }
-  throw io::BlobError("checkpoint '" + path + "': no record for rank " +
-                      std::to_string(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,20 +1135,9 @@ void DistributedSolver::set_inlet_velocity(double velocity) {
 }
 
 std::vector<double> DistributedSolver::global_distributions() const {
-  const auto n = static_cast<std::size_t>(global_->size());
-  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) * n);
-  for (const RankState& rs : ranks_) {
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi =
-          static_cast<std::size_t>(rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q)
-        out[static_cast<std::size_t>(q) * n + gi] =
-            rs.current()[static_cast<std::size_t>(q) *
-                             static_cast<std::size_t>(rs.local) +
-                         static_cast<std::size_t>(li)];
-    }
-  }
-  return out;
+  std::vector<const double*> live;
+  for (const RankState& rs : ranks_) live.push_back(rs.current());
+  return gather_owned(live);
 }
 
 lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {

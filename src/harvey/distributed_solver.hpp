@@ -137,16 +137,11 @@ class DistributedSolver {
   /// Writes a versioned, CRC-checked binary checkpoint of the full solver
   /// state (every rank's distributions + the step counter) through
   /// io::BlobWriter.  restore_checkpoint() of the file reproduces the run
-  /// bit-identically.
+  /// bit-identically.  The restore is all or nothing: a file that fails
+  /// any check (header, CRC, record size, a missing rank) throws
+  /// io::BlobError and leaves the solver as it was.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
-
-  /// Per-rank variant: a checkpoint holding one rank's state only.  The
-  /// restore returns the step the record was taken at; the caller is
-  /// responsible for restoring every rank to the same step before
-  /// stepping again.
-  void save_rank_checkpoint(const std::string& path, Rank r) const;
-  std::int64_t restore_rank_checkpoint(const std::string& path, Rank r);
 
   /// Post-collision distributions reassembled into the global point
   /// ordering (q-major SoA over the global lattice).
@@ -183,6 +178,12 @@ class DistributedSolver {
 
     /// The post-collision state of the last completed step.
     double* current() const { return engine.live(); }
+    /// The other pull buffer: the next step overwrites it.
+    double* spare() {
+      return current() == f_a.data() ? f_b.data() : f_a.data();
+    }
+    /// Values in one array: kQ * local.
+    std::size_t values() const { return f_a.size(); }
   };
 
   /// One direction of a halo exchange, precomputed: which local slots to
@@ -252,7 +253,6 @@ class DistributedSolver {
   /// RS001-RS003 diagnostics of an audit of the current state.
   std::vector<analysis::Diagnostic> health_of(
       const std::vector<resilience::TileAudit>& audits) const;
-  resilience::HealthPolicy health_policy() const;
   static double mass_of(const std::vector<resilience::TileAudit>& audits);
   /// Rank r's share of an audit, and its tile digests.
   std::span<const resilience::TileAudit> rank_audits(
@@ -313,6 +313,16 @@ class DistributedSolver {
   void shrink_to_survivors(Rank dead);
   std::vector<double> snapshot_global_state() const;
   void scatter_global_state(const std::vector<double>& f);
+
+  /// The one (rank, local) <-> global index walk: visit(r, at, g) for every
+  /// owned (rank, point, q) slot, `at` its index in rank r's kQ x local
+  /// array and `g` its index in the global q-major array.
+  template <class Visit>
+  void for_each_owned_slot(Visit visit) const;
+  /// Owned slots of per-rank arrays (per_rank[r], kQ x local each)
+  /// reassembled into the global q-major ordering.
+  std::vector<double> gather_owned(
+      std::span<const double* const> per_rank) const;
 
   std::shared_ptr<const lbm::SparseLattice> global_;
   decomp::Partition partition_;

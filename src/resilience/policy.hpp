@@ -1,9 +1,11 @@
 #pragma once
 // Detection and recovery policies for the resilient distributed solver.
 //
-// Detection (HealthPolicy): per-step numerical-health guards — non-finite
-// scan, mass-drift tolerance, velocity-magnitude ceiling, halo traffic
-// audit — surfaced as analysis::Diagnostic records with RS### rule ids.
+// Detection: per-step numerical-health guards — non-finite scan, mass
+// guard, velocity-magnitude ceiling (kMaxVelocity), halo traffic audit —
+// surfaced as analysis::Diagnostic records with RS### rule ids.  Every
+// guard is always on; HealthPolicy only says which mass guard applies
+// (closed system or open, kMassStepRel).
 //
 // Recovery (RecoveryPolicy + ShrinkPolicy): the escalation ladder the
 // solver walks when a step goes wrong:
@@ -15,9 +17,9 @@
 // never an abort.  The shrink rung (opt-in) handles the one fault the
 // transient ladder cannot: a device that is permanently gone.
 //
-// Threshold scaling: tolerances are functions of lattice size and step
-// count, not constants — see DESIGN.md ("Why detection thresholds scale
-// with lattice size and step count").
+// Threshold scaling: the closed-system mass tolerance is a function of
+// lattice size and step count, not a constant — see DESIGN.md ("Why
+// detection thresholds scale with lattice size and step count").
 
 #include <cmath>
 #include <cstdint>
@@ -47,32 +49,25 @@ namespace hemo::resilience {
 ///   RS006 silent data corruption in a tile     (error; rolled back, or
 ///                                               the rank quarantined)
 struct HealthPolicy {
-  bool scan_nonfinite = true;
-
-  /// Mass guard.  For open systems (inlet/outlet), mass changes physically
-  /// every step by the boundary fluxes, so the guard bounds the *relative
-  /// per-step jump*: a blow-up or an exponent-flip corruption moves total
-  /// mass by orders of magnitude in one step, physics moves it by ~u*A/V.
-  bool check_mass = true;
-  double mass_step_rel = 0.05;
-
-  /// For closed systems (periodic ends, body-force driven) collisions and
-  /// bounce-back conserve mass to rounding, so the guard can instead hold
-  /// total mass to the accumulated-rounding tolerance of
-  /// conserved_mass_tolerance() — drift beyond it is corruption.
+  /// Mass guard for closed systems (periodic ends, body-force driven):
+  /// collisions and bounce-back conserve mass to rounding, so the guard
+  /// holds total mass to the accumulated-rounding tolerance of
+  /// conserved_mass_tolerance() — drift beyond it is corruption.  Open
+  /// systems (inlet/outlet) change mass physically every step by the
+  /// boundary fluxes, so for them the guard bounds the relative per-step
+  /// jump by kMassStepRel instead.
   bool closed_system = false;
-
-  /// Compressibility ceiling: |u| must stay well below the lattice speed
-  /// of sound (1/sqrt(3) ~ 0.577); production LBM keeps |u| < ~0.1, so
-  /// 0.4 only fires on genuine blow-up.
-  bool check_velocity = true;
-  double max_velocity = 0.4;
-
-  /// Audit each step's delivered halo messages (count and bytes) against
-  /// the precomputed exchange plan; mismatches are recorded (RS004) and
-  /// stragglers drained.
-  bool audit_halo = true;
 };
+
+/// Open-system mass guard: a blow-up or an exponent-flip corruption moves
+/// total mass by orders of magnitude in one step, physics moves it by
+/// ~u*A/V, so a relative jump beyond this in one step is corruption.
+inline constexpr double kMassStepRel = 0.05;
+
+/// Compressibility ceiling: |u| must stay well below the lattice speed of
+/// sound (1/sqrt(3) ~ 0.577); production LBM keeps |u| < ~0.1, so 0.4 only
+/// fires on genuine blow-up.
+inline constexpr double kMaxVelocity = 0.4;
 
 /// Absolute tolerance on |mass(t) - mass(0)| for a *closed* system of
 /// `n_values` summed distribution values after `steps` steps.  Each of the

@@ -24,13 +24,6 @@ void Sentinel::reset(int n_ranks) {
   tables_.assign(static_cast<std::size_t>(n_ranks), RankTable{});
 }
 
-void Sentinel::record(Rank r, const RankView& view, std::int64_t step) {
-  record(r, view,
-         lbm::digest_tiles(view.f, view.stride, view.owned,
-                           policy_.tile_points, view.layout),
-         step);
-}
-
 void Sentinel::record(Rank r, const RankView& view,
                       std::vector<lbm::TileDigest> digests,
                       std::int64_t step) {
@@ -63,16 +56,6 @@ const Sentinel::RankTable* Sentinel::comparable_table(
   // that changes either, so this only guards against misuse.)
   if (table.owned != view.owned || table.layout != view.layout) return nullptr;
   return &table;
-}
-
-void Sentinel::verify(Rank r, const RankView& view,
-                      std::vector<Mismatch>* mismatches, std::int64_t* checks,
-                      std::int64_t* false_positives) const {
-  if (comparable_table(r, view) == nullptr) return;
-  verify(r, view,
-         lbm::digest_tiles(view.f, view.stride, view.owned,
-                           policy_.tile_points, view.layout),
-         mismatches, checks, false_positives);
 }
 
 void Sentinel::verify(Rank r, const RankView& view,
@@ -144,9 +127,8 @@ struct LiveRows {
 /// Health partials of points [begin, end) into `a`, testing every slot:
 /// the path of a tile whose mass is not finite.
 void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
-                 std::int64_t end, lbm::LiveLayout layout, bool velocity,
-                 double force_x, double force_y, double force_z,
-                 TileAudit* a) {
+                 std::int64_t end, lbm::LiveLayout layout, double force_x,
+                 double force_y, double force_z, TileAudit* a) {
   const LiveRows live(f, stride, layout);
   std::int64_t bad = 0;
   std::int64_t first_bad = -1;
@@ -164,8 +146,7 @@ void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
       if (first_bad < 0) first_bad = i;
       continue;  // moments of a non-finite set are meaningless
     }
-    if (velocity)
-      largest = std::max(largest, speed2_of(fi, force_x, force_y, force_z));
+    largest = std::max(largest, speed2_of(fi, force_x, force_y, force_z));
   }
   a->nonfinite = bad;
   a->first_nonfinite = first_bad;
@@ -193,23 +174,20 @@ void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
 
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
                      std::int64_t end, lbm::LiveLayout layout,
-                     const HealthPolicy& health, double force_x,
-                     double force_y, double force_z) {
+                     double force_x, double force_y, double force_z) {
   TileAudit a;
   a.digest = lbm::tile_digest(f, stride, begin, end, layout);
-  if (!health.scan_nonfinite && !health.check_velocity) return a;
   if (!std::isfinite(a.digest.mass))
-    scan_points(f, stride, begin, end, layout, health.check_velocity,
-                force_x, force_y, force_z, &a);
-  else if (health.check_velocity)
+    scan_points(f, stride, begin, end, layout, force_x, force_y, force_z, &a);
+  else
     a.max_speed2 =
         max_speed2(f, stride, begin, end, layout, force_x, force_y, force_z);
   return a;
 }
 
 std::vector<analysis::Diagnostic> health_diagnostics(
-    std::span<const TileAudit> audits, const HealthPolicy& health,
-    std::int64_t step, const std::string& where) {
+    std::span<const TileAudit> audits, std::int64_t step,
+    const std::string& where) {
   std::int64_t bad = 0;
   std::int64_t first_bad = -1;
   double max_speed2 = 0.0;  // max is exact, so the fold is order-free
@@ -219,7 +197,7 @@ std::vector<analysis::Diagnostic> health_diagnostics(
     max_speed2 = std::max(max_speed2, a.max_speed2);
   }
   std::vector<analysis::Diagnostic> out;
-  if (health.scan_nonfinite && bad > 0) {
+  if (bad > 0) {
     std::ostringstream msg;
     msg << "step " << step << ": " << bad
         << " point(s) with non-finite distributions (first local index "
@@ -228,11 +206,10 @@ std::vector<analysis::Diagnostic> health_diagnostics(
         "RS001", analysis::Severity::kError, where, 0, msg.str(),
         "roll back to the last checkpoint"});
   }
-  if (health.check_velocity &&
-      max_speed2 > health.max_velocity * health.max_velocity) {
+  if (max_speed2 > kMaxVelocity * kMaxVelocity) {
     std::ostringstream msg;
     msg << "step " << step << ": velocity magnitude " << std::sqrt(max_speed2)
-        << " exceeds ceiling " << health.max_velocity
+        << " exceeds ceiling " << kMaxVelocity
         << " (lattice Mach limit; state is blowing up)";
     out.push_back(analysis::Diagnostic{
         "RS003", analysis::Severity::kError, where, 0, msg.str(),
@@ -243,10 +220,8 @@ std::vector<analysis::Diagnostic> health_diagnostics(
 
 std::vector<analysis::Diagnostic> scan_live_health(
     const double* f, std::int64_t stride, std::int64_t points,
-    lbm::LiveLayout layout, const HealthPolicy& health, double force_x,
-    double force_y, double force_z, std::int64_t step,
-    const std::string& where) {
-  if (!health.scan_nonfinite && !health.check_velocity) return {};
+    lbm::LiveLayout layout, double force_x, double force_y, double force_z,
+    std::int64_t step, const std::string& where) {
   // The fold is exact for any tiling; the sentinel's default tile keeps
   // each audited tile cache-resident.
   const std::int64_t tile_points = SentinelPolicy{}.tile_points;
@@ -256,8 +231,8 @@ std::vector<analysis::Diagnostic> scan_live_health(
   for (std::int64_t begin = 0; begin < points; begin += tile_points)
     audits.push_back(audit_tile(f, stride, begin,
                                 std::min(begin + tile_points, points), layout,
-                                health, force_x, force_y, force_z));
-  return health_diagnostics(audits, health, step, where);
+                                force_x, force_y, force_z));
+  return health_diagnostics(audits, step, where);
 }
 
 }  // namespace hemo::resilience

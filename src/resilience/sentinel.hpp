@@ -16,14 +16,21 @@
 // detection is retracted as a false positive instead of triggering a
 // rollback.
 //
-// The same tile pass feeds the numerical-health guards: audit_tile()
-// produces a tile's digest and its RS001/RS003 partials together, so one
-// audit serves the guards, the mass check and the sentinel record.  The
-// distributed solver makes that audit inside its step launch: the
-// work-item that computes a tile audits it right after, while the tile is
-// still in cache, and the solver records the digests once the guards have
-// passed.  Verify is the only pass that reads the state from memory: it
-// has to re-read whatever sat in memory between two steps.
+// The Sentinel keeps the digest tables and compares; the caller computes
+// the digests it records and verifies against (lbm::digest_tiles, or the
+// digest half of audit_tile), so a digest pass the caller already made is
+// never repeated.  Only a mismatching tile is digested again here, to
+// confirm it.
+//
+// The same tile pass feeds the numerical-health guards, which are always
+// on: audit_tile() produces a tile's digest and its RS001/RS003 partials
+// together, so one audit serves the guards, the mass check and the
+// sentinel record.  The distributed solver makes that audit inside its
+// step launch: the work-item that computes a tile audits it right after,
+// while the tile is still in cache, and the solver records the digests
+// once the guards have passed.  Verify is the only pass that reads the
+// state from memory: it has to re-read whatever sat in memory between two
+// steps.
 //
 // The digests cover a rank's owned points only.  Ghost slots are
 // legitimately rewritten by every halo exchange (and are CRC-framed on
@@ -70,27 +77,22 @@ class Sentinel {
   /// restore.
   void reset(int n_ranks);
 
-  /// (Re-)digests every tile of one rank's current state.
-  void record(Rank r, const RankView& view, std::int64_t step);
-  /// Records digests the caller already computed over `view`'s tiles
-  /// (`digests[t]` of tile t, as lbm::digest_tiles would produce them).
+  /// Records one rank's tile digests, computed by the caller over `view`'s
+  /// tiles (`digests[t]` of tile t, as lbm::digest_tiles produces them —
+  /// the distributed solver takes them from its step launch's audits).
   void record(Rank r, const RankView& view,
               std::vector<lbm::TileDigest> digests, std::int64_t step);
 
   bool has_record(Rank r) const;
   std::int64_t recorded_step(Rank r) const;
 
-  /// Verifies one rank against its recorded digests.  Confirmed
+  /// Verifies one rank's recorded digests against `now`, the digests the
+  /// caller computed over `view`'s tiles.  A mismatching tile is confirmed
+  /// by a second, serial digest of `view` before it is reported: confirmed
   /// mismatches are appended to `mismatches`; `checks` advances by the
   /// number of tiles compared and `false_positives` by the number of
-  /// retracted (non-reproducing) mismatches.  A rank with no record
-  /// verifies vacuously.
-  void verify(Rank r, const RankView& view,
-              std::vector<Mismatch>* mismatches, std::int64_t* checks,
-              std::int64_t* false_positives) const;
-  /// Same, against digests the caller already computed over `view`'s
-  /// tiles.  A mismatching tile is still confirmed by a second, serial
-  /// digest of `view` before it is reported.
+  /// retracted (non-reproducing) mismatches.  A rank with no record, or
+  /// with a record of other coverage or layout, verifies vacuously.
   void verify(Rank r, const RankView& view,
               std::span<const lbm::TileDigest> now,
               std::vector<Mismatch>* mismatches, std::int64_t* checks,
@@ -126,8 +128,8 @@ struct TileAudit {
 };
 
 /// Audits points [begin, end) of a live array: the digest is exactly
-/// lbm::tile_digest's, and the health partials are computed over the same
-/// (now cached) tile when `health` enables RS001 or RS003.  The digest's
+/// lbm::tile_digest's, and the RS001/RS003 partials are computed over the
+/// same (now cached) tile.  The digest's
 /// mass sums every slot, and NaN and +-Inf survive any sum, so a finite
 /// tile mass proves every slot finite: the per-slot test is skipped and
 /// max_speed2() scans the tile.  A non-finite mass (a bad slot, or finite
@@ -136,8 +138,7 @@ struct TileAudit {
 /// point whose |u|^2 is NaN (rho = 0) counts as +Inf, over the ceiling.
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
                      std::int64_t end, lbm::LiveLayout layout,
-                     const HealthPolicy& health, double force_x,
-                     double force_y, double force_z);
+                     double force_x, double force_y, double force_z);
 
 /// The RS003 partial of points [begin, end) of a live array: the largest
 /// |u|^2 from lbm::moments_of, a NaN |u|^2 counted as +Inf.  The loop runs
@@ -149,11 +150,11 @@ double max_speed2(const double* f, std::int64_t stride, std::int64_t begin,
                   double force_y, double force_z);
 
 /// Folds the audits of one array's tiles (in tile order) into its RS001
-/// and RS003 diagnostics.  `where` labels the diagnostics ("rank 3",
-/// "solver"); `step` stamps the messages.
+/// and RS003 (ceiling kMaxVelocity) diagnostics.  `where` labels the
+/// diagnostics ("rank 3", "solver"); `step` stamps the messages.
 std::vector<analysis::Diagnostic> health_diagnostics(
-    std::span<const TileAudit> audits, const HealthPolicy& health,
-    std::int64_t step, const std::string& where);
+    std::span<const TileAudit> audits, std::int64_t step,
+    const std::string& where);
 
 /// Layout-aware RS001/RS003 scan over a live distribution array: audits
 /// its tiles, reading each point's populations through the LiveLayout
@@ -163,8 +164,7 @@ std::vector<analysis::Diagnostic> health_diagnostics(
 /// mask it.
 std::vector<analysis::Diagnostic> scan_live_health(
     const double* f, std::int64_t stride, std::int64_t points,
-    lbm::LiveLayout layout, const HealthPolicy& health, double force_x,
-    double force_y, double force_z, std::int64_t step,
-    const std::string& where);
+    lbm::LiveLayout layout, double force_x, double force_y, double force_z,
+    std::int64_t step, const std::string& where);
 
 }  // namespace hemo::resilience

@@ -2,12 +2,12 @@
 
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
 #include "analysis/diagnostics.hpp"
 #include "base/contracts.hpp"
+#include "base/format.hpp"
 #include "base/table.hpp"
 #include "decomp/partition.hpp"
 #include "harvey/distributed_solver.hpp"
@@ -24,14 +24,6 @@ std::string lower(std::string_view text) {
   return out;
 }
 
-/// Shortest-round-trip double formatting for the machine-readable sinks
-/// (Table::num's fixed precision would truncate iteration times).
-std::string fmt_double(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-  return buffer;
-}
-
 /// Death-order rank list for one CSV cell; ';'-separated so the cell
 /// survives comma-splitting CSV consumers.
 std::string join_ranks(const std::vector<Rank>& ranks) {
@@ -39,28 +31,6 @@ std::string join_ranks(const std::vector<Rank>& ranks) {
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     if (i) out += ';';
     out += std::to_string(ranks[i]);
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

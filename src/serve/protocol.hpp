@@ -66,7 +66,4 @@ bool parse_request(const std::string& line, Request* out, std::string* error);
 bool build_series(const Request& request, std::vector<rt::SeriesSpec>* out,
                   std::string* error);
 
-/// Minimal JSON string escaping for the response writers.
-std::string json_escape(const std::string& text);
-
 }  // namespace hemo::serve

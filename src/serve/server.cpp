@@ -1,24 +1,16 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "base/contracts.hpp"
+#include "base/format.hpp"
 #include "serve/protocol.hpp"
 
 namespace hemo::serve {
 
 namespace {
-
-// %.9g, matching the campaign sinks, so the wire stream round-trips the
-// same digits the CSV/JSON files carry.
-std::string fmt_double(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-  return buffer;
-}
 
 rt::ExecutorOptions executor_options(const ServeOptions& options) {
   rt::ExecutorOptions eo;

@@ -9,6 +9,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/report.hpp"
+#include "base/format.hpp"
 
 namespace analysis = hemo::analysis;
 using analysis::Diagnostic;
@@ -63,10 +64,10 @@ TEST(Report, JsonCarriesSchemaRecordsAndSummary) {
 }
 
 TEST(Report, JsonEscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(analysis::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(analysis::json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(analysis::json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(analysis::json_escape(std::string("a\x01""b")), "a\\u0001b");
+  EXPECT_EQ(hemo::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(hemo::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(hemo::json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(hemo::json_escape(std::string("a\x01""b")), "a\\u0001b");
 }
 
 TEST(Report, JsonHandlesEmptyInput) {

@@ -58,6 +58,19 @@ std::vector<double> clean_run(int ranks, int steps) {
   return solver.global_distributions();
 }
 
+/// One kBitFlip event: bit `bit` of direction q of global point `point`,
+/// flipped at the start of step `step`.
+resilience::FaultEvent bit_flip(hemo::PointIndex point, int q, int bit,
+                                std::int64_t step) {
+  resilience::FaultEvent e;
+  e.kind = resilience::FaultKind::kBitFlip;
+  e.step = step;
+  e.flip_point = point;
+  e.flip_q = q;
+  e.flip_bit = bit;
+  return e;
+}
+
 /// kBitFlip events at `step` that set every zero exponent bit of direction
 /// q of global point `point`, read from the clean state at that step:
 /// together they turn the live slot into Inf/NaN in place.
@@ -71,16 +84,9 @@ std::vector<resilience::FaultEvent> saturate_exponent(
                            static_cast<std::size_t>(point)],
               sizeof bits);
   std::vector<resilience::FaultEvent> flips;
-  for (int bit = 52; bit < 63; ++bit) {
-    if (((bits >> bit) & 1ull) != 0) continue;
-    resilience::FaultEvent e;
-    e.kind = resilience::FaultKind::kBitFlip;
-    e.step = step;
-    e.flip_point = point;
-    e.flip_q = q;
-    e.flip_bit = bit;
-    flips.push_back(e);
-  }
+  for (int bit = 52; bit < 63; ++bit)
+    if (((bits >> bit) & 1ull) == 0)
+      flips.push_back(bit_flip(point, q, bit, step));
   return flips;
 }
 
@@ -288,30 +294,38 @@ TEST(ResilientSolver, NonFiniteLiveSlotTripsRS001AndRollsBack) {
   EXPECT_EQ(solver.global_distributions(), reference);
 }
 
-TEST(ResilientSolver, NonFiniteMassTripsRS002WhenScanIsOff) {
-  // With the point-wise RS001 scan disabled, a NaN in the state is skipped
-  // by the velocity ceiling and poisons the global mass; the mass guard
-  // must report the non-finite mass instead of waving it through.
+TEST(ResilientSolver, OverflowingFiniteMassTripsRS002) {
+  // Setting the top exponent bit of the rest population of eight bulk
+  // points in one tile lifts each from ~1/3 to ~6e307.  Every slot stays
+  // finite through the next step, whose collision only spreads each
+  // point's mass over its populations at a vanishing velocity, but the
+  // tile's mass overflows to +Inf.  RS001 has no non-finite slot to name
+  // and RS003 sees no fast point, so the mass guard must report the
+  // non-finite mass, roll back and replay to the clean bits.
   constexpr int kRanks = 4;
   constexpr int kSteps = 8;
   constexpr int kFlipStep = 4;
   const std::vector<double> reference = clean_run(kRanks, kSteps);
 
   auto lattice = small_cylinder();
+  const decomp::Partition partition = decomp::slab_partition(*lattice, kRanks);
   resilience::FaultPlan plan;
-  for (const resilience::FaultEvent& e :
-       saturate_exponent(clean_run(kRanks, kFlipStep), lattice->size(),
-                         lattice->size() / 2, /*q=*/0, kFlipStep))
-    plan.add(e);
-  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
-                           flow_options());
+  int lifted = 0;
+  for (const hemo::PointIndex p : partition.points_of(1)) {
+    if (lattice->node_type(p) != lbm::NodeType::kBulk) continue;
+    plan.add(bit_flip(p, /*q=*/0, /*bit=*/62, kFlipStep));
+    if (++lifted == 8) break;
+  }
+  DistributedSolver solver(lattice, partition, flow_options());
   solver.set_fault_injection(&plan);
-  resilience::Options opts;
-  opts.health.scan_nonfinite = false;
-  solver.enable_resilience(opts);
+  solver.enable_resilience(resilience::Options{});
 
   solver.run(kSteps);
 
+  for (const resilience::FaultEvent& e : plan.events()) {
+    EXPECT_EQ(e.fired_rank, 1);
+    EXPECT_EQ(e.fired_tile, 0);  // one tile holds every lifted point
+  }
   const resilience::RunStats& stats = solver.resilience_stats();
   const auto rs002 = std::find_if(
       stats.diagnostics.begin(), stats.diagnostics.end(),
@@ -321,6 +335,7 @@ TEST(ResilientSolver, NonFiniteMassTripsRS002WhenScanIsOff) {
             std::string::npos)
       << rs002->message;
   EXPECT_FALSE(has_rule(stats.diagnostics, "RS001"));
+  EXPECT_FALSE(has_rule(stats.diagnostics, "RS003"));
   EXPECT_GE(stats.health_errors, 1);
   EXPECT_GE(stats.rollbacks, 1);
   EXPECT_EQ(solver.global_distributions(), reference);
@@ -386,34 +401,6 @@ TEST_P(CheckpointRankSweep, RoundTripIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Ranks, CheckpointRankSweep,
                          ::testing::Values(1, 2, 4, 8));
 
-TEST(Checkpoint, PerRankRoundTripRestoresEveryRank) {
-  constexpr int kRanks = 3;
-  constexpr int kSteps = 9;
-  constexpr int kCut = 4;
-  const std::vector<double> reference = clean_run(kRanks, kSteps);
-
-  auto lattice = small_cylinder();
-  std::vector<TempFile> files;
-  for (int r = 0; r < kRanks; ++r)
-    files.emplace_back("ckpt_rank_" + std::to_string(r) + ".bin");
-  {
-    DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
-                             flow_options());
-    solver.run(kCut);
-    for (int r = 0; r < kRanks; ++r)
-      solver.save_rank_checkpoint(files[static_cast<std::size_t>(r)].path, r);
-  }
-  DistributedSolver resumed(lattice, decomp::slab_partition(*lattice, kRanks),
-                            flow_options());
-  for (int r = 0; r < kRanks; ++r) {
-    const std::int64_t step = resumed.restore_rank_checkpoint(
-        files[static_cast<std::size_t>(r)].path, r);
-    EXPECT_EQ(step, kCut);
-  }
-  resumed.run(kSteps - kCut);
-  EXPECT_EQ(resumed.global_distributions(), reference);
-}
-
 TEST(Checkpoint, CorruptedFileIsRejected) {
   const TempFile ckpt("ckpt_corrupt.bin");
   auto lattice = small_cylinder();
@@ -444,6 +431,59 @@ TEST(Checkpoint, CorruptedFileIsRejected) {
   EXPECT_THROW(fresh.restore_checkpoint(ckpt.path), hemo::io::BlobError);
 }
 
+TEST(Checkpoint, FailedRestoreLeavesTheSolverUntouched) {
+  // A checkpoint whose last rank record fails its CRC must not have been
+  // copied in part: the records before it were already read when the
+  // error surfaced, and the live state, the step counter, the mass
+  // anchor and the sentinel record must all stay as they were.
+  constexpr int kRanks = 4;
+  const TempFile ckpt("ckpt_atomic.bin");
+  const TempFile good("ckpt_atomic_good.bin");
+  auto lattice = small_cylinder();
+  {
+    DistributedSolver saved(lattice, decomp::slab_partition(*lattice, kRanks),
+                            flow_options());
+    saved.run(5);
+    saved.save_checkpoint(ckpt.path);
+    saved.save_checkpoint(good.path);
+  }
+  // The last rank record's payload ends the file: flip one of its bytes.
+  {
+    std::fstream f(ckpt.path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(-8, std::ios::end);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(-8, std::ios::end);
+    f.write(&byte, 1);
+  }
+
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  resilience::Options opts;
+  opts.sentinel.enabled = true;
+  opts.sentinel.reexec_sample = 2;
+  solver.enable_resilience(opts);
+  solver.run(3);
+  const std::vector<double> before = solver.global_distributions();
+
+  EXPECT_THROW(solver.restore_checkpoint(ckpt.path), hemo::io::BlobError);
+  EXPECT_EQ(solver.step_count(), 3);
+  EXPECT_EQ(solver.global_distributions(), before);
+
+  // The run goes on as if no restore had been tried, and an intact file
+  // then restores into the same solver and resumes from its step.
+  solver.run(3);
+  EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, 6));
+  solver.restore_checkpoint(good.path);
+  EXPECT_EQ(solver.step_count(), 5);
+  solver.run(4);
+  EXPECT_EQ(solver.resilience_stats().faults_detected(), 0);
+  EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, 9));
+}
+
 TEST(Checkpoint, WrongConfigurationIsRejected) {
   const TempFile ckpt("ckpt_wrong_config.bin");
   auto lattice = small_cylinder();
@@ -468,17 +508,29 @@ TEST(Checkpoint, MissingFileIsRejected) {
 }
 
 TEST(ResilientSolver, VelocityCeilingGuardFiresRS003) {
-  // A ceiling below any physical inflow velocity makes the very first
-  // resilient step trip the compressibility guard; with no rollback
-  // budget the run must surface it as a structured fault carrying the
-  // RS003 diagnostic.
+  // Setting the top exponent bit of a +x population of an interior bulk
+  // point lifts it from ~1/18 to ~1e307, still finite.  The point that
+  // pulls it ends the step with |u| ~ 1, far over kMaxVelocity; with the
+  // sentinel off and no rollback budget the run must surface it as a
+  // structured fault carrying the RS003 diagnostic, and no RS001.
   auto lattice = small_cylinder();
+  hemo::PointIndex interior = -1;
+  for (hemo::PointIndex p = lattice->size() / 3; p < lattice->size(); ++p) {
+    bool enclosed = lattice->node_type(p) == lbm::NodeType::kBulk;
+    for (int q = 1; q < lbm::kQ && enclosed; ++q)
+      enclosed = lattice->neighbor(q, p) != hemo::kSolidNeighbor;
+    if (enclosed) {
+      interior = p;
+      break;
+    }
+  }
+  ASSERT_GE(interior, 0);
+  resilience::FaultPlan plan;
+  plan.add(bit_flip(interior, /*q=*/1, /*bit=*/62, /*step=*/2));
   DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2),
                            flow_options());
+  solver.set_fault_injection(&plan);
   resilience::Options opts;
-  opts.health.scan_nonfinite = false;
-  opts.health.check_mass = false;
-  opts.health.max_velocity = 1e-9;
   opts.recovery.max_rollbacks = 0;
   solver.enable_resilience(opts);
 
@@ -486,11 +538,10 @@ TEST(ResilientSolver, VelocityCeilingGuardFiresRS003) {
     solver.run(4);
     FAIL() << "expected SolverFault";
   } catch (const resilience::SolverFault& fault) {
-    bool saw_rs003 = false;
-    for (const hemo::analysis::Diagnostic& d : fault.diagnostics())
-      saw_rs003 |= (d.rule_id == "RS003");
-    EXPECT_TRUE(saw_rs003);
+    EXPECT_TRUE(has_rule(fault.diagnostics(), "RS003"));
+    EXPECT_FALSE(has_rule(fault.diagnostics(), "RS001"));
   }
+  EXPECT_EQ(solver.step_count(), 3);  // the step that blew up
   EXPECT_GE(solver.resilience_stats().health_errors, 1);
 }
 

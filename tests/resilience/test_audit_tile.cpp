@@ -23,7 +23,6 @@
 namespace lbm = hemo::lbm;
 namespace resilience = hemo::resilience;
 using lbm::LiveLayout;
-using resilience::HealthPolicy;
 using resilience::TileAudit;
 
 namespace {
@@ -57,10 +56,8 @@ void set_slot(std::vector<double>* f, LiveLayout layout, std::int64_t i, int q,
 /// The partials as a plain point-wise scan computes them: an isfinite test
 /// per slot, moments_of per finite point.
 TileAudit pointwise(const std::vector<double>& f, std::int64_t begin,
-                    std::int64_t end, LiveLayout layout,
-                    const HealthPolicy& health) {
+                    std::int64_t end, LiveLayout layout) {
   TileAudit ref;
-  if (!health.scan_nonfinite && !health.check_velocity) return ref;
   for (std::int64_t i = begin; i < end; ++i) {
     double fi[lbm::kQ];
     bool finite = true;
@@ -75,7 +72,6 @@ TileAudit pointwise(const std::vector<double>& f, std::int64_t begin,
       if (ref.first_nonfinite < 0) ref.first_nonfinite = i;
       continue;
     }
-    if (!health.check_velocity) continue;
     const lbm::Moments m = lbm::moments_of(fi, kForce[0], kForce[1], kForce[2]);
     ref.max_speed2 =
         std::max(ref.max_speed2, m.ux * m.ux + m.uy * m.uy + m.uz * m.uz);
@@ -84,13 +80,12 @@ TileAudit pointwise(const std::vector<double>& f, std::int64_t begin,
 }
 
 std::vector<TileAudit> audit_all(const std::vector<double>& f,
-                                 LiveLayout layout,
-                                 const HealthPolicy& health) {
+                                 LiveLayout layout) {
   std::vector<TileAudit> out;
   for (std::int64_t begin = 0; begin < kStride; begin += kTile)
     out.push_back(resilience::audit_tile(
         f.data(), kStride, begin, std::min(begin + kTile, kStride), layout,
-        health, kForce[0], kForce[1], kForce[2]));
+        kForce[0], kForce[1], kForce[2]));
   return out;
 }
 
@@ -102,14 +97,13 @@ bool same_bits(const lbm::TileDigest& a, const lbm::TileDigest& b) {
 
 /// Every tile's audit against tile_digest and the point-wise reference.
 void expect_matches_reference(const std::vector<double>& f, LiveLayout layout,
-                              const HealthPolicy& health,
                               const std::string& label) {
-  const std::vector<TileAudit> audits = audit_all(f, layout, health);
+  const std::vector<TileAudit> audits = audit_all(f, layout);
   ASSERT_EQ(audits.size(), 3u) << label;
   for (std::size_t t = 0; t < audits.size(); ++t) {
     const std::int64_t begin = static_cast<std::int64_t>(t) * kTile;
     const std::int64_t end = std::min(begin + kTile, kStride);
-    const TileAudit ref = pointwise(f, begin, end, layout, health);
+    const TileAudit ref = pointwise(f, begin, end, layout);
     const TileAudit& a = audits[t];
     EXPECT_TRUE(same_bits(
         a.digest, lbm::tile_digest(f.data(), kStride, begin, end, layout)))
@@ -173,8 +167,8 @@ TEST(AuditTile, DigestIsBitEqualToTileDigest) {
           {3, 258},
           {kStride - 3, kStride}}) {
       const TileAudit a = resilience::audit_tile(
-          f.data(), kStride, begin, end, layout, HealthPolicy{}, kForce[0],
-          kForce[1], kForce[2]);
+          f.data(), kStride, begin, end, layout, kForce[0], kForce[1],
+          kForce[2]);
       EXPECT_TRUE(same_bits(
           a.digest, lbm::tile_digest(f.data(), kStride, begin, end, layout)))
           << "layout " << static_cast<int>(layout) << ", [" << begin << ", "
@@ -183,38 +177,26 @@ TEST(AuditTile, DigestIsBitEqualToTileDigest) {
 }
 
 TEST(AuditTile, PartialsMatchPointwiseReferenceOnEveryTileKind) {
-  HealthPolicy velocity_off;
-  velocity_off.check_velocity = false;
-  HealthPolicy scan_off;
-  scan_off.scan_nonfinite = false;
-  HealthPolicy both_off = scan_off;
-  both_off.check_velocity = false;
-  const HealthPolicy policies[] = {HealthPolicy{}, velocity_off, scan_off,
-                                   both_off};
   for (const TileCase& c : kCases)
-    for (const LiveLayout layout : kAllLayouts)
-      for (std::size_t p = 0; p < std::size(policies); ++p) {
-        std::vector<double> f = synthetic_state();
-        c.corrupt(&f, layout);
-        expect_matches_reference(
-            f, layout, policies[p],
-            std::string(c.name) + ", layout " +
-                std::to_string(static_cast<int>(layout)) + ", policy " +
-                std::to_string(p));
-      }
+    for (const LiveLayout layout : kAllLayouts) {
+      std::vector<double> f = synthetic_state();
+      c.corrupt(&f, layout);
+      expect_matches_reference(f, layout,
+                               std::string(c.name) + ", layout " +
+                                   std::to_string(static_cast<int>(layout)));
+    }
 }
 
 TEST(AuditTile, CleanTilesHaveFiniteMassAndRaiseNothing) {
   const std::vector<double> f = synthetic_state();
   const std::vector<TileAudit> audits =
-      audit_all(f, LiveLayout::kCanonical, HealthPolicy{});
+      audit_all(f, LiveLayout::kCanonical);
   for (const TileAudit& a : audits) {
     EXPECT_TRUE(std::isfinite(a.digest.mass));
     EXPECT_EQ(a.nonfinite, 0);
     EXPECT_GT(a.max_speed2, 0.0);
   }
-  EXPECT_TRUE(resilience::health_diagnostics(audits, HealthPolicy{}, 1, "t")
-                  .empty());
+  EXPECT_TRUE(resilience::health_diagnostics(audits, 1, "t").empty());
 }
 
 TEST(AuditTile, FoldNamesTheFirstNonFinitePointAcrossTiles) {
@@ -224,8 +206,7 @@ TEST(AuditTile, FoldNamesTheFirstNonFinitePointAcrossTiles) {
            std::numeric_limits<double>::quiet_NaN());
   set_slot(&f, LiveLayout::kAAOddParity, 650, 2, -kInf);
   const auto diags = resilience::health_diagnostics(
-      audit_all(f, LiveLayout::kAAOddParity, HealthPolicy{}), HealthPolicy{},
-      9, "rank 2");
+      audit_all(f, LiveLayout::kAAOddParity), 9, "rank 2");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule_id, "RS001");
   EXPECT_EQ(diags[0].file, "rank 2");
@@ -238,18 +219,15 @@ TEST(AuditTile, FiniteOverflowRaisesRS003NotRS001) {
   std::vector<double> f = synthetic_state();
   set_slot(&f, LiveLayout::kCanonical, 260, 1, 1e308);
   set_slot(&f, LiveLayout::kCanonical, 270, 1, 1e308);
-  const std::vector<TileAudit> audits =
-      audit_all(f, LiveLayout::kCanonical, HealthPolicy{});
+  const std::vector<TileAudit> audits = audit_all(f, LiveLayout::kCanonical);
   EXPECT_FALSE(std::isfinite(audits[1].digest.mass));  // the sum overflowed
   EXPECT_EQ(audits[1].nonfinite, 0);                   // every slot finite
-  const auto diags =
-      resilience::health_diagnostics(audits, HealthPolicy{}, 4, "solver");
+  const auto diags = resilience::health_diagnostics(audits, 4, "solver");
   EXPECT_TRUE(has_rule(diags, "RS003"));
   EXPECT_FALSE(has_rule(diags, "RS001"));
   EXPECT_EQ(diags, resilience::scan_live_health(
                        f.data(), kStride, kStride, LiveLayout::kCanonical,
-                       HealthPolicy{}, kForce[0], kForce[1], kForce[2], 4,
-                       "solver"));
+                       kForce[0], kForce[1], kForce[2], 4, "solver"));
 }
 
 // ---------------------------------------------------------------------------
@@ -316,23 +294,22 @@ TEST(AuditTile, VacuumPointTripsRS003) {
   for (const LiveLayout layout : kAllLayouts) {
     std::vector<double> f = synthetic_state();
     make_vacuum(&f, layout, 100);
-    std::vector<TileAudit> audits = audit_all(f, layout, HealthPolicy{});
+    std::vector<TileAudit> audits = audit_all(f, layout);
     EXPECT_TRUE(std::isfinite(audits[0].digest.mass));
     EXPECT_EQ(audits[0].nonfinite, 0);
     EXPECT_EQ(audits[0].max_speed2, kInf);
-    auto diags =
-        resilience::health_diagnostics(audits, HealthPolicy{}, 3, "rank 0");
+    auto diags = resilience::health_diagnostics(audits, 3, "rank 0");
     EXPECT_TRUE(has_rule(diags, "RS003"));
     EXPECT_FALSE(has_rule(diags, "RS001"));
 
     // The same point in a tile that also holds a NaN slot.
     set_slot(&f, layout, 120, 6, std::numeric_limits<double>::quiet_NaN());
-    audits = audit_all(f, layout, HealthPolicy{});
+    audits = audit_all(f, layout);
     EXPECT_EQ(audits[0].nonfinite, 1);
     EXPECT_EQ(audits[0].max_speed2, kInf);
     diags = resilience::scan_live_health(f.data(), kStride, kStride, layout,
-                                         HealthPolicy{}, kForce[0], kForce[1],
-                                         kForce[2], 3, "rank 0");
+                                         kForce[0], kForce[1], kForce[2], 3,
+                                         "rank 0");
     EXPECT_TRUE(has_rule(diags, "RS001"));
     EXPECT_TRUE(has_rule(diags, "RS003"));
   }

@@ -182,6 +182,25 @@ Sentinel::RankView view_of(const std::vector<double>& f,
   return {f.data(), stride, owned, layout};
 }
 
+/// `view`'s tile digests, as the solvers compute them.
+std::vector<lbm::TileDigest> digests(const Sentinel& sentinel,
+                                     const Sentinel::RankView& view) {
+  return lbm::digest_tiles(view.f, view.stride, view.owned,
+                           sentinel.policy().tile_points, view.layout);
+}
+
+void record(Sentinel& sentinel, Rank r, const Sentinel::RankView& view,
+            std::int64_t step) {
+  sentinel.record(r, view, digests(sentinel, view), step);
+}
+
+void verify(const Sentinel& sentinel, Rank r, const Sentinel::RankView& view,
+            std::vector<Sentinel::Mismatch>* mismatches, std::int64_t* checks,
+            std::int64_t* false_positives) {
+  sentinel.verify(r, view, digests(sentinel, view), mismatches, checks,
+                  false_positives);
+}
+
 }  // namespace
 
 TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
@@ -194,7 +213,7 @@ TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
   EXPECT_EQ(sentinel.tiles_of(kOwned), 10);
   EXPECT_FALSE(sentinel.has_record(2));
 
-  sentinel.record(2, view_of(f, kStride, kOwned, LiveLayout::kCanonical), 5);
+  record(sentinel, 2, view_of(f, kStride, kOwned, LiveLayout::kCanonical), 5);
   EXPECT_TRUE(sentinel.has_record(2));
   EXPECT_FALSE(sentinel.has_record(0));
   EXPECT_EQ(sentinel.recorded_step(2), 5);
@@ -205,8 +224,8 @@ TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
 
   std::vector<Sentinel::Mismatch> mismatches;
   std::int64_t checks = 0, false_positives = 0;
-  sentinel.verify(2, view_of(f, kStride, kOwned, LiveLayout::kCanonical),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 2, view_of(f, kStride, kOwned, LiveLayout::kCanonical),
+         &mismatches, &checks, &false_positives);
   EXPECT_TRUE(mismatches.empty());
   EXPECT_EQ(checks, 10);
   EXPECT_EQ(false_positives, 0);
@@ -217,16 +236,16 @@ TEST(Sentinel, VerifyLocalizesEachCorruptTile) {
   std::vector<double> f = synthetic_state(kOwned);
   Sentinel sentinel(tile100_policy());
   sentinel.reset(4);
-  sentinel.record(1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
-                  7);
+  record(sentinel, 1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
+         7);
 
   flip_bit(f.data() + 7 * kOwned + 537, 3);   // tile 5
   flip_bit(f.data() + 0 * kOwned + 123, 60);  // tile 1
 
   std::vector<Sentinel::Mismatch> mismatches;
   std::int64_t checks = 0, false_positives = 0;
-  sentinel.verify(1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
+         &mismatches, &checks, &false_positives);
   ASSERT_EQ(mismatches.size(), 2u);
   EXPECT_EQ(mismatches[0].rank, 1);
   EXPECT_EQ(mismatches[0].tile, 1);
@@ -249,28 +268,28 @@ TEST(Sentinel, VerifyIsVacuousWithoutAMatchingRecord) {
   std::int64_t checks = 0, false_positives = 0;
 
   // No record at all.
-  sentinel.verify(0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
+         &mismatches, &checks, &false_positives);
   EXPECT_EQ(checks, 0);
 
-  sentinel.record(0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical), 2);
+  record(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical), 2);
 
   // Coverage changed (shrink redistributed points): the record cannot
   // describe this state any more.
-  sentinel.verify(0, view_of(f, kOwned, 300, LiveLayout::kCanonical),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, 300, LiveLayout::kCanonical),
+         &mismatches, &checks, &false_positives);
   EXPECT_EQ(checks, 0);
 
   // Layout changed (AA parity advanced past the record).
-  sentinel.verify(0, view_of(f, kOwned, kOwned, LiveLayout::kAAOddParity),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kAAOddParity),
+         &mismatches, &checks, &false_positives);
   EXPECT_EQ(checks, 0);
 
   // reset() drops every table.
   sentinel.reset(2);
   EXPECT_FALSE(sentinel.has_record(0));
-  sentinel.verify(0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
-                  &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
+         &mismatches, &checks, &false_positives);
   EXPECT_EQ(checks, 0);
   EXPECT_TRUE(mismatches.empty());
   EXPECT_EQ(false_positives, 0);
@@ -282,20 +301,19 @@ TEST(Sentinel, VerifyIsVacuousWithoutAMatchingRecord) {
 TEST(LiveHealthScan, CleanAAStateScansQuietAtBothParities) {
   auto lattice = aa_cylinder();
   lbm::Solver solver(lattice, aa_options());
-  const resilience::HealthPolicy health;
 
   solver.run(2);  // even parity
   ASSERT_EQ(solver.live_layout(), LiveLayout::kAAEvenParity);
   EXPECT_TRUE(resilience::scan_live_health(
                   solver.live_state(), lattice->size(), lattice->size(),
-                  solver.live_layout(), health, 0.0, 0.0, 0.0, 2, "solver")
+                  solver.live_layout(), 0.0, 0.0, 0.0, 2, "solver")
                   .empty());
 
   solver.run(1);  // odd parity
   ASSERT_EQ(solver.live_layout(), LiveLayout::kAAOddParity);
   EXPECT_TRUE(resilience::scan_live_health(
                   solver.live_state(), lattice->size(), lattice->size(),
-                  solver.live_layout(), health, 0.0, 0.0, 0.0, 3, "solver")
+                  solver.live_layout(), 0.0, 0.0, 0.0, 3, "solver")
                   .empty());
 }
 
@@ -320,8 +338,7 @@ TEST(LiveHealthScan, NonFiniteLiveSlotRaisesRS001AtBothParities) {
 
     const auto diags = resilience::scan_live_health(
         solver.live_state(), lattice->size(), lattice->size(),
-        solver.live_layout(), resilience::HealthPolicy{}, 0.0, 0.0, 0.0,
-        steps, "solver");
+        solver.live_layout(), 0.0, 0.0, 0.0, steps, "solver");
     EXPECT_TRUE(has_rule(diags, "RS001")) << "parity of step " << steps;
   }
 }
@@ -349,8 +366,7 @@ TEST(LiveHealthScan, HugeFiniteLiveSlotRaisesRS003) {
 
   const auto diags = resilience::scan_live_health(
       solver.live_state(), lattice->size(), lattice->size(),
-      solver.live_layout(), resilience::HealthPolicy{}, 0.0, 0.0, 0.0, 2,
-      "solver");
+      solver.live_layout(), 0.0, 0.0, 0.0, 2, "solver");
   EXPECT_TRUE(has_rule(diags, "RS003"));
   EXPECT_FALSE(has_rule(diags, "RS001"));
 }

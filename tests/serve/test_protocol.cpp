@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "base/format.hpp"
+
 namespace hemo::serve {
 namespace {
 
@@ -143,11 +145,12 @@ TEST(Protocol, BuildSeriesRejectsUnknownInputs) {
 }
 
 TEST(Protocol, JsonEscapeHandlesSpecialsAndControlBytes) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string("a\x01" "b", 3)), "a\\u0001b");
+  EXPECT_EQ(hemo::json_escape("plain"), "plain");
+  EXPECT_EQ(hemo::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(hemo::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(hemo::json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(hemo::json_escape("a\rb"), "a\\u000db");
+  EXPECT_EQ(hemo::json_escape(std::string("a\x01" "b", 3)), "a\\u0001b");
 }
 
 }  // namespace

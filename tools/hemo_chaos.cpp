@@ -80,6 +80,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/format.hpp"
 #include "base/table.hpp"
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
@@ -402,19 +403,6 @@ ChaosRun run_once(const Config& cfg, const SolverSetup& setup,
   run.final_mass = solver.total_mass();
   if (run.survived) run.state = solver.global_distributions();
   return run;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 /// Machine-readable single-object report: configuration, per-kind event

@@ -60,6 +60,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "base/format.hpp"
 #include "rt/campaign.hpp"
 #include "serve/protocol.hpp"
 #include "serve/recovery.hpp"
@@ -323,7 +324,7 @@ int run_serve(const Args& args) {
 
 std::string tenant_request_json(const Args& args) {
   std::ostringstream os;
-  os << "{\"op\": \"tenant\", \"tenant\": \"" << serve::json_escape(args.tenant)
+  os << "{\"op\": \"tenant\", \"tenant\": \"" << json_escape(args.tenant)
      << "\"";
   if (args.weight >= 0.0) os << ", \"weight\": " << args.weight;
   if (args.budget >= 0.0) os << ", \"budget\": " << args.budget;
@@ -334,14 +335,14 @@ std::string tenant_request_json(const Args& args) {
 
 std::string submit_request_json(const Args& args) {
   std::ostringstream os;
-  os << "{\"op\": \"submit\", \"tenant\": \"" << serve::json_escape(args.tenant)
-     << "\", \"name\": \"" << serve::json_escape(args.name) << "\"";
+  os << "{\"op\": \"submit\", \"tenant\": \"" << json_escape(args.tenant)
+     << "\", \"name\": \"" << json_escape(args.name) << "\"";
   if (!args.figure.empty())
-    os << ", \"figure\": \"" << serve::json_escape(args.figure) << "\"";
+    os << ", \"figure\": \"" << json_escape(args.figure) << "\"";
   if (!args.series.empty()) {
     os << ", \"series\": [";
     for (std::size_t i = 0; i < args.series.size(); ++i)
-      os << (i ? ", " : "") << "\"" << serve::json_escape(args.series[i])
+      os << (i ? ", " : "") << "\"" << json_escape(args.series[i])
          << "\"";
     os << "]";
   }
