@@ -58,17 +58,16 @@ void BM_AuditTile(benchmark::State& state) {
                           "digest + SIMD scan"};
   state.SetLabel(labels[variant]);
   const std::vector<double> f = tile_state();
-  const lbm::LiveLayout layout = lbm::LiveLayout::kCanonical;
   std::int64_t end = kTile;  // opaque, as a solver's tile bounds are
   benchmark::DoNotOptimize(end);
   for (auto _ : state) {
-    const lbm::TileDigest d = lbm::tile_digest(f.data(), kTile, 0, end, layout);
+    const lbm::TileDigest d = lbm::tile_digest(f.data(), kTile, 0, end);
     benchmark::DoNotOptimize(d);
     if (variant == kScalarScan) {
       benchmark::DoNotOptimize(scalar_scan(f.data()));
     } else if (variant == kSimdScan) {
-      benchmark::DoNotOptimize(resilience::max_speed2(
-          f.data(), kTile, 0, end, layout, 0.0, 0.0, 0.0));
+      benchmark::DoNotOptimize(
+          resilience::max_speed2(f.data(), kTile, 0, end, 0.0, 0.0, 0.0));
     }
   }
   state.SetItemsProcessed(state.iterations() * kTile);

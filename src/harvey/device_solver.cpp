@@ -52,7 +52,10 @@ void DeviceSolver::run(int steps) {
 }
 
 std::vector<double> DeviceSolver::distributions() const {
-  std::vector<double> raw = live_distributions();
+  std::vector<double> raw(static_cast<std::size_t>(lbm::kQ) *
+                          static_cast<std::size_t>(lattice_->size()));
+  hal::DeviceEngine::instance().copy_d2h(raw.data(), engine_.live(),
+                                         raw.size() * sizeof(double));
   if (options_.propagation != lbm::Propagation::kAAInPlace) return raw;
   std::vector<double> canonical(raw.size());
   lbm::aa_canonicalize(lattice_->adjacency().data(), lattice_->size(),
@@ -60,30 +63,10 @@ std::vector<double> DeviceSolver::distributions() const {
   return canonical;
 }
 
-std::vector<double> DeviceSolver::live_distributions() const {
-  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) *
-                          static_cast<std::size_t>(lattice_->size()));
-  hal::DeviceEngine::instance().copy_d2h(out.data(), engine_.live(),
-                                         out.size() * sizeof(double));
-  return out;
-}
-
-std::vector<lbm::TileDigest> DeviceSolver::tile_digests(
-    std::int64_t tile_points) const {
-  const std::vector<double> live = live_distributions();
-  return lbm::digest_tiles(live.data(), lattice_->size(), lattice_->size(),
-                           tile_points, live_layout());
-}
-
 lbm::Moments DeviceSolver::moments(PointIndex i) const {
   HEMO_EXPECTS(i >= 0 && i < lattice_->size());
-  const std::vector<double> f = distributions();
-  const auto n = static_cast<std::size_t>(lattice_->size());
-  double fi[lbm::kQ];
-  for (int q = 0; q < lbm::kQ; ++q)
-    fi[q] = f[static_cast<std::size_t>(q) * n + static_cast<std::size_t>(i)];
-  return lbm::moments_of(fi, options_.body_force.x, options_.body_force.y,
-                         options_.body_force.z);
+  return lbm::moments_at(distributions().data(), lattice_->size(), i,
+                         options_.body_force);
 }
 
 double DeviceSolver::total_mass() const {

@@ -46,16 +46,6 @@ class DeviceSolver {
   /// the host, so callers see the same snapshot as the pull path.
   std::vector<double> distributions() const;
 
-  /// Host copy of the RAW live device array — no canonicalization — plus
-  /// its layout, for SDC probes: the canonical conversion does not read
-  /// every AA slot, so only the live view sees all the state a later
-  /// kernel step may consume.
-  std::vector<double> live_distributions() const;
-  lbm::LiveLayout live_layout() const { return engine_.live_layout(); }
-
-  /// Tile digests of the live device state (see lbm/tile_probe.hpp).
-  std::vector<lbm::TileDigest> tile_digests(std::int64_t tile_points) const;
-
   lbm::Moments moments(PointIndex i) const;
   double total_mass() const;
 

@@ -231,7 +231,7 @@ void DistributedSolver::advance_state(bool audit) {
                 if (audits != nullptr)
                   audits[k] = resilience::audit_tile(
                       s.output(), ranks[t.rank].local, t.begin, t.end,
-                      lbm::LiveLayout::kCanonical, force.x, force.y, force.z);
+                      force.x, force.y, force.z);
               });
   for (RankState& rs : ranks_)
     if (rs.owned > 0) rs.engine.commit();  // dead ranks idle
@@ -259,27 +259,19 @@ void DistributedSolver::plan_step() {
 // digests all read one pass over the (rank, tile) grid.
 // ---------------------------------------------------------------------------
 
-std::vector<resilience::TileAudit> DistributedSolver::audit_state(
-    bool health) const {
+std::vector<resilience::TileAudit> DistributedSolver::audit_state() const {
   std::vector<resilience::TileAudit> audits(plan_.tiles.size());
   resilience::TileAudit* out = audits.data();
   const TileSpan* tiles = plan_.tiles.data();
   const RankState* ranks = ranks_.data();
-  const Vec3 force = options_.body_force;
   // Each index writes only its own slot of `audits`, so the launch is
   // race-free and its result does not depend on how it is chunked.
   hal::launch(model_, static_cast<std::int64_t>(plan_.tiles.size()),
               [=](std::int64_t k) {
                 const TileSpan& t = tiles[k];
                 const RankState& rs = ranks[t.rank];
-                out[k] = health
-                             ? resilience::audit_tile(
-                                   rs.current(), rs.local, t.begin, t.end,
-                                   lbm::LiveLayout::kCanonical, force.x,
-                                   force.y, force.z)
-                             : resilience::TileAudit{lbm::tile_digest(
-                                   rs.current(), rs.local, t.begin, t.end,
-                                   lbm::LiveLayout::kCanonical)};
+                out[k].digest =
+                    lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
               });
   return audits;
 }
@@ -340,8 +332,7 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
   rollbacks_used_ = 0;
   snapshot_ = Snapshot{};
   plan_step();  // the audit tiles are the sentinel's
-  const std::vector<resilience::TileAudit> audits =
-      audit_state(/*health=*/false);
+  const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
 
   sentinel_.reset();
@@ -507,10 +498,6 @@ bool DistributedSolver::resilient_exchange(Rank* suspect) {
   return true;
 }
 
-std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
-  return health_of(audit_state(/*health=*/true));
-}
-
 std::vector<analysis::Diagnostic> DistributedSolver::health_of(
     const std::vector<resilience::TileAudit>& audits) const {
   std::vector<analysis::Diagnostic> out;
@@ -621,7 +608,7 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
   // The digests described the abandoned state; re-anchor on the restored
   // (verified-clean) snapshot.
   if (sentinel_.has_value())
-    sentinel_record_all(audit_state(/*health=*/false));
+    sentinel_record_all(audit_state());
 }
 
 // ---------------------------------------------------------------------------
@@ -635,7 +622,6 @@ resilience::Sentinel::RankView DistributedSolver::rank_view(
   view.f = rs.current();
   view.stride = rs.local;
   view.owned = rs.owned;
-  view.layout = lbm::LiveLayout::kCanonical;
   return view;
 }
 
@@ -693,8 +679,7 @@ bool DistributedSolver::handle_sdc(
 bool DistributedSolver::sentinel_verify_all(bool force) {
   const resilience::SentinelPolicy& pol = sentinel_->policy();
   if (!force && steps_done_ % pol.check_interval != 0) return false;
-  const std::vector<resilience::TileAudit> audits =
-      audit_state(/*health=*/false);
+  const std::vector<resilience::TileAudit> audits = audit_state();
   std::vector<resilience::Sentinel::Mismatch> found;
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
@@ -894,7 +879,7 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   if (sentinel_.has_value()) {
     // New decomposition, new tile geometry: old digests are meaningless.
     sentinel_->reset(partition_.n_ranks);
-    sentinel_record_all(audit_state(/*health=*/false));
+    sentinel_record_all(audit_state());
   }
 
   ++stats_.shrinks;
@@ -1014,6 +999,9 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
         rec.tag >= lbm::kCheckpointStateTag + ranks_.size())
       throw io::BlobError("checkpoint '" + path + "': unknown record tag");
     const std::size_t r = rec.tag - lbm::kCheckpointStateTag;
+    if (seen[r])
+      throw io::BlobError("checkpoint '" + path + "': two records for rank " +
+                          std::to_string(r));
     RankState& rs = ranks_[r];
     if (rec.bytes.size() != rs.values() * sizeof(double))
       throw io::BlobError("checkpoint '" + path + "': rank record size " +
@@ -1039,8 +1027,7 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
 }
 
 void DistributedSolver::reanchor_after_restore() {
-  const std::vector<resilience::TileAudit> audits =
-      audit_state(/*health=*/false);
+  const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
   if (sentinel_.has_value()) sentinel_record_all(audits);
 }
@@ -1147,18 +1134,12 @@ lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
   const auto it = std::lower_bound(rs.owned_global.begin(),
                                    rs.owned_global.end(), global_index);
   HEMO_ASSERT(it != rs.owned_global.end() && *it == global_index);
-  const auto li = static_cast<std::size_t>(it - rs.owned_global.begin());
-  double f[lbm::kQ];
-  for (int q = 0; q < lbm::kQ; ++q)
-    f[q] = rs.current()[static_cast<std::size_t>(q) *
-                            static_cast<std::size_t>(rs.local) +
-                        li];
-  return lbm::moments_of(f, options_.body_force.x, options_.body_force.y,
-                         options_.body_force.z);
+  return lbm::moments_at(rs.current(), rs.local,
+                        it - rs.owned_global.begin(), options_.body_force);
 }
 
 double DistributedSolver::total_mass() const {
-  return mass_of(audit_state(/*health=*/false));
+  return mass_of(audit_state());
 }
 
 std::int64_t DistributedSolver::owned_count(Rank r) const {

@@ -124,21 +124,13 @@ class DistributedSolver {
     injected_faults_ = plan;
   }
 
-  /// Per-step numerical-health guards (RS001 non-finite, RS002 mass drift
-  /// or non-finite mass, RS003 velocity ceiling) evaluated against the
-  /// current state by one audit pass over its tiles.  A resilient step
-  /// evaluates the same guards on the audits its step launch makes, which
-  /// equal this pass bit for bit; callable directly for diagnostics.  Does
-  /// not advance the mass-drift reference.
-  std::vector<analysis::Diagnostic> check_health() const;
-
   // -- Checkpoint / restart -------------------------------------------------
 
   /// Writes a versioned, CRC-checked binary checkpoint of the full solver
   /// state (every rank's distributions + the step counter) through
   /// io::BlobWriter.  restore_checkpoint() of the file reproduces the run
   /// bit-identically.  The restore is all or nothing: a file that fails
-  /// any check (header, CRC, record size, a missing rank) throws
+  /// any check (header, CRC, record size, a missing or repeated rank) throws
   /// io::BlobError and leaves the solver as it was.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
@@ -247,9 +239,10 @@ class DistributedSolver {
   /// Rebuilds plan_ for the current decomposition and audit tile size.
   void plan_step();
   // State audit: one launch over every (rank, tile) of the live ranks.
-  /// Audits every tile of the current state under the execution model:
-  /// digests, plus the RS001/RS003 partials when `health` is set.
-  std::vector<resilience::TileAudit> audit_state(bool health) const;
+  /// Digests every tile of the current state under the execution model
+  /// (the audits' RS001/RS003 partials stay empty: only a step launch
+  /// feeds the guards).
+  std::vector<resilience::TileAudit> audit_state() const;
   /// RS001-RS003 diagnostics of an audit of the current state.
   std::vector<analysis::Diagnostic> health_of(
       const std::vector<resilience::TileAudit>& audits) const;

@@ -83,6 +83,17 @@ inline Moments moments_of(const double f[kQ], double fx, double fy, double fz) {
   return m;
 }
 
+/// moments_of point i of a q-major SoA array with q-row stride `stride`.
+inline Moments moments_at(const double* f, std::int64_t stride, std::int64_t i,
+                          Vec3 force) {
+  double fi[kQ];
+  #pragma GCC unroll 19
+  for (int q = 0; q < kQ; ++q)
+    fi[q] = f[static_cast<std::size_t>(q) * static_cast<std::size_t>(stride) +
+              static_cast<std::size_t>(i)];
+  return moments_of(fi, force.x, force.y, force.z);
+}
+
 /// BGK relaxation with the Guo forcing term, writing post-collision values.
 inline void bgk_collide(const double f[kQ], const Moments& m, double omega,
                         double fx, double fy, double fz, double out[kQ]) {

@@ -52,30 +52,10 @@ const std::vector<double>& Solver::distributions() const {
   return buf_b_;
 }
 
-void Solver::corrupt_live_bit(PointIndex i, int q, int bit) {
-  HEMO_EXPECTS(i >= 0 && i < lattice_->size());
-  HEMO_EXPECTS(q >= 0 && q < kQ);
-  HEMO_EXPECTS(bit >= 0 && bit < 64);
-  const int row = live_slot_q(live_layout(), q);
-  double& v = engine_.live()[static_cast<std::size_t>(row) *
-                                 static_cast<std::size_t>(lattice_->size()) +
-                             static_cast<std::size_t>(i)];
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  bits ^= 1ull << bit;
-  std::memcpy(&v, &bits, sizeof bits);
-  aa_canonical_fresh_ = false;
-}
-
 Moments Solver::moments(PointIndex i) const {
   HEMO_EXPECTS(i >= 0 && i < lattice_->size());
-  const auto n = static_cast<std::size_t>(lattice_->size());
-  const std::vector<double>& f_all = distributions();
-  double f[kQ];
-  for (int q = 0; q < kQ; ++q)
-    f[q] = f_all[static_cast<std::size_t>(q) * n + static_cast<std::size_t>(i)];
-  return moments_of(f, options_.body_force.x, options_.body_force.y,
-                    options_.body_force.z);
+  return moments_at(distributions().data(), lattice_->size(), i,
+                    options_.body_force);
 }
 
 double Solver::total_mass() const {

@@ -7,7 +7,9 @@
 // double-buffered pull-SoA scheme and the in-place AA scheme.  Both produce
 // bit-identical physics; every observer (distributions(), moments, probes,
 // checkpoints) reports the same canonical post-collision snapshot either
-// way, so callers never see the AA array's parity-dependent layout.
+// way, so callers never see the AA array's parity-dependent layout.  The
+// solver exposes no view of its live array: the SDC sentinel and the
+// health guards watch harvey::DistributedSolver's state only.
 
 #include <array>
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include "lbm/propagation.hpp"
 #include "lbm/sparse_lattice.hpp"
 #include "lbm/step_engine.hpp"
-#include "lbm/tile_probe.hpp"
 
 namespace hemo::lbm {
 
@@ -49,29 +50,6 @@ class Solver {
   /// q-major SoA layout, whichever propagation pattern is running (the AA
   /// array is canonicalized lazily and cached until the next step).
   const std::vector<double>& distributions() const;
-
-  /// The LIVE distribution array — the exact storage the next kernel step
-  /// will read — and its current layout.  Pull: the post-collision SoA
-  /// buffer (kCanonical).  AA: the single in-place array at whichever step
-  /// parity it is in.  This is what SDC probes must digest and what the
-  /// live numerical-health scan must read: the canonicalize conversion
-  /// behind distributions() does not read every AA slot, so a corruption
-  /// probe over the canonical snapshot can be blind to a slot the next
-  /// kernel step consumes.
-  const double* live_state() const { return engine_.live(); }
-  LiveLayout live_layout() const { return engine_.live_layout(); }
-
-  /// Tile digests of the live array (see lbm/tile_probe.hpp).
-  std::vector<TileDigest> tile_digests(std::int64_t tile_points) const {
-    return digest_tiles(live_state(), lattice_->size(), lattice_->size(),
-                        tile_points, live_layout());
-  }
-
-  /// Chaos hook: flips one bit of direction q of point i *in the live
-  /// array*, through the live-layout slot mapping — the in-memory SDC the
-  /// sentinel exists to catch.  Invalidates the cached canonical snapshot
-  /// so observers see the corrupted state too.
-  void corrupt_live_bit(PointIndex i, int q, int bit);
 
   Moments moments(PointIndex i) const;
   double total_mass() const;

@@ -53,7 +53,6 @@
 #include "lbm/bulk_kernels.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/propagation.hpp"
-#include "lbm/tile_probe.hpp"
 
 namespace hemo::lbm {
 
@@ -159,9 +158,9 @@ class StepEngine {
   /// adjacency, so `adjacency` is null; a caller that gathers sets it.
   KernelArgs args(const SolverOptions& options) const;
 
-  /// The array the next step reads, in live_layout().
+  /// The array the next step reads: the pull buffer holding the last
+  /// step's output, or the AA array at the current step parity.
   double* live() const { return f_; }
-  LiveLayout live_layout() const { return live_layout_of(pattern_, steps_); }
 
   std::int64_t steps_done() const { return steps_; }
   /// Sets the step counter after the live array was restored from a

@@ -9,55 +9,20 @@
 // certainty — unlike a floating-point norm, which can lose a low-mantissa
 // flip to rounding.
 //
-// The probes read the LIVE array of whichever propagation pattern is
-// running, not the canonical observer snapshot: the canonicalize
-// conversion does not read every AA slot (wall-adjacent straight slots
-// are scratch), so a probe over the converted snapshot would be blind to
-// corruption in exactly the slots a later kernel step may consume.
-// LiveLayout names the three layouts a live array can be in; the slot
-// mapping below makes the per-point direction values well-defined in all
-// of them (see lbm/aa_layout.hpp for the parity algebra).
+// The probes read the LIVE array, the exact storage the next step reads,
+// row q as direction q.  That is the canonical post-collision layout of
+// the pull-SoA double buffer, the only array the sentinel watches (the
+// distributed solver runs pull only).  Detection does not depend on it:
+// the sentinel compares a record and a verify of the same array with no
+// step between them, so any fixed row order gives the same verdicts.
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
-#include "base/types.hpp"
 #include "lbm/d3q19.hpp"
-#include "lbm/propagation.hpp"
 
 namespace hemo::lbm {
-
-/// What a live distribution array currently holds.
-///   kCanonical     pull-SoA double buffer or a canonical snapshot:
-///                  slot (q, i) is the post-collision f_q(i).
-///   kAAEvenParity  AA array before an even step: slot (q, i) is the
-///                  streamed-in pre-collision f_q(i).
-///   kAAOddParity   AA array before an odd step: slot (opp q, i) is the
-///                  post-collision f_q(i) (the even kernel wrote each
-///                  result into the opposite slot).
-enum class LiveLayout { kCanonical = 0, kAAEvenParity, kAAOddParity };
-
-/// Layout of an AA in-place array given the solver's step counter.
-constexpr LiveLayout aa_live_layout(std::int64_t steps_done) {
-  return steps_done % 2 == 0 ? LiveLayout::kAAEvenParity
-                             : LiveLayout::kAAOddParity;
-}
-
-constexpr LiveLayout live_layout_of(Propagation pattern,
-                                    std::int64_t steps_done) {
-  return pattern == Propagation::kAAInPlace ? aa_live_layout(steps_done)
-                                            : LiveLayout::kCanonical;
-}
-
-/// The storage slot holding direction q of point i under a layout (as a
-/// q-row index; the flat offset is row * stride + i).  Only the odd AA
-/// parity permutes rows; the even-parity slot (q, i) already *is* f_q(i),
-/// just pre- instead of post-collision.
-constexpr int live_slot_q(LiveLayout layout, int q) {
-  return layout == LiveLayout::kAAOddParity ? opposite(q) : q;
-}
 
 /// Rolling invariants of one tile: an FNV-1a hash over the exact bit
 /// patterns of every slot, plus mass and momentum sums.  Equality is
@@ -87,11 +52,10 @@ constexpr std::int64_t tile_count(std::int64_t points,
 }
 
 /// Digest of points [begin, end) of a live SoA array with q-row stride
-/// `stride` (the rank-local point count, ghosts included, for the
-/// distributed solver; the lattice size for single-domain solvers).
+/// `stride` (the distributed solver's rank-local point count, ghosts
+/// included).
 inline TileDigest tile_digest(const double* f, std::int64_t stride,
-                              std::int64_t begin, std::int64_t end,
-                              LiveLayout layout) {
+                              std::int64_t begin, std::int64_t end) {
   constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   // The digest runs every step over every owned slot, so it has to cost a
   // small fraction of the kernel it guards.  Two structural choices keep
@@ -105,12 +69,12 @@ inline TileDigest tile_digest(const double* f, std::int64_t stride,
   // (the prime is odd), and the lane combine below is a bijection in each
   // lane, so a single flipped bit anywhere still changes the digest with
   // certainty.  Lane assignment and combine order are fixed, keeping the
-  // digest a pure function of (state, layout, [begin, end)).
+  // digest a pure function of (state, [begin, end)).
   TileDigest d;
   std::uint64_t h0 = d.hash, h1 = d.hash, h2 = d.hash, h3 = d.hash;
   for (int q = 0; q < kQ; ++q) {
-    const double* row = f + static_cast<std::size_t>(live_slot_q(layout, q)) *
-                                static_cast<std::size_t>(stride);
+    const double* row =
+        f + static_cast<std::size_t>(q) * static_cast<std::size_t>(stride);
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
     std::int64_t i = begin;
     for (; i + 4 <= end; i += 4) {
@@ -143,24 +107,6 @@ inline TileDigest tile_digest(const double* f, std::int64_t stride,
   d.hash = ((((h0 * kFnvPrime) ^ h1) * kFnvPrime ^ h2) * kFnvPrime ^ h3) *
            kFnvPrime;
   return d;
-}
-
-/// Digests of every tile covering points [0, points).  The final tile may
-/// be short; an empty range yields an empty table.
-inline std::vector<TileDigest> digest_tiles(const double* f,
-                                            std::int64_t stride,
-                                            std::int64_t points,
-                                            std::int64_t tile_points,
-                                            LiveLayout layout) {
-  std::vector<TileDigest> out;
-  const std::int64_t tiles = tile_count(points, tile_points);
-  out.reserve(static_cast<std::size_t>(tiles));
-  for (std::int64_t t = 0; t < tiles; ++t) {
-    const std::int64_t begin = t * tile_points;
-    const std::int64_t end = std::min(begin + tile_points, points);
-    out.push_back(tile_digest(f, stride, begin, end, layout));
-  }
-  return out;
 }
 
 }  // namespace hemo::lbm

@@ -34,7 +34,6 @@ void Sentinel::record(Rank r, const RankView& view,
   table.digests = std::move(digests);
   table.step = step;
   table.owned = view.owned;
-  table.layout = view.layout;
 }
 
 bool Sentinel::has_record(Rank r) const {
@@ -50,11 +49,11 @@ const Sentinel::RankTable* Sentinel::comparable_table(
     Rank r, const RankView& view) const {
   if (!has_record(r)) return nullptr;
   const RankTable& table = tables_[static_cast<std::size_t>(r)];
-  // A record describing different coverage or a different layout cannot be
-  // compared against the current state; treat it as absent rather than as
-  // a wall of mismatches.  (The solver re-records after every transition
-  // that changes either, so this only guards against misuse.)
-  if (table.owned != view.owned || table.layout != view.layout) return nullptr;
+  // A record describing different coverage cannot be compared against the
+  // current state; treat it as absent rather than as a wall of mismatches.
+  // (The solver re-records after every transition that changes it, so this
+  // only guards against misuse.)
+  if (table.owned != view.owned) return nullptr;
   return &table;
 }
 
@@ -79,7 +78,7 @@ void Sentinel::verify(Rank r, const RankView& view,
     const std::int64_t begin = t * policy_.tile_points;
     const std::int64_t end = std::min(begin + policy_.tile_points, view.owned);
     const lbm::TileDigest again =
-        lbm::tile_digest(view.f, view.stride, begin, end, view.layout);
+        lbm::tile_digest(view.f, view.stride, begin, end);
     if (again != digest) {
       if (false_positives != nullptr) ++*false_positives;
       continue;
@@ -91,13 +90,13 @@ void Sentinel::verify(Rank r, const RankView& view,
 
 namespace {
 
-/// The q-row of every direction of a live array under `layout`.
-struct LiveRows {
+/// The q-row of every direction of an SoA array.
+struct Rows {
   const double* rows[lbm::kQ];
 
-  LiveRows(const double* f, std::int64_t stride, lbm::LiveLayout layout) {
+  Rows(const double* f, std::int64_t stride) {
     for (int q = 0; q < lbm::kQ; ++q)
-      rows[q] = f + static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
+      rows[q] = f + static_cast<std::size_t>(q) *
                         static_cast<std::size_t>(stride);
   }
 };
@@ -115,7 +114,7 @@ struct LiveRows {
 
 /// |u|^2 of point i of `live`: max_speed2's per-point body, a separate
 /// function for the reason given in lbm/bulk_kernels.cpp.
-[[gnu::always_inline]] inline double speed2_at(const LiveRows& live,
+[[gnu::always_inline]] inline double speed2_at(const Rows& live,
                                                std::int64_t i, double force_x,
                                                double force_y, double force_z) {
   double fi[lbm::kQ];
@@ -127,9 +126,9 @@ struct LiveRows {
 /// Health partials of points [begin, end) into `a`, testing every slot:
 /// the path of a tile whose mass is not finite.
 void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
-                 std::int64_t end, lbm::LiveLayout layout, double force_x,
-                 double force_y, double force_z, TileAudit* a) {
-  const LiveRows live(f, stride, layout);
+                 std::int64_t end, double force_x, double force_y,
+                 double force_z, TileAudit* a) {
+  const Rows live(f, stride);
   std::int64_t bad = 0;
   std::int64_t first_bad = -1;
   double largest = 0.0;
@@ -161,9 +160,9 @@ void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
 // loop's bits.
 [[gnu::flatten]] double max_speed2(const double* f, std::int64_t stride,
                                    std::int64_t begin, std::int64_t end,
-                                   lbm::LiveLayout layout, double force_x,
-                                   double force_y, double force_z) {
-  const LiveRows live(f, stride, layout);
+                                   double force_x, double force_y,
+                                   double force_z) {
+  const Rows live(f, stride);
   double largest = 0.0;
   #pragma omp simd reduction(max : largest)
   for (std::int64_t i = begin; i < end; ++i)
@@ -173,15 +172,14 @@ void scan_points(const double* f, std::int64_t stride, std::int64_t begin,
 }
 
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
-                     std::int64_t end, lbm::LiveLayout layout,
-                     double force_x, double force_y, double force_z) {
+                     std::int64_t end, double force_x, double force_y,
+                     double force_z) {
   TileAudit a;
-  a.digest = lbm::tile_digest(f, stride, begin, end, layout);
+  a.digest = lbm::tile_digest(f, stride, begin, end);
   if (!std::isfinite(a.digest.mass))
-    scan_points(f, stride, begin, end, layout, force_x, force_y, force_z, &a);
+    scan_points(f, stride, begin, end, force_x, force_y, force_z, &a);
   else
-    a.max_speed2 =
-        max_speed2(f, stride, begin, end, layout, force_x, force_y, force_z);
+    a.max_speed2 = max_speed2(f, stride, begin, end, force_x, force_y, force_z);
   return a;
 }
 
@@ -216,23 +214,6 @@ std::vector<analysis::Diagnostic> health_diagnostics(
         "roll back to the last checkpoint"});
   }
   return out;
-}
-
-std::vector<analysis::Diagnostic> scan_live_health(
-    const double* f, std::int64_t stride, std::int64_t points,
-    lbm::LiveLayout layout, double force_x, double force_y, double force_z,
-    std::int64_t step, const std::string& where) {
-  // The fold is exact for any tiling; the sentinel's default tile keeps
-  // each audited tile cache-resident.
-  const std::int64_t tile_points = SentinelPolicy{}.tile_points;
-  std::vector<TileAudit> audits;
-  audits.reserve(
-      static_cast<std::size_t>(lbm::tile_count(points, tile_points)));
-  for (std::int64_t begin = 0; begin < points; begin += tile_points)
-    audits.push_back(audit_tile(f, stride, begin,
-                                std::min(begin + tile_points, points), layout,
-                                force_x, force_y, force_z));
-  return health_diagnostics(audits, step, where);
 }
 
 }  // namespace hemo::resilience

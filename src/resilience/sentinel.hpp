@@ -1,7 +1,7 @@
 #pragma once
 // SDC sentinel: rolling tile-digest tables over live distribution arrays
-// plus the layout-aware numerical-health scan, the detection machinery
-// behind guard RS006 (see SentinelPolicy in resilience/policy.hpp for the
+// plus the per-tile numerical-health audit, the detection machinery behind
+// guard RS006 (see SentinelPolicy in resilience/policy.hpp for the
 // escalation story).
 //
 // The protocol is record-then-verify: the owner records every tile's
@@ -17,10 +17,12 @@
 // rollback.
 //
 // The Sentinel keeps the digest tables and compares; the caller computes
-// the digests it records and verifies against (lbm::digest_tiles, or the
+// the digests it records and verifies against (lbm::tile_digest, or the
 // digest half of audit_tile), so a digest pass the caller already made is
 // never repeated.  Only a mismatching tile is digested again here, to
-// confirm it.
+// confirm it.  Record and verify read the same array with no step between
+// them, so the digests read its rows in storage order: the verdicts do not
+// depend on which direction a row holds.
 //
 // The same tile pass feeds the numerical-health guards, which are always
 // on: audit_tile() produces a tile's digest and its RS001/RS003 partials
@@ -57,10 +59,9 @@ class Sentinel {
 
   /// One rank's live distribution array, as the digest loops see it.
   struct RankView {
-    const double* f = nullptr;   // live SoA array (any LiveLayout)
+    const double* f = nullptr;   // live SoA array
     std::int64_t stride = 0;     // q-row stride (owned + ghost slots)
     std::int64_t owned = 0;      // points digested: indices [0, owned)
-    lbm::LiveLayout layout = lbm::LiveLayout::kCanonical;
   };
 
   /// A tile whose digest no longer matches its record (confirmed by the
@@ -78,8 +79,8 @@ class Sentinel {
   void reset(int n_ranks);
 
   /// Records one rank's tile digests, computed by the caller over `view`'s
-  /// tiles (`digests[t]` of tile t, as lbm::digest_tiles produces them —
-  /// the distributed solver takes them from its step launch's audits).
+  /// tiles (`digests[t]` the lbm::tile_digest of tile t — the distributed
+  /// solver takes them from its step launch's audits).
   void record(Rank r, const RankView& view,
               std::vector<lbm::TileDigest> digests, std::int64_t step);
 
@@ -92,7 +93,7 @@ class Sentinel {
   /// mismatches are appended to `mismatches`; `checks` advances by the
   /// number of tiles compared and `false_positives` by the number of
   /// retracted (non-reproducing) mismatches.  A rank with no record, or
-  /// with a record of other coverage or layout, verifies vacuously.
+  /// with a record of other coverage, verifies vacuously.
   void verify(Rank r, const RankView& view,
               std::span<const lbm::TileDigest> now,
               std::vector<Mismatch>* mismatches, std::int64_t* checks,
@@ -108,7 +109,6 @@ class Sentinel {
     std::vector<lbm::TileDigest> digests;
     std::int64_t step = -1;       // when the digests were recorded
     std::int64_t owned = 0;       // coverage the digests describe
-    lbm::LiveLayout layout = lbm::LiveLayout::kCanonical;
   };
 
   /// Rank r's record when it can be compared against `view`, else null.
@@ -127,27 +127,27 @@ struct TileAudit {
   double max_speed2 = 0.0;            // largest |u|^2 over finite points
 };
 
-/// Audits points [begin, end) of a live array: the digest is exactly
-/// lbm::tile_digest's, and the RS001/RS003 partials are computed over the
-/// same (now cached) tile.  The digest's
-/// mass sums every slot, and NaN and +-Inf survive any sum, so a finite
-/// tile mass proves every slot finite: the per-slot test is skipped and
-/// max_speed2() scans the tile.  A non-finite mass (a bad slot, or finite
-/// values that overflowed) falls back to testing each point.  |u|^2 comes
-/// from lbm::moments_of per point, as in the guards it feeds; a finite
-/// point whose |u|^2 is NaN (rho = 0) counts as +Inf, over the ceiling.
+/// Audits points [begin, end) of a canonical SoA array: the digest is
+/// exactly lbm::tile_digest's, and the RS001/RS003 partials are computed
+/// over the same (now cached) tile.  The digest's mass sums every slot, and
+/// NaN and +-Inf survive any sum, so a finite tile mass proves every slot
+/// finite: the per-slot test is skipped and max_speed2() scans the tile.  A
+/// non-finite mass (a bad slot, or finite values that overflowed) falls
+/// back to testing each point.  |u|^2 comes from lbm::moments_of per point,
+/// as in the guards it feeds; a finite point whose |u|^2 is NaN (rho = 0)
+/// counts as +Inf, over the ceiling.
 TileAudit audit_tile(const double* f, std::int64_t stride, std::int64_t begin,
-                     std::int64_t end, lbm::LiveLayout layout,
-                     double force_x, double force_y, double force_z);
+                     std::int64_t end, double force_x, double force_y,
+                     double force_z);
 
-/// The RS003 partial of points [begin, end) of a live array: the largest
-/// |u|^2 from lbm::moments_of, a NaN |u|^2 counted as +Inf.  The loop runs
-/// across points in SIMD lanes; each point performs moments_of's
-/// operations in order, so it returns the bits of the plain per-point
-/// loop, on any input.  audit_tile uses it on tiles proven finite.
+/// The RS003 partial of points [begin, end) of a canonical SoA array: the
+/// largest |u|^2 from lbm::moments_of, a NaN |u|^2 counted as +Inf.  The
+/// loop runs across points in SIMD lanes; each point performs moments_of's
+/// operations in order, so it returns the bits of the plain per-point loop,
+/// on any input.  audit_tile uses it on tiles proven finite.
 double max_speed2(const double* f, std::int64_t stride, std::int64_t begin,
-                  std::int64_t end, lbm::LiveLayout layout, double force_x,
-                  double force_y, double force_z);
+                  std::int64_t end, double force_x, double force_y,
+                  double force_z);
 
 /// Folds the audits of one array's tiles (in tile order) into its RS001
 /// and RS003 (ceiling kMaxVelocity) diagnostics.  `where` labels the
@@ -155,16 +155,5 @@ double max_speed2(const double* f, std::int64_t stride, std::int64_t begin,
 std::vector<analysis::Diagnostic> health_diagnostics(
     std::span<const TileAudit> audits, std::int64_t step,
     const std::string& where);
-
-/// Layout-aware RS001/RS003 scan over a live distribution array: audits
-/// its tiles, reading each point's populations through the LiveLayout
-/// slot mapping, then folds them with health_diagnostics().  A corrupted
-/// slot in a live AA array is thus caught in place — before the
-/// canonical-layout conversion (which does not read every slot) could
-/// mask it.
-std::vector<analysis::Diagnostic> scan_live_health(
-    const double* f, std::int64_t stride, std::int64_t points,
-    lbm::LiveLayout layout, double force_x, double force_y, double force_z,
-    std::int64_t step, const std::string& where);
 
 }  // namespace hemo::resilience

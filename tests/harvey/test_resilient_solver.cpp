@@ -22,6 +22,7 @@
 #include "hal/model.hpp"
 #include "harvey/distributed_solver.hpp"
 #include "io/blob.hpp"
+#include "lbm/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
@@ -341,14 +342,6 @@ TEST(ResilientSolver, OverflowingFiniteMassTripsRS002) {
   EXPECT_EQ(solver.global_distributions(), reference);
 }
 
-TEST(ResilientSolver, CheckHealthIsCleanOnAHealthyRun) {
-  auto lattice = small_cylinder();
-  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2),
-                           flow_options());
-  solver.run(5);
-  EXPECT_TRUE(solver.check_health().empty());
-}
-
 TEST(ResilientSolver, ResilientRunWithoutFaultsIsBitIdenticalToPlain) {
   // The CRC frames and guards must be pure observers: enabling resilience
   // on a fault-free run changes nothing.
@@ -482,6 +475,48 @@ TEST(Checkpoint, FailedRestoreLeavesTheSolverUntouched) {
   solver.run(4);
   EXPECT_EQ(solver.resilience_stats().faults_detected(), 0);
   EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, 9));
+}
+
+TEST(Checkpoint, DuplicateRankRecordIsRejected) {
+  // A file holding two state records for one rank must be refused, not
+  // restored with whichever record came last.
+  const TempFile first("ckpt_dup_first.bin");
+  const TempFile second("ckpt_dup_second.bin");
+  const TempFile dup("ckpt_dup.bin");
+  auto lattice = small_cylinder();
+  {
+    DistributedSolver saved(lattice, decomp::slab_partition(*lattice, 2),
+                            flow_options());
+    saved.run(2);
+    saved.save_checkpoint(first.path);
+    saved.run(3);
+    saved.save_checkpoint(second.path);
+  }
+  const auto records_of = [](const std::string& path) {
+    hemo::io::BlobReader reader(path, lbm::kCheckpointMagic,
+                                lbm::kCheckpointVersion);
+    std::vector<hemo::io::BlobRecord> out;
+    while (!reader.at_end()) out.push_back(reader.next());
+    return out;
+  };
+  const std::vector<hemo::io::BlobRecord> a = records_of(first.path);
+  const std::vector<hemo::io::BlobRecord> b = records_of(second.path);
+  ASSERT_EQ(a.size(), 3u);  // meta, rank 0, rank 1
+  {
+    hemo::io::BlobWriter writer(dup.path, lbm::kCheckpointMagic,
+                                lbm::kCheckpointVersion);
+    for (const hemo::io::BlobRecord* rec : {&a[0], &a[1], &b[1], &a[2]})
+      writer.add_record(rec->tag, rec->bytes.data(), rec->bytes.size());
+    writer.finish();
+  }
+
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2),
+                           flow_options());
+  solver.run(1);
+  const std::vector<double> before = solver.global_distributions();
+  EXPECT_THROW(solver.restore_checkpoint(dup.path), hemo::io::BlobError);
+  EXPECT_EQ(solver.step_count(), 1);
+  EXPECT_EQ(solver.global_distributions(), before);
 }
 
 TEST(Checkpoint, WrongConfigurationIsRejected) {
@@ -678,7 +713,15 @@ struct DistributedSolverPeer {
   }
   static std::vector<resilience::TileAudit> separate_audit(
       const DistributedSolver& solver) {
-    return solver.audit_state(/*health=*/true);
+    const Vec3 force = solver.options_.body_force;
+    std::vector<resilience::TileAudit> out;
+    for (const DistributedSolver::TileSpan& t : solver.plan_.tiles) {
+      const DistributedSolver::RankState& rs =
+          solver.ranks_[static_cast<std::size_t>(t.rank)];
+      out.push_back(resilience::audit_tile(rs.current(), rs.local, t.begin,
+                                           t.end, force.x, force.y, force.z));
+    }
+    return out;
   }
 };
 

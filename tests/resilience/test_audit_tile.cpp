@@ -1,8 +1,7 @@
 // State audit equivalence: resilience::audit_tile must reproduce the
 // sentinel digest bit for bit and the point-wise RS001/RS003 partials
 // exactly, on clean tiles and on every kind of non-finite or overflowing
-// tile, in all three live layouts — its finiteness shortcut may skip work,
-// never change an answer.
+// tile — its finiteness shortcut may skip work, never change an answer.
 
 #include <gtest/gtest.h>
 
@@ -22,14 +21,9 @@
 
 namespace lbm = hemo::lbm;
 namespace resilience = hemo::resilience;
-using lbm::LiveLayout;
 using resilience::TileAudit;
 
 namespace {
-
-constexpr LiveLayout kAllLayouts[] = {LiveLayout::kCanonical,
-                                      LiveLayout::kAAEvenParity,
-                                      LiveLayout::kAAOddParity};
 
 constexpr std::int64_t kStride = 700;  // points per q-row
 constexpr std::int64_t kTile = 256;    // tiles: 256, 256 and a short 188
@@ -46,24 +40,22 @@ std::vector<double> synthetic_state() {
   return f;
 }
 
-/// Sets direction q of point i through the layout's slot mapping.
-void set_slot(std::vector<double>* f, LiveLayout layout, std::int64_t i, int q,
-              double value) {
-  (*f)[static_cast<std::size_t>(lbm::live_slot_q(layout, q)) * kStride +
-       static_cast<std::size_t>(i)] = value;
+/// Sets direction q of point i.
+void set_slot(std::vector<double>* f, std::int64_t i, int q, double value) {
+  (*f)[static_cast<std::size_t>(q) * kStride + static_cast<std::size_t>(i)] =
+      value;
 }
 
 /// The partials as a plain point-wise scan computes them: an isfinite test
 /// per slot, moments_of per finite point.
 TileAudit pointwise(const std::vector<double>& f, std::int64_t begin,
-                    std::int64_t end, LiveLayout layout) {
+                    std::int64_t end) {
   TileAudit ref;
   for (std::int64_t i = begin; i < end; ++i) {
     double fi[lbm::kQ];
     bool finite = true;
     for (int q = 0; q < lbm::kQ; ++q) {
-      fi[q] = f[static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
-                    kStride +
+      fi[q] = f[static_cast<std::size_t>(q) * kStride +
                 static_cast<std::size_t>(i)];
       finite = finite && std::isfinite(fi[q]);
     }
@@ -79,13 +71,12 @@ TileAudit pointwise(const std::vector<double>& f, std::int64_t begin,
   return ref;
 }
 
-std::vector<TileAudit> audit_all(const std::vector<double>& f,
-                                 LiveLayout layout) {
+std::vector<TileAudit> audit_all(const std::vector<double>& f) {
   std::vector<TileAudit> out;
   for (std::int64_t begin = 0; begin < kStride; begin += kTile)
     out.push_back(resilience::audit_tile(
-        f.data(), kStride, begin, std::min(begin + kTile, kStride), layout,
-        kForce[0], kForce[1], kForce[2]));
+        f.data(), kStride, begin, std::min(begin + kTile, kStride), kForce[0],
+        kForce[1], kForce[2]));
   return out;
 }
 
@@ -96,17 +87,17 @@ bool same_bits(const lbm::TileDigest& a, const lbm::TileDigest& b) {
 }
 
 /// Every tile's audit against tile_digest and the point-wise reference.
-void expect_matches_reference(const std::vector<double>& f, LiveLayout layout,
+void expect_matches_reference(const std::vector<double>& f,
                               const std::string& label) {
-  const std::vector<TileAudit> audits = audit_all(f, layout);
+  const std::vector<TileAudit> audits = audit_all(f);
   ASSERT_EQ(audits.size(), 3u) << label;
   for (std::size_t t = 0; t < audits.size(); ++t) {
     const std::int64_t begin = static_cast<std::int64_t>(t) * kTile;
     const std::int64_t end = std::min(begin + kTile, kStride);
-    const TileAudit ref = pointwise(f, begin, end, layout);
+    const TileAudit ref = pointwise(f, begin, end);
     const TileAudit& a = audits[t];
-    EXPECT_TRUE(same_bits(
-        a.digest, lbm::tile_digest(f.data(), kStride, begin, end, layout)))
+    EXPECT_TRUE(
+        same_bits(a.digest, lbm::tile_digest(f.data(), kStride, begin, end)))
         << label << ", tile " << t;
     EXPECT_EQ(a.nonfinite, ref.nonfinite) << label << ", tile " << t;
     EXPECT_EQ(a.first_nonfinite, ref.first_nonfinite)
@@ -123,36 +114,32 @@ bool has_rule(const std::vector<hemo::analysis::Diagnostic>& diags,
 
 struct TileCase {
   const char* name;
-  void (*corrupt)(std::vector<double>*, LiveLayout);
+  void (*corrupt)(std::vector<double>*);
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 const TileCase kCases[] = {
-    {"clean", [](std::vector<double>*, LiveLayout) {}},
+    {"clean", [](std::vector<double>*) {}},
     {"one NaN",
-     [](std::vector<double>* f, LiveLayout l) {
-       set_slot(f, l, 17, 3, std::numeric_limits<double>::quiet_NaN());
+     [](std::vector<double>* f) {
+       set_slot(f, 17, 3, std::numeric_limits<double>::quiet_NaN());
      }},
-    {"+Inf",
-     [](std::vector<double>* f, LiveLayout l) {
-       set_slot(f, l, 300, 0, kInf);
-     }},
+    {"+Inf", [](std::vector<double>* f) { set_slot(f, 300, 0, kInf); }},
     {"+Inf and -Inf in one tile",
-     [](std::vector<double>* f, LiveLayout l) {
-       set_slot(f, l, 530, 1, kInf);
-       set_slot(f, l, 520, 2, -kInf);
+     [](std::vector<double>* f) {
+       set_slot(f, 530, 1, kInf);
+       set_slot(f, 520, 2, -kInf);
      }},
     {"finite overflow",
-     [](std::vector<double>* f, LiveLayout l) {
-       set_slot(f, l, 260, 1, 1e308);
-       set_slot(f, l, 270, 1, 1e308);
+     [](std::vector<double>* f) {
+       set_slot(f, 260, 1, 1e308);
+       set_slot(f, 270, 1, 1e308);
      }},
     {"short last tile",
-     [](std::vector<double>* f, LiveLayout l) {
-       set_slot(f, l, kStride - 1, 18,
-                std::numeric_limits<double>::quiet_NaN());
-       set_slot(f, l, kStride - 5, 4, 0.5);  // fast but finite
+     [](std::vector<double>* f) {
+       set_slot(f, kStride - 1, 18, std::numeric_limits<double>::quiet_NaN());
+       set_slot(f, kStride - 5, 4, 0.5);  // fast but finite
      }},
 };
 
@@ -160,37 +147,30 @@ const TileCase kCases[] = {
 
 TEST(AuditTile, DigestIsBitEqualToTileDigest) {
   const std::vector<double> f = synthetic_state();
-  for (const LiveLayout layout : kAllLayouts)
-    for (const auto& [begin, end] :
-         {std::pair<std::int64_t, std::int64_t>{0, kStride},
-          {0, 1},
-          {3, 258},
-          {kStride - 3, kStride}}) {
-      const TileAudit a = resilience::audit_tile(
-          f.data(), kStride, begin, end, layout, kForce[0], kForce[1],
-          kForce[2]);
-      EXPECT_TRUE(same_bits(
-          a.digest, lbm::tile_digest(f.data(), kStride, begin, end, layout)))
-          << "layout " << static_cast<int>(layout) << ", [" << begin << ", "
-          << end << ")";
-    }
+  for (const auto& [begin, end] :
+       {std::pair<std::int64_t, std::int64_t>{0, kStride},
+        {0, 1},
+        {3, 258},
+        {kStride - 3, kStride}}) {
+    const TileAudit a = resilience::audit_tile(f.data(), kStride, begin, end,
+                                               kForce[0], kForce[1], kForce[2]);
+    EXPECT_TRUE(
+        same_bits(a.digest, lbm::tile_digest(f.data(), kStride, begin, end)))
+        << "[" << begin << ", " << end << ")";
+  }
 }
 
 TEST(AuditTile, PartialsMatchPointwiseReferenceOnEveryTileKind) {
-  for (const TileCase& c : kCases)
-    for (const LiveLayout layout : kAllLayouts) {
-      std::vector<double> f = synthetic_state();
-      c.corrupt(&f, layout);
-      expect_matches_reference(f, layout,
-                               std::string(c.name) + ", layout " +
-                                   std::to_string(static_cast<int>(layout)));
-    }
+  for (const TileCase& c : kCases) {
+    std::vector<double> f = synthetic_state();
+    c.corrupt(&f);
+    expect_matches_reference(f, c.name);
+  }
 }
 
 TEST(AuditTile, CleanTilesHaveFiniteMassAndRaiseNothing) {
   const std::vector<double> f = synthetic_state();
-  const std::vector<TileAudit> audits =
-      audit_all(f, LiveLayout::kCanonical);
+  const std::vector<TileAudit> audits = audit_all(f);
   for (const TileAudit& a : audits) {
     EXPECT_TRUE(std::isfinite(a.digest.mass));
     EXPECT_EQ(a.nonfinite, 0);
@@ -201,12 +181,10 @@ TEST(AuditTile, CleanTilesHaveFiniteMassAndRaiseNothing) {
 
 TEST(AuditTile, FoldNamesTheFirstNonFinitePointAcrossTiles) {
   std::vector<double> f = synthetic_state();
-  set_slot(&f, LiveLayout::kAAOddParity, 300, 0, kInf);
-  set_slot(&f, LiveLayout::kAAOddParity, 301, 7,
-           std::numeric_limits<double>::quiet_NaN());
-  set_slot(&f, LiveLayout::kAAOddParity, 650, 2, -kInf);
-  const auto diags = resilience::health_diagnostics(
-      audit_all(f, LiveLayout::kAAOddParity), 9, "rank 2");
+  set_slot(&f, 300, 0, kInf);
+  set_slot(&f, 301, 7, std::numeric_limits<double>::quiet_NaN());
+  set_slot(&f, 650, 2, -kInf);
+  const auto diags = resilience::health_diagnostics(audit_all(f), 9, "rank 2");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule_id, "RS001");
   EXPECT_EQ(diags[0].file, "rank 2");
@@ -217,17 +195,14 @@ TEST(AuditTile, FoldNamesTheFirstNonFinitePointAcrossTiles) {
 
 TEST(AuditTile, FiniteOverflowRaisesRS003NotRS001) {
   std::vector<double> f = synthetic_state();
-  set_slot(&f, LiveLayout::kCanonical, 260, 1, 1e308);
-  set_slot(&f, LiveLayout::kCanonical, 270, 1, 1e308);
-  const std::vector<TileAudit> audits = audit_all(f, LiveLayout::kCanonical);
+  set_slot(&f, 260, 1, 1e308);
+  set_slot(&f, 270, 1, 1e308);
+  const std::vector<TileAudit> audits = audit_all(f);
   EXPECT_FALSE(std::isfinite(audits[1].digest.mass));  // the sum overflowed
   EXPECT_EQ(audits[1].nonfinite, 0);                   // every slot finite
   const auto diags = resilience::health_diagnostics(audits, 4, "solver");
   EXPECT_TRUE(has_rule(diags, "RS003"));
   EXPECT_FALSE(has_rule(diags, "RS001"));
-  EXPECT_EQ(diags, resilience::scan_live_health(
-                       f.data(), kStride, kStride, LiveLayout::kCanonical,
-                       kForce[0], kForce[1], kForce[2], 4, "solver"));
 }
 
 // ---------------------------------------------------------------------------
@@ -239,13 +214,12 @@ namespace {
 /// |u|^2 as the guards define it, point by point: moments_of, then a NaN
 /// |u|^2 counted as +Inf.
 double scalar_max_speed2(const std::vector<double>& f, std::int64_t begin,
-                         std::int64_t end, LiveLayout layout) {
+                         std::int64_t end) {
   double largest = 0.0;
   for (std::int64_t i = begin; i < end; ++i) {
     double fi[lbm::kQ];
     for (int q = 0; q < lbm::kQ; ++q)
-      fi[q] = f[static_cast<std::size_t>(lbm::live_slot_q(layout, q)) *
-                    kStride +
+      fi[q] = f[static_cast<std::size_t>(q) * kStride +
                 static_cast<std::size_t>(i)];
     const lbm::Moments m = lbm::moments_of(fi, kForce[0], kForce[1], kForce[2]);
     const double s2 = m.ux * m.ux + m.uy * m.uy + m.uz * m.uz;
@@ -255,34 +229,30 @@ double scalar_max_speed2(const std::vector<double>& f, std::int64_t begin,
 }
 
 /// Zeroes every slot of point i: rho = 0, so |u|^2 = 0 / 0.
-void make_vacuum(std::vector<double>* f, LiveLayout layout, std::int64_t i) {
-  for (int q = 0; q < lbm::kQ; ++q) set_slot(f, layout, i, q, 0.0);
+void make_vacuum(std::vector<double>* f, std::int64_t i) {
+  for (int q = 0; q < lbm::kQ; ++q) set_slot(f, i, q, 0.0);
 }
 
 }  // namespace
 
-// Every tile length 1-300 at misaligned begins, in every layout, on a
-// state with a fast point, an Inf slot and a vacuum point in it.
+// Every tile length 1-300 at misaligned begins, on a state with a fast
+// point, an Inf slot and a vacuum point in it.
 TEST(AuditTile, VelocityScanMatchesScalarLoop) {
-  for (const LiveLayout layout : kAllLayouts) {
-    std::vector<double> f = synthetic_state();
-    set_slot(&f, layout, 150, 4, 0.5);   // fast but finite
-    set_slot(&f, layout, 290, 2, kInf);  // non-finite slot
-    make_vacuum(&f, layout, 340);        // rho = 0
-    for (const std::int64_t begin : {0, 1, 3, 5, 7, 13, 255, 333}) {
-      for (std::int64_t len = 1; len <= 300 && begin + len <= kStride;
-           ++len) {
-        const double simd = resilience::max_speed2(
-            f.data(), kStride, begin, begin + len, layout, kForce[0],
-            kForce[1], kForce[2]);
-        const double scalar = scalar_max_speed2(f, begin, begin + len, layout);
-        std::uint64_t a = 0, b = 0;
-        std::memcpy(&a, &simd, sizeof a);
-        std::memcpy(&b, &scalar, sizeof b);
-        ASSERT_EQ(a, b) << "layout " << static_cast<int>(layout) << ", ["
-                        << begin << ", " << begin + len << "): " << simd
-                        << " vs " << scalar;
-      }
+  std::vector<double> f = synthetic_state();
+  set_slot(&f, 150, 4, 0.5);   // fast but finite
+  set_slot(&f, 290, 2, kInf);  // non-finite slot
+  make_vacuum(&f, 340);        // rho = 0
+  for (const std::int64_t begin : {0, 1, 3, 5, 7, 13, 255, 333}) {
+    for (std::int64_t len = 1; len <= 300 && begin + len <= kStride; ++len) {
+      const double simd =
+          resilience::max_speed2(f.data(), kStride, begin, begin + len,
+                                 kForce[0], kForce[1], kForce[2]);
+      const double scalar = scalar_max_speed2(f, begin, begin + len);
+      std::uint64_t a = 0, b = 0;
+      std::memcpy(&a, &simd, sizeof a);
+      std::memcpy(&b, &scalar, sizeof b);
+      ASSERT_EQ(a, b) << "[" << begin << ", " << begin + len << "): " << simd
+                      << " vs " << scalar;
     }
   }
 }
@@ -291,26 +261,22 @@ TEST(AuditTile, VelocityScanMatchesScalarLoop) {
 // drops: the point passed RS001-RS003.  It must count as over the ceiling,
 // on the finite-tile (vectorized) path and on the per-slot path alike.
 TEST(AuditTile, VacuumPointTripsRS003) {
-  for (const LiveLayout layout : kAllLayouts) {
-    std::vector<double> f = synthetic_state();
-    make_vacuum(&f, layout, 100);
-    std::vector<TileAudit> audits = audit_all(f, layout);
-    EXPECT_TRUE(std::isfinite(audits[0].digest.mass));
-    EXPECT_EQ(audits[0].nonfinite, 0);
-    EXPECT_EQ(audits[0].max_speed2, kInf);
-    auto diags = resilience::health_diagnostics(audits, 3, "rank 0");
-    EXPECT_TRUE(has_rule(diags, "RS003"));
-    EXPECT_FALSE(has_rule(diags, "RS001"));
+  std::vector<double> f = synthetic_state();
+  make_vacuum(&f, 100);
+  std::vector<TileAudit> audits = audit_all(f);
+  EXPECT_TRUE(std::isfinite(audits[0].digest.mass));
+  EXPECT_EQ(audits[0].nonfinite, 0);
+  EXPECT_EQ(audits[0].max_speed2, kInf);
+  auto diags = resilience::health_diagnostics(audits, 3, "rank 0");
+  EXPECT_TRUE(has_rule(diags, "RS003"));
+  EXPECT_FALSE(has_rule(diags, "RS001"));
 
-    // The same point in a tile that also holds a NaN slot.
-    set_slot(&f, layout, 120, 6, std::numeric_limits<double>::quiet_NaN());
-    audits = audit_all(f, layout);
-    EXPECT_EQ(audits[0].nonfinite, 1);
-    EXPECT_EQ(audits[0].max_speed2, kInf);
-    diags = resilience::scan_live_health(f.data(), kStride, kStride, layout,
-                                         kForce[0], kForce[1], kForce[2], 3,
-                                         "rank 0");
-    EXPECT_TRUE(has_rule(diags, "RS001"));
-    EXPECT_TRUE(has_rule(diags, "RS003"));
-  }
+  // The same point in a tile that also holds a NaN slot.
+  set_slot(&f, 120, 6, std::numeric_limits<double>::quiet_NaN());
+  audits = audit_all(f);
+  EXPECT_EQ(audits[0].nonfinite, 1);
+  EXPECT_EQ(audits[0].max_speed2, kInf);
+  diags = resilience::health_diagnostics(audits, 3, "rank 0");
+  EXPECT_TRUE(has_rule(diags, "RS001"));
+  EXPECT_TRUE(has_rule(diags, "RS003"));
 }

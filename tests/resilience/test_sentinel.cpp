@@ -1,37 +1,28 @@
-// SDC sentinel unit tests: tile digests must be bit-sensitive in every
-// live layout, the record-then-verify protocol must localize a flipped
-// bit to the exact tile (and only ever digest owned points), and the
-// layout-aware health scan must catch corrupted live AA slots at both
-// step parities — the coverage the canonical-snapshot guards cannot give.
+// SDC sentinel unit tests: tile digests must be bit-sensitive and keep
+// their exact bits, and the record-then-verify protocol must localize a
+// flipped bit to the exact tile (and only ever digest owned points).
 
 #include "resilience/sentinel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <ostream>
+#include <utility>
 #include <vector>
 
-#include "geom/cylinder.hpp"
 #include "lbm/d3q19.hpp"
-#include "lbm/solver.hpp"
 #include "lbm/tile_probe.hpp"
 #include "resilience/policy.hpp"
 
 namespace lbm = hemo::lbm;
-namespace geom = hemo::geom;
 namespace resilience = hemo::resilience;
 using hemo::Rank;
-using lbm::LiveLayout;
 using resilience::Sentinel;
 
 namespace {
-
-constexpr LiveLayout kAllLayouts[] = {LiveLayout::kCanonical,
-                                      LiveLayout::kAAEvenParity,
-                                      LiveLayout::kAAOddParity};
 
 /// Deterministic synthetic SoA state: kQ rows of `stride` doubles, every
 /// slot distinct and O(equilibrium) in magnitude.
@@ -53,34 +44,22 @@ void flip_bit(double* slot, int bit) {
   std::memcpy(slot, &bits, sizeof bits);
 }
 
-std::shared_ptr<lbm::SparseLattice> aa_cylinder() {
-  geom::CylinderSpec spec;
-  spec.scale = 1.0;
-  spec.radius_per_scale = 4.0;
-  spec.axial_per_scale = 12.0;
-  return geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
-}
-
-lbm::SolverOptions aa_options() {
-  lbm::SolverOptions o;
-  o.tau = 0.9;
-  o.inlet_velocity = 0.01;
-  o.outlet_density = 1.0;
-  o.propagation = lbm::Propagation::kAAInPlace;
-  return o;
-}
-
-bool has_rule(const std::vector<hemo::analysis::Diagnostic>& diags,
-              const std::string& rule) {
-  for (const auto& d : diags)
-    if (d.rule_id == rule) return true;
-  return false;
+/// Digests of every tile covering points [0, points), the last one short.
+std::vector<lbm::TileDigest> digest_tiles(const double* f,
+                                          std::int64_t stride,
+                                          std::int64_t points,
+                                          std::int64_t tile_points) {
+  std::vector<lbm::TileDigest> out;
+  for (std::int64_t begin = 0; begin < points; begin += tile_points)
+    out.push_back(lbm::tile_digest(f, stride, begin,
+                                   std::min(begin + tile_points, points)));
+  return out;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Tile probe: counting, bit sensitivity, layout algebra.
+// Tile probe: counting, bit sensitivity, exact bits.
 
 TEST(TileProbe, TileCountEdges) {
   EXPECT_EQ(lbm::tile_count(0, 256), 0);
@@ -95,56 +74,94 @@ TEST(TileProbe, TileCountEdges) {
 TEST(TileProbe, DigestDetectsEverySingleBitFlip) {
   constexpr std::int64_t kPoints = 37;  // odd: exercises the scalar tail
   std::vector<double> f = synthetic_state(kPoints);
-  for (const LiveLayout layout : kAllLayouts) {
-    const lbm::TileDigest baseline =
-        lbm::tile_digest(f.data(), kPoints, 0, kPoints, layout);
-    for (const int q : {0, 1, 9, lbm::kQ - 1}) {
-      for (const std::int64_t i : {std::int64_t{0}, kPoints - 1}) {
-        double* slot =
-            f.data() + static_cast<std::size_t>(q) * kPoints + i;
-        for (int bit = 0; bit < 64; ++bit) {
-          flip_bit(slot, bit);
-          EXPECT_NE(lbm::tile_digest(f.data(), kPoints, 0, kPoints, layout),
-                    baseline)
-              << "missed flip of bit " << bit << " at (q=" << q
-              << ", i=" << i << ")";
-          flip_bit(slot, bit);  // restore
-        }
+  const lbm::TileDigest baseline =
+      lbm::tile_digest(f.data(), kPoints, 0, kPoints);
+  for (const int q : {0, 1, 9, lbm::kQ - 1}) {
+    for (const std::int64_t i : {std::int64_t{0}, kPoints - 1}) {
+      double* slot = f.data() + static_cast<std::size_t>(q) * kPoints + i;
+      for (int bit = 0; bit < 64; ++bit) {
+        flip_bit(slot, bit);
+        EXPECT_NE(lbm::tile_digest(f.data(), kPoints, 0, kPoints), baseline)
+            << "missed flip of bit " << bit << " at (q=" << q << ", i=" << i
+            << ")";
+        flip_bit(slot, bit);  // restore
       }
     }
-    EXPECT_EQ(lbm::tile_digest(f.data(), kPoints, 0, kPoints, layout),
-              baseline);
   }
+  EXPECT_EQ(lbm::tile_digest(f.data(), kPoints, 0, kPoints), baseline);
 }
 
-TEST(TileProbe, OddParityDigestReadsOppositeRows) {
-  constexpr std::int64_t kPoints = 64;
-  const std::vector<double> raw = synthetic_state(kPoints);
-  // permuted row q := raw row opposite(q), i.e. what the even AA kernel
-  // left behind: the post-collision f_q landed in the opposite slot.
-  std::vector<double> permuted(raw.size());
-  for (int q = 0; q < lbm::kQ; ++q)
-    std::memcpy(permuted.data() + static_cast<std::size_t>(q) * kPoints,
-                raw.data() +
-                    static_cast<std::size_t>(lbm::opposite(q)) * kPoints,
-                sizeof(double) * kPoints);
-  EXPECT_EQ(lbm::tile_digest(raw.data(), kPoints, 0, kPoints,
-                             LiveLayout::kAAOddParity),
-            lbm::tile_digest(permuted.data(), kPoints, 0, kPoints,
-                             LiveLayout::kCanonical));
-  // Even parity is the identity mapping: same digest as canonical.
-  EXPECT_EQ(lbm::tile_digest(raw.data(), kPoints, 0, kPoints,
-                             LiveLayout::kAAEvenParity),
-            lbm::tile_digest(raw.data(), kPoints, 0, kPoints,
-                             LiveLayout::kCanonical));
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// One tile's digest and RS003 partial as raw words: hash, mass,
+/// momentum x/y/z and max_speed2.
+struct AuditWords {
+  std::uint64_t w[6];
+  friend bool operator==(const AuditWords&, const AuditWords&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const AuditWords& a) {
+  os << std::hex;
+  for (const std::uint64_t w : a.w) os << " 0x" << w << "ull";
+  return os << std::dec;
+}
+
+}  // namespace
+
+// The exact words tile_digest and audit_tile produce on the synthetic
+// state: a change to either loop (lane split, row order, sum order, the
+// velocity scan) that moves a single bit of a recorded digest or of a
+// guard partial fails here, not only in an end-to-end run.
+TEST(TileProbe, DigestAndAuditBitsMatchGolden) {
+  constexpr std::int64_t kStride = 600;
+  constexpr double kForce[3] = {1.0e-6, -2.0e-6, 5.0e-7};
+  const std::vector<double> f = synthetic_state(kStride);
+  struct Case {
+    const char* name;
+    std::int64_t begin, end;
+    AuditWords golden;
+  };
+  const Case cases[] = {
+      {"full tile", 0, 256,
+       {{0xd29be667ebd34b42ull, 0x40776970b49e01dfull, 0xc00eb851eb851ed0ull,
+         0xc0026e978d4fdf28ull, 0xbfe89374bc6a7ee0ull,
+         0x3f234a424d276a9bull}}},
+      {"short tile", 512, 600,
+       {{0x4ade469beec9f62eull, 0x40601ac7b7ba1611ull, 0xbff51eb851eb8528ull,
+         0xbfe95810624dd2d0ull, 0xbfd0e56041893720ull,
+         0x3f2343b2c333866eull}}},
+      {"odd-length tile", 3, 40,
+       {{0x67d1147e690514ecull, 0x404b10f4fbbfff5full, 0xbfe1c28f5c28f5c4ull,
+         0xbfd54fdf3b645a18ull, 0xbfbc6a7ef9db2300ull,
+         0x3f234a387358ebcaull}}},
+  };
+  for (const Case& c : cases) {
+    const lbm::TileDigest d =
+        lbm::tile_digest(f.data(), kStride, c.begin, c.end);
+    const resilience::TileAudit a = resilience::audit_tile(
+        f.data(), kStride, c.begin, c.end, kForce[0], kForce[1], kForce[2]);
+    EXPECT_EQ(std::memcmp(&a.digest, &d, sizeof d), 0) << c.name;
+    EXPECT_EQ(a.nonfinite, 0) << c.name;
+    EXPECT_EQ(a.first_nonfinite, -1) << c.name;
+    const AuditWords words{{d.hash, bits_of(d.mass), bits_of(d.momentum_x),
+                            bits_of(d.momentum_y), bits_of(d.momentum_z),
+                            bits_of(a.max_speed2)}};
+    EXPECT_EQ(words, c.golden) << c.name;
+  }
 }
 
 TEST(TileProbe, DigestTablesLocalizeFlipsToOneTile) {
   constexpr std::int64_t kPoints = 1000;
   constexpr std::int64_t kTilePoints = 256;  // 4 tiles, last one short
   std::vector<double> f = synthetic_state(kPoints);
-  const std::vector<lbm::TileDigest> before = lbm::digest_tiles(
-      f.data(), kPoints, kPoints, kTilePoints, LiveLayout::kCanonical);
+  const std::vector<lbm::TileDigest> before =
+      digest_tiles(f.data(), kPoints, kPoints, kTilePoints);
   ASSERT_EQ(before.size(), 4u);
 
   // Flips on both sides of a tile boundary land in different tiles.
@@ -152,8 +169,8 @@ TEST(TileProbe, DigestTablesLocalizeFlipsToOneTile) {
        std::vector<std::pair<std::int64_t, std::size_t>>{
            {255, 0}, {256, 1}, {700, 2}, {999, 3}}) {
     flip_bit(f.data() + 5 * kPoints + point, 13);
-    const std::vector<lbm::TileDigest> after = lbm::digest_tiles(
-        f.data(), kPoints, kPoints, kTilePoints, LiveLayout::kCanonical);
+    const std::vector<lbm::TileDigest> after =
+        digest_tiles(f.data(), kPoints, kPoints, kTilePoints);
     for (std::size_t t = 0; t < after.size(); ++t) {
       if (t == tile)
         EXPECT_NE(after[t], before[t]) << "point " << point;
@@ -177,16 +194,15 @@ resilience::SentinelPolicy tile100_policy() {
 }
 
 Sentinel::RankView view_of(const std::vector<double>& f,
-                           std::int64_t stride, std::int64_t owned,
-                           LiveLayout layout) {
-  return {f.data(), stride, owned, layout};
+                           std::int64_t stride, std::int64_t owned) {
+  return {f.data(), stride, owned};
 }
 
 /// `view`'s tile digests, as the solvers compute them.
 std::vector<lbm::TileDigest> digests(const Sentinel& sentinel,
                                      const Sentinel::RankView& view) {
-  return lbm::digest_tiles(view.f, view.stride, view.owned,
-                           sentinel.policy().tile_points, view.layout);
+  return digest_tiles(view.f, view.stride, view.owned,
+                      sentinel.policy().tile_points);
 }
 
 void record(Sentinel& sentinel, Rank r, const Sentinel::RankView& view,
@@ -213,7 +229,7 @@ TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
   EXPECT_EQ(sentinel.tiles_of(kOwned), 10);
   EXPECT_FALSE(sentinel.has_record(2));
 
-  record(sentinel, 2, view_of(f, kStride, kOwned, LiveLayout::kCanonical), 5);
+  record(sentinel, 2, view_of(f, kStride, kOwned), 5);
   EXPECT_TRUE(sentinel.has_record(2));
   EXPECT_FALSE(sentinel.has_record(0));
   EXPECT_EQ(sentinel.recorded_step(2), 5);
@@ -224,8 +240,8 @@ TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
 
   std::vector<Sentinel::Mismatch> mismatches;
   std::int64_t checks = 0, false_positives = 0;
-  verify(sentinel, 2, view_of(f, kStride, kOwned, LiveLayout::kCanonical),
-         &mismatches, &checks, &false_positives);
+  verify(sentinel, 2, view_of(f, kStride, kOwned), &mismatches, &checks,
+         &false_positives);
   EXPECT_TRUE(mismatches.empty());
   EXPECT_EQ(checks, 10);
   EXPECT_EQ(false_positives, 0);
@@ -236,16 +252,15 @@ TEST(Sentinel, VerifyLocalizesEachCorruptTile) {
   std::vector<double> f = synthetic_state(kOwned);
   Sentinel sentinel(tile100_policy());
   sentinel.reset(4);
-  record(sentinel, 1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
-         7);
+  record(sentinel, 1, view_of(f, kOwned, kOwned), 7);
 
   flip_bit(f.data() + 7 * kOwned + 537, 3);   // tile 5
   flip_bit(f.data() + 0 * kOwned + 123, 60);  // tile 1
 
   std::vector<Sentinel::Mismatch> mismatches;
   std::int64_t checks = 0, false_positives = 0;
-  verify(sentinel, 1, view_of(f, kOwned, kOwned, LiveLayout::kAAEvenParity),
-         &mismatches, &checks, &false_positives);
+  verify(sentinel, 1, view_of(f, kOwned, kOwned), &mismatches, &checks,
+         &false_positives);
   ASSERT_EQ(mismatches.size(), 2u);
   EXPECT_EQ(mismatches[0].rank, 1);
   EXPECT_EQ(mismatches[0].tile, 1);
@@ -268,131 +283,24 @@ TEST(Sentinel, VerifyIsVacuousWithoutAMatchingRecord) {
   std::int64_t checks = 0, false_positives = 0;
 
   // No record at all.
-  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
-         &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, kOwned), &mismatches, &checks,
+         &false_positives);
   EXPECT_EQ(checks, 0);
 
-  record(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical), 2);
+  record(sentinel, 0, view_of(f, kOwned, kOwned), 2);
 
   // Coverage changed (shrink redistributed points): the record cannot
   // describe this state any more.
-  verify(sentinel, 0, view_of(f, kOwned, 300, LiveLayout::kCanonical),
-         &mismatches, &checks, &false_positives);
-  EXPECT_EQ(checks, 0);
-
-  // Layout changed (AA parity advanced past the record).
-  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kAAOddParity),
-         &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, 300), &mismatches, &checks,
+         &false_positives);
   EXPECT_EQ(checks, 0);
 
   // reset() drops every table.
   sentinel.reset(2);
   EXPECT_FALSE(sentinel.has_record(0));
-  verify(sentinel, 0, view_of(f, kOwned, kOwned, LiveLayout::kCanonical),
-         &mismatches, &checks, &false_positives);
+  verify(sentinel, 0, view_of(f, kOwned, kOwned), &mismatches, &checks,
+         &false_positives);
   EXPECT_EQ(checks, 0);
   EXPECT_TRUE(mismatches.empty());
   EXPECT_EQ(false_positives, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Layout-aware live health scan over a real AA solver, both parities.
-
-TEST(LiveHealthScan, CleanAAStateScansQuietAtBothParities) {
-  auto lattice = aa_cylinder();
-  lbm::Solver solver(lattice, aa_options());
-
-  solver.run(2);  // even parity
-  ASSERT_EQ(solver.live_layout(), LiveLayout::kAAEvenParity);
-  EXPECT_TRUE(resilience::scan_live_health(
-                  solver.live_state(), lattice->size(), lattice->size(),
-                  solver.live_layout(), 0.0, 0.0, 0.0, 2, "solver")
-                  .empty());
-
-  solver.run(1);  // odd parity
-  ASSERT_EQ(solver.live_layout(), LiveLayout::kAAOddParity);
-  EXPECT_TRUE(resilience::scan_live_health(
-                  solver.live_state(), lattice->size(), lattice->size(),
-                  solver.live_layout(), 0.0, 0.0, 0.0, 3, "solver")
-                  .empty());
-}
-
-TEST(LiveHealthScan, NonFiniteLiveSlotRaisesRS001AtBothParities) {
-  for (const int steps : {2, 3}) {  // even and odd parity
-    auto lattice = aa_cylinder();
-    lbm::Solver solver(lattice, aa_options());
-    solver.run(steps);
-
-    // Saturate the exponent of one live slot: set every zero exponent
-    // bit, turning the value into Inf/NaN in place.
-    const hemo::PointIndex i = lattice->size() / 2;
-    const int q = 5;
-    const double* row =
-        solver.live_state() +
-        static_cast<std::size_t>(lbm::live_slot_q(solver.live_layout(), q)) *
-            static_cast<std::size_t>(lattice->size());
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, row + i, sizeof bits);
-    for (int bit = 52; bit < 63; ++bit)
-      if (((bits >> bit) & 1ull) == 0) solver.corrupt_live_bit(i, q, bit);
-
-    const auto diags = resilience::scan_live_health(
-        solver.live_state(), lattice->size(), lattice->size(),
-        solver.live_layout(), 0.0, 0.0, 0.0, steps, "solver");
-    EXPECT_TRUE(has_rule(diags, "RS001")) << "parity of step " << steps;
-  }
-}
-
-TEST(LiveHealthScan, HugeFiniteLiveSlotRaisesRS003) {
-  auto lattice = aa_cylinder();
-  lbm::Solver solver(lattice, aa_options());
-  solver.run(2);
-
-  // Flip the top exponent bit of a moving-direction slot: the value
-  // stays finite (exponent < 0x7FF) but becomes ~2^1000, so the point's
-  // velocity magnitude blows through the compressibility ceiling while
-  // the non-finite scan stays silent.
-  const hemo::PointIndex i = lattice->size() / 3;
-  const int q = 1;
-  const double* row =
-      solver.live_state() +
-      static_cast<std::size_t>(lbm::live_slot_q(solver.live_layout(), q)) *
-          static_cast<std::size_t>(lattice->size());
-  const double value = row[i];
-  ASSERT_GT(value, 0.0);
-  ASSERT_LT(value, 1.0);  // exponent < 0x3FF, so bit 62 is currently 0
-  solver.corrupt_live_bit(i, q, 62);
-  ASSERT_TRUE(std::isfinite(row[i]));
-
-  const auto diags = resilience::scan_live_health(
-      solver.live_state(), lattice->size(), lattice->size(),
-      solver.live_layout(), 0.0, 0.0, 0.0, 2, "solver");
-  EXPECT_TRUE(has_rule(diags, "RS003"));
-  EXPECT_FALSE(has_rule(diags, "RS001"));
-}
-
-TEST(LiveHealthScan, SolverTileDigestsLocalizeAndRoundTripCorruption) {
-  auto lattice = aa_cylinder();
-  lbm::Solver solver(lattice, aa_options());
-  solver.run(3);  // odd parity: the permuted slot mapping is in effect
-
-  constexpr std::int64_t kTilePoints = 64;
-  const std::vector<lbm::TileDigest> before =
-      solver.tile_digests(kTilePoints);
-
-  const hemo::PointIndex i = lattice->size() / 2;
-  solver.corrupt_live_bit(i, 9, 17);
-  const std::vector<lbm::TileDigest> after = solver.tile_digests(kTilePoints);
-  ASSERT_EQ(after.size(), before.size());
-  const std::size_t hit = static_cast<std::size_t>(i / kTilePoints);
-  for (std::size_t t = 0; t < after.size(); ++t) {
-    if (t == hit)
-      EXPECT_NE(after[t], before[t]);
-    else
-      EXPECT_EQ(after[t], before[t]);
-  }
-
-  // Flipping the same bit again restores the exact state.
-  solver.corrupt_live_bit(i, 9, 17);
-  EXPECT_EQ(solver.tile_digests(kTilePoints), before);
 }
