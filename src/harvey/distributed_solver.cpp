@@ -53,6 +53,9 @@ DistributedSolver::DistributedSolver(
   HEMO_EXPECTS(options_.tau > 0.5);
   HEMO_EXPECTS(options_.propagation == lbm::Propagation::kPullSoA);
 
+  closed_system_ = std::none_of(
+      global_->node_types().begin(), global_->node_types().end(),
+      [](lbm::NodeType t) { return t != lbm::NodeType::kBulk; });
   alive_.assign(static_cast<std::size_t>(partition_.n_ranks), 1);
   build_decomposition();
   initial_mass_ = prev_mass_ = total_mass();
@@ -194,11 +197,7 @@ void DistributedSolver::unpack(const Exchange& e, const double* values) {
 void DistributedSolver::exchange_halos() {
   // Post every send, then drain every receive: the classic halo-exchange
   // schedule (non-blocking sends + receives in MPI terms).
-  for (const Exchange& e : exchanges_) {
-    std::vector<double> payload(e.q.size());
-    pack(e, payload.data());
-    network_->send(e.src, e.dst, std::move(payload));
-  }
+  post_all_halos();
   for (const Exchange& e : exchanges_)
     unpack(e, network_->receive(e.dst, e.src, e.q.size()).data());
   HEMO_ASSERT(network_->drained());
@@ -360,7 +359,9 @@ void DistributedSolver::record(const char* rule, analysis::Severity severity,
 }
 
 std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
-  const bool frames = resilience_->recovery.checksum_frames;
+  // Resilient runs append the CRC-32 frame word; plain runs send the bare
+  // halo values.
+  const bool frames = resilience_.has_value();
   std::vector<double> payload(e.q.size() + (frames ? 1 : 0));
   pack(e, payload.data());
   if (frames)
@@ -376,8 +377,7 @@ void DistributedSolver::post_all_halos() {
 
 bool DistributedSolver::receive_exchange(const Exchange& e,
                                          bool* missing_only) {
-  const bool frames = resilience_->recovery.checksum_frames;
-  const std::size_t expected = e.q.size() + (frames ? 1 : 0);
+  const std::size_t expected = e.q.size() + 1;  // + the CRC frame word
   const int budget = resilience_->recovery.max_retransmits;
   if (missing_only) *missing_only = true;
   int used = 0;
@@ -396,7 +396,7 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
       }
     }
     if (have_payload) {
-      if (!frames || frame_ok(payload)) {
+      if (frame_ok(payload)) {
         unpack(e, payload.data());
         return true;
       }
@@ -527,7 +527,7 @@ std::vector<analysis::Diagnostic> DistributedSolver::health_of(
       what << "global mass is non-finite (" << mass << ")";
       rs002(what);
     }
-  } else if (resilience_.has_value() && resilience_->health.closed_system) {
+  } else if (closed_system_) {
     const double tol =
         resilience::conserved_mass_tolerance(total_values(), steps_done_);
     const double drift = std::abs(mass - initial_mass_);
@@ -637,7 +637,6 @@ void DistributedSolver::sentinel_record_all(
 bool DistributedSolver::handle_sdc(
     const std::vector<resilience::Sentinel::Mismatch>& found, bool reexec) {
   if (found.empty()) return false;
-  const resilience::SentinelPolicy& pol = sentinel_->policy();
   Rank quarantine = -1;
   for (const resilience::Sentinel::Mismatch& m : found) {
     ++stats_.sdc_detected;
@@ -661,7 +660,7 @@ bool DistributedSolver::handle_sdc(
     record("RS006", analysis::Severity::kError, where.str(), msg.str());
     if (quarantine < 0 &&
         sdc_hits_[static_cast<std::size_t>(m.rank)] >=
-            pol.quarantine_threshold)
+            resilience::kQuarantineThreshold)
       quarantine = m.rank;
   }
   if (quarantine >= 0 && can_shrink()) {
@@ -922,7 +921,7 @@ void DistributedSolver::resilient_step() {
     }
     if (suspect >= 0 && can_shrink()) {
       const bool deadline_hit =
-          suspect_count_ >= resilience_->shrink.death_deadline;
+          suspect_count_ >= resilience::kDeathDeadline;
       const bool rollbacks_exhausted =
           rollbacks_used_ >= rec.max_rollbacks;
       if (deadline_hit || rollbacks_exhausted) {

@@ -12,11 +12,13 @@
 // Resilience (opt-in via enable_resilience): halo messages carry CRC-32
 // frames, failed or corrupted receives are answered by retransmission from
 // the sender's intact state, per-step numerical-health guards (RS001-RS005)
-// watch the state, and a bounded rollback ladder restores an in-memory
-// snapshot when retransmission cannot help.  When every rung is exhausted
-// the solver raises a structured resilience::SolverFault instead of
-// aborting.  On-disk checkpoints (CRC-checked io::Blob files) let a
-// campaign resume a failed point from its last good step.
+// watch the state (the RS002 mass guard takes its closed-system form when
+// the global lattice has no inlet or outlet point), and a bounded rollback
+// ladder restores an in-memory snapshot when retransmission cannot help.
+// When every rung is exhausted the solver raises a structured
+// resilience::SolverFault instead of aborting.  On-disk checkpoints
+// (CRC-checked io::Blob files) let a campaign resume a failed point from
+// its last good step.
 //
 // Elastic shrink-recovery (opt-in via ShrinkPolicy): when a rank's
 // outbound traffic goes permanently silent — every receive from it
@@ -259,9 +261,9 @@ class DistributedSolver {
   /// points and take part in no exchange.
   void build_decomposition();
 
-  // Resilient halo machinery.
+  // Halo machinery.
   /// pack() into a payload sized once, plus the CRC-32 frame word when
-  /// frames are on.
+  /// resilience is on.
   std::vector<double> pack_payload(const Exchange& e) const;
   void post_all_halos();
   bool receive_exchange(const Exchange& e, bool* missing_only);
@@ -337,11 +339,12 @@ class DistributedSolver {
   int rollbacks_used_ = 0;
   double initial_mass_ = 0.0;
   double prev_mass_ = 0.0;
+  bool closed_system_ = false;  // no inlet/outlet point: RS002 holds mass
 
   // SDC sentinel state.  sdc_hits_[r] accumulates RS006 detections blamed
   // on rank r across the whole run (not per step): a device whose memory
-  // keeps flipping bits is failing, not unlucky, and crossing
-  // SentinelPolicy::quarantine_threshold escalates it to the shrink path.
+  // keeps flipping bits is failing, not unlucky, and reaching
+  // resilience::kQuarantineThreshold escalates it to the shrink path.
   resilience::FaultPlan* injected_faults_ = nullptr;  // non-owning
   std::optional<resilience::Sentinel> sentinel_;
   std::vector<int> sdc_hits_;

@@ -36,12 +36,20 @@ bool parse_fault_kind(std::string_view name, FaultKind* out) {
   return false;
 }
 
+void FaultPlan::add(const FaultEvent& event) {
+  if (event.kind == FaultKind::kBitFlip) {
+    HEMO_EXPECTS(event.flip_q >= 0 && event.flip_q < lbm::kQ);
+    HEMO_EXPECTS(event.flip_bit >= 0 && event.flip_bit < 64);
+  }
+  events_.push_back(event);
+}
+
 void FaultPlan::kill_rank(Rank rank, std::int64_t step) {
   FaultEvent e;
   e.kind = FaultKind::kRankDeath;
   e.step = step;
   e.src = rank;
-  events_.push_back(e);
+  add(e);
 }
 
 FaultPlan FaultPlan::random(std::uint64_t seed, std::int64_t steps,

@@ -89,7 +89,10 @@ class FaultPlan {
                           const std::vector<FaultKind>& kinds,
                           int events_per_kind);
 
-  void add(const FaultEvent& event) { events_.push_back(event); }
+  /// Appends `event`, the one way into a plan.  A kBitFlip event must name
+  /// a direction in [0, kQ) and a bit in [0, 64) (precondition): the
+  /// injecting solver indexes and shifts by them.
+  void add(const FaultEvent& event);
 
   /// Convenience: schedules a permanent kRankDeath of `rank` at `step`.
   void kill_rank(Rank rank, std::int64_t step);
@@ -124,7 +127,6 @@ class FaultPlan {
   FaultEvent* match_rank_death(std::int64_t step);
 
   const std::vector<FaultEvent>& events() const { return events_; }
-  std::vector<FaultEvent>& events() { return events_; }
 
   int total() const { return static_cast<int>(events_.size()); }
   int count(FaultKind kind) const;

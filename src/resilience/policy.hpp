@@ -4,8 +4,9 @@
 // Detection: per-step numerical-health guards — non-finite scan, mass
 // guard, velocity-magnitude ceiling (kMaxVelocity), halo traffic audit —
 // surfaced as analysis::Diagnostic records with RS### rule ids.  Every
-// guard is always on; HealthPolicy only says which mass guard applies
-// (closed system or open, kMassStepRel).
+// guard is always on.  The mass guard takes its closed-system form when the
+// global lattice has no inlet or outlet point, and its open-system form
+// (kMassStepRel) otherwise.
 //
 // Recovery (RecoveryPolicy + ShrinkPolicy): the escalation ladder the
 // solver walks when a step goes wrong:
@@ -48,16 +49,14 @@ namespace hemo::resilience {
 ///                                               onto the survivors)
 ///   RS006 silent data corruption in a tile     (error; rolled back, or
 ///                                               the rank quarantined)
-struct HealthPolicy {
-  /// Mass guard for closed systems (periodic ends, body-force driven):
-  /// collisions and bounce-back conserve mass to rounding, so the guard
-  /// holds total mass to the accumulated-rounding tolerance of
-  /// conserved_mass_tolerance() — drift beyond it is corruption.  Open
-  /// systems (inlet/outlet) change mass physically every step by the
-  /// boundary fluxes, so for them the guard bounds the relative per-step
-  /// jump by kMassStepRel instead.
-  bool closed_system = false;
-};
+///
+/// RS002 follows the lattice.  With no inlet or outlet point the system is
+/// closed (periodic ends, body-force driven): collisions and bounce-back
+/// conserve mass to rounding, so the guard holds total mass to the
+/// accumulated-rounding tolerance of conserved_mass_tolerance() — drift
+/// beyond it is corruption.  Open systems (inlet/outlet) change mass
+/// physically every step by the boundary fluxes, so for them the guard
+/// bounds the relative per-step jump by kMassStepRel instead.
 
 /// Open-system mass guard: a blow-up or an exponent-flip corruption moves
 /// total mass by orders of magnitude in one step, physics moves it by
@@ -86,6 +85,9 @@ inline double conserved_mass_tolerance(std::int64_t n_values,
 // Recovery.
 // ---------------------------------------------------------------------------
 
+/// Every halo message of a resilient run carries a CRC-32 frame word, so
+/// in-flight corruption is detected at unpack time and fixed by
+/// retransmission before it can enter the state.
 struct RecoveryPolicy {
   /// Halo-level: failed receives (missing, wrong size, CRC mismatch) are
   /// answered by repacking from the sender's intact state, up to this many
@@ -97,19 +99,19 @@ struct RecoveryPolicy {
   /// restores the snapshot, resets the network, and replays.
   int checkpoint_interval = 8;
   int max_rollbacks = 4;
-
-  /// Append a CRC-32 frame word to every halo message so in-flight
-  /// corruption is detected at unpack time (and fixed by retransmission).
-  /// Without frames, corruption is only caught by the numerical-health
-  /// guards after it has entered the state — recoverable via rollback.
-  bool checksum_frames = true;
 };
+
+/// Consecutive failed attempts (original + rollback replays) blamed on the
+/// same unique rank before it is declared dead.  The first failure is
+/// always treated as transient (rollback + replay); a permanent death
+/// re-fails the replay immediately and hits the deadline.
+inline constexpr int kDeathDeadline = 2;
 
 /// Elastic shrink-recovery: the rung above rollback.  A deadline-based
 /// failure detector watches for a rank whose outbound traffic has gone
 /// completely silent (every receive from it exhausts the retransmit
 /// budget with nothing arriving — not corruption, absence).  A rank that
-/// stays uniquely suspect for `death_deadline` consecutive failed step
+/// stays uniquely suspect for kDeathDeadline consecutive failed step
 /// attempts — or that is still suspect when the rollback budget runs
 /// out — is escalated from "transient" to "dead": the solver re-bisects
 /// the domain over the survivors, redistributes the last checkpointed
@@ -117,12 +119,6 @@ struct RecoveryPolicy {
 /// produces bit-identical final state across reruns.
 struct ShrinkPolicy {
   bool enabled = false;
-
-  /// Consecutive failed attempts (original + rollback replays) blamed on
-  /// the same unique rank before it is declared dead.  The first failure
-  /// is always treated as transient (rollback + replay); a permanent
-  /// death re-fails the replay immediately and hits the deadline.
-  int death_deadline = 2;
 
   /// The solver refuses to shrink below this many live ranks and raises a
   /// SolverFault instead (a campaign may consider a 1-device "parallel"
@@ -166,15 +162,14 @@ struct SentinelPolicy {
   /// because record happens after the corrupted result was written.
   /// 0 disables sampling.
   int reexec_sample = 0;
-
-  /// RS006 detections attributed to one rank before it is quarantined
-  /// through the shrink path (requires ShrinkPolicy::enabled and the
-  /// survivor floor; otherwise the sentinel keeps rolling back).
-  int quarantine_threshold = 3;
 };
 
+/// RS006 detections attributed to one rank before it is quarantined
+/// through the shrink path (requires ShrinkPolicy::enabled and the survivor
+/// floor; otherwise the sentinel keeps rolling back).
+inline constexpr int kQuarantineThreshold = 3;
+
 struct Options {
-  HealthPolicy health;
   RecoveryPolicy recovery;
   ShrinkPolicy shrink;
   SentinelPolicy sentinel;

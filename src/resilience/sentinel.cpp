@@ -16,7 +16,6 @@ Sentinel::Sentinel(SentinelPolicy policy) : policy_(policy) {
   HEMO_EXPECTS(policy_.tile_points >= 1);
   HEMO_EXPECTS(policy_.check_interval >= 1);
   HEMO_EXPECTS(policy_.reexec_sample >= 0);
-  HEMO_EXPECTS(policy_.quarantine_threshold >= 1);
 }
 
 void Sentinel::reset(int n_ranks) {

@@ -407,7 +407,6 @@ TEST(DistributedDialects, RankKillShrinkOnTwoThreadsMatchesHostLoopBitwise) {
   solver.set_execution_model(hemo::hal::Model::kHip);
   resilience::Options options;
   options.shrink.enabled = true;
-  options.shrink.death_deadline = 2;
   solver.enable_resilience(options);
   solver.run(kSteps);
 

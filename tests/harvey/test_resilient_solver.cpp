@@ -231,41 +231,6 @@ TEST(ResilientSolver, ExhaustedBudgetsRaiseStructuredFault) {
   }
 }
 
-TEST(ResilientSolver, HealthGuardCatchesCorruptionWithoutFrames) {
-  // With CRC frames disabled the corrupted payload reaches the state; the
-  // health guards must catch it post-step and roll back.  The XOR mask
-  // below does not make the value non-finite: it turns an O(0.05) payload
-  // value (exponent 2^-5) into a finite O(100) one (exponent 2^6), which
-  // trips the velocity ceiling (RS003) and the mass-jump guard (RS002),
-  // not RS001.  NonFiniteLiveSlotTripsRS001AndRollsBack covers RS001.
-  constexpr int kRanks = 4;
-  constexpr int kSteps = 10;
-  const std::vector<double> reference = clean_run(kRanks, kSteps);
-
-  auto lattice = small_cylinder();
-  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
-                           flow_options());
-  resilience::FaultPlan plan;
-  resilience::FaultEvent e;
-  e.kind = resilience::FaultKind::kCorrupt;
-  e.step = 4;
-  e.src = 0;
-  e.dst = 1;
-  e.xor_mask = 0x7FF0000000000000ull;  // flips the exponent, stays finite
-  plan.add(e);
-  solver.set_network(
-      std::make_unique<resilience::FaultyNetwork>(kRanks, plan));
-  resilience::Options opts;
-  opts.recovery.checksum_frames = false;
-  solver.enable_resilience(opts);
-
-  solver.run(kSteps);
-
-  EXPECT_GE(solver.resilience_stats().health_errors, 1);
-  EXPECT_GE(solver.resilience_stats().rollbacks, 1);
-  EXPECT_EQ(solver.global_distributions(), reference);
-}
-
 TEST(ResilientSolver, NonFiniteLiveSlotTripsRS001AndRollsBack) {
   // A live slot made truly non-finite on its rank (every zero exponent bit
   // set) is consumed by the next kernel step; the post-step audit must
@@ -293,6 +258,50 @@ TEST(ResilientSolver, NonFiniteLiveSlotTripsRS001AndRollsBack) {
   EXPECT_FALSE(has_rule(stats.diagnostics, "RS002"));  // RS001 names it
   EXPECT_GE(stats.rollbacks, 1);
   EXPECT_EQ(solver.global_distributions(), reference);
+}
+
+TEST(ResilientSolver, MassGuardFormFollowsTheLattice) {
+  // Setting the top mantissa bit of one rest population raises it by about
+  // 1/8: a mass change far above the closed-system rounding tolerance, but
+  // far below the open-system 5% per-step jump, and too slow for RS003.
+  // So the flip trips RS002 exactly when the lattice has no inlet or
+  // outlet point, and the rollback then replays to the clean bits.
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 8;
+  constexpr int kFlipStep = 4;
+  for (const geom::CylinderEnds ends :
+       {geom::CylinderEnds::kPeriodic, geom::CylinderEnds::kInletOutlet}) {
+    const bool closed = ends == geom::CylinderEnds::kPeriodic;
+    geom::CylinderSpec spec;
+    spec.radius_per_scale = 4.0;
+    spec.axial_per_scale = 16.0;
+    auto lattice = geom::make_cylinder_lattice(spec, ends);
+    const decomp::Partition partition =
+        decomp::slab_partition(*lattice, kRanks);
+    lbm::SolverOptions options = flow_options();
+    if (closed) {
+      options.inlet_velocity = 0.0;
+      options.body_force = {0.0, 0.0, 1e-6};
+    }
+    DistributedSolver clean(lattice, partition, options);
+    clean.run(kSteps);
+
+    resilience::FaultPlan plan;
+    plan.add(bit_flip(lattice->size() / 2, /*q=*/0, /*bit=*/51, kFlipStep));
+    DistributedSolver solver(lattice, partition, options);
+    solver.set_fault_injection(&plan);
+    solver.enable_resilience(resilience::Options{});
+    solver.run(kSteps);
+
+    const resilience::RunStats& stats = solver.resilience_stats();
+    EXPECT_EQ(plan.fired_count(), 1);
+    EXPECT_EQ(has_rule(stats.diagnostics, "RS002"), closed);
+    EXPECT_FALSE(has_rule(stats.diagnostics, "RS001"));
+    EXPECT_FALSE(has_rule(stats.diagnostics, "RS003"));
+    EXPECT_EQ(stats.rollbacks, closed ? 1 : 0);
+    EXPECT_EQ(solver.global_distributions() == clean.global_distributions(),
+              closed);
+  }
 }
 
 TEST(ResilientSolver, OverflowingFiniteMassTripsRS002) {

@@ -174,8 +174,8 @@ TEST(SentinelSolver, OneShotFlipNeverRefiresAndCountersStayMonotone) {
 }
 
 TEST(SentinelSolver, CorruptFaultStaysOneShotAcrossRollback) {
-  // Without CRC frames, a corrupted halo payload enters the state and is
-  // only caught by the health guards — forcing the rollback path.  The
+  // With no retransmit budget, the CRC-caught corrupted halo payload
+  // cannot be repaired on the wire and forces the rollback path.  The
   // replay must not re-corrupt (one-shot), so one rollback suffices and
   // the run still ends bit-identical.
   const std::vector<double> reference = clean_run(kRanks, kSteps);
@@ -196,7 +196,7 @@ TEST(SentinelSolver, CorruptFaultStaysOneShotAcrossRollback) {
       std::make_unique<resilience::FaultyNetwork>(kRanks, plan));
 
   resilience::Options options = sentinel_options();
-  options.recovery.checksum_frames = false;
+  options.recovery.max_retransmits = 0;
   solver.enable_resilience(options);
 
   solver.run(kSteps);
@@ -205,6 +205,7 @@ TEST(SentinelSolver, CorruptFaultStaysOneShotAcrossRollback) {
       dynamic_cast<const resilience::FaultyNetwork*>(&solver.network());
   ASSERT_NE(net, nullptr);
   EXPECT_EQ(net->plan().fired_count(resilience::FaultKind::kCorrupt), 1);
+  EXPECT_EQ(solver.resilience_stats().crc_mismatch, 1);
   EXPECT_GE(solver.resilience_stats().rollbacks, 1);
   expect_bit_identical(solver.global_distributions(), reference);
 }
@@ -216,27 +217,28 @@ TEST(SentinelSolver, RepeatedHitsQuarantineTheFailingRank) {
   const decomp::Partition partition =
       decomp::slab_partition(*lattice, kRanks);
 
-  // Two flips aimed at points owned by the same rank: the second
-  // detection crosses quarantine_threshold and retires the rank through
-  // the shrink path instead of rolling back forever.
+  // kQuarantineThreshold flips aimed at points owned by the same rank: the
+  // last detection reaches the threshold and retires the rank through the
+  // shrink path instead of rolling back forever.
+  static_assert(resilience::kQuarantineThreshold == 3);
   const Rank victim = partition.owner.front();
   std::vector<std::int64_t> victim_points;
   for (std::int64_t gi = 0;
        gi < static_cast<std::int64_t>(partition.owner.size()) &&
-       victim_points.size() < 2;
+       victim_points.size() < 3;
        ++gi)
     if (partition.owner[static_cast<std::size_t>(gi)] == victim)
       victim_points.push_back(gi);
-  ASSERT_EQ(victim_points.size(), 2u);
+  ASSERT_EQ(victim_points.size(), 3u);
 
   DistributedSolver solver(lattice, partition, flow_options());
   resilience::FaultPlan plan;
-  plan.add(bit_flip_at(/*step=*/6, victim_points[0], /*q=*/2, /*bit=*/33));
-  plan.add(bit_flip_at(/*step=*/10, victim_points[1], /*q=*/8, /*bit=*/50));
+  plan.add(bit_flip_at(/*step=*/3, victim_points[0], /*q=*/5, /*bit=*/41));
+  plan.add(bit_flip_at(/*step=*/6, victim_points[1], /*q=*/2, /*bit=*/33));
+  plan.add(bit_flip_at(/*step=*/10, victim_points[2], /*q=*/8, /*bit=*/50));
   solver.set_fault_injection(&plan);
 
   resilience::Options options = sentinel_options();
-  options.sentinel.quarantine_threshold = 2;
   options.shrink.enabled = true;
   options.recovery.max_rollbacks = 8;
   solver.enable_resilience(options);
@@ -244,7 +246,7 @@ TEST(SentinelSolver, RepeatedHitsQuarantineTheFailingRank) {
   solver.run(kSteps);
 
   const resilience::RunStats& stats = solver.resilience_stats();
-  EXPECT_EQ(stats.sdc_detected, 2);
+  EXPECT_EQ(stats.sdc_detected, 3);
   EXPECT_EQ(stats.sdc_quarantines, 1);
   EXPECT_GE(stats.shrinks, 1);
   EXPECT_EQ(solver.survivor_count(), kRanks - 1);

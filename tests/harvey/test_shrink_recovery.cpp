@@ -53,7 +53,6 @@ lbm::SolverOptions flow_options() {
 resilience::Options shrink_options(int min_survivors = 1) {
   resilience::Options o;
   o.shrink.enabled = true;
-  o.shrink.death_deadline = 2;
   o.shrink.min_survivors = min_survivors;
   return o;
 }

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "lbm/d3q19.hpp"
+
 namespace hemo::resilience {
 namespace {
 
@@ -238,6 +240,25 @@ TEST(FaultPlan, MatchBitFlipIsExactStepOneShotAndInvisibleToSends) {
   hit->fired = true;
   EXPECT_EQ(plan.match_bit_flip(4), nullptr);
   EXPECT_EQ(plan.fired_count(FaultKind::kBitFlip), 1);
+}
+
+TEST(FaultPlanDeathTest, MalformedBitFlipIsRejectedAtAdd) {
+  // A flip outside [0, kQ) would write past the rank's array and a shift
+  // by 64 or more is undefined; both are refused before they are queued.
+  const auto flip = [](int q, int bit) {
+    FaultEvent e;
+    e.kind = FaultKind::kBitFlip;
+    e.flip_q = q;
+    e.flip_bit = bit;
+    return e;
+  };
+  FaultPlan plan;
+  plan.add(flip(lbm::kQ - 1, 63));  // the last valid slot and bit
+  EXPECT_EQ(plan.total(), 1);
+  EXPECT_DEATH(plan.add(flip(lbm::kQ, 0)), "Precondition");
+  EXPECT_DEATH(plan.add(flip(-1, 0)), "Precondition");
+  EXPECT_DEATH(plan.add(flip(0, 64)), "Precondition");
+  EXPECT_DEATH(plan.add(flip(0, -1)), "Precondition");
 }
 
 }  // namespace
