@@ -38,8 +38,9 @@ struct SolverSetup {
 };
 
 SolverSetup make_setup(const ChaosConfig& cfg) {
-  HEMO_EXPECTS(cfg.scale >= kMinScale && cfg.scale <= kMaxScale &&
-               cfg.ranks >= 1 && cfg.steps >= 1);
+  HEMO_EXPECTS(cfg.scale >= geom::kMinScale &&
+               cfg.scale <= geom::kMaxScale && cfg.ranks >= 1 &&
+               cfg.steps >= 1);
   for (const KillSpec& kill : cfg.kills)
     HEMO_EXPECTS(kill.rank >= 0 && kill.rank < cfg.ranks && kill.step >= 0 &&
                  kill.step < cfg.steps);

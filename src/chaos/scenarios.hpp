@@ -32,18 +32,11 @@ struct KillSpec {
   int step = 0;
 };
 
-/// Cylinder scale bounds.  The cylinder has radius 5 * scale and length
-/// 24 * scale: its radius must span at least one lattice unit, and the
-/// largest one (radius 40, about a million points) bounds what a scenario,
-/// which keeps up to three solvers of it, allocates.
-inline constexpr double kMinScale = 0.2;
-inline constexpr double kMaxScale = 8.0;
-
 /// The distributed cylinder run the solver scenarios perturb, and what to
 /// perturb it with.  Kills must name a rank below `ranks` and a step below
 /// `steps`.
 struct ChaosConfig {
-  double scale = 1.0;  // in [kMinScale, kMaxScale]
+  double scale = 1.0;  // in [geom::kMinScale, geom::kMaxScale]
   int ranks = 4;
   int steps = 40;
   std::uint64_t seed = 7;

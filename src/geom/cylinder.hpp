@@ -14,6 +14,15 @@
 
 namespace hemo::geom {
 
+/// Bounds on a scale factor taken from untrusted input (the tools' --scale
+/// flags).  At kMinScale the smallest radius in use (5 * scale, the chaos
+/// cylinder) still spans a lattice unit; kMaxScale bounds what one run
+/// allocates (the 84 x 8 cylinder at 8 is about 8.6 M points, and a chaos
+/// scenario keeps up to three solvers of its cylinder) and keeps length()
+/// far inside int64.
+inline constexpr double kMinScale = 0.2;
+inline constexpr double kMaxScale = 8.0;
+
 struct CylinderSpec {
   double scale = 1.0;              // the paper's "x" factor
   double axial_per_scale = 84.0;   // axial length = 84 * x

@@ -80,12 +80,4 @@ Prediction PerformanceModel::predict(double n_points, int n_gpus) const {
   return p;
 }
 
-Prediction PerformanceModel::predict_degraded(double n_points,
-                                              int n_gpus_started,
-                                              int survivors) const {
-  HEMO_EXPECTS(survivors >= 1);
-  HEMO_EXPECTS(survivors <= n_gpus_started);
-  return predict(n_points, survivors);
-}
-
 }  // namespace hemo::perf

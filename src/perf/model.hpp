@@ -68,16 +68,6 @@ class PerformanceModel {
   /// devices, assuming ideal (perfectly balanced cubic) subdomains.
   Prediction predict(double n_points, int n_gpus) const;
 
-  /// Degraded-mode hook (elastic shrink recovery): the prediction a run
-  /// that started on `n_gpus_started` devices but finished on `survivors`
-  /// should be judged against.  The shrink re-bisects the whole lattice
-  /// over the survivors, so the ideal upper bound is the survivor-count
-  /// prediction; judging a degraded run against the devices it *started*
-  /// with would fold capacity lost to hardware failure into the framework
-  /// efficiency the study is measuring.
-  Prediction predict_degraded(double n_points, int n_gpus_started,
-                              int survivors) const;
-
   const sys::SystemSpec& system() const { return spec_; }
   const ModelParams& params() const { return params_; }
 

@@ -24,17 +24,6 @@ std::string lower(std::string_view text) {
   return out;
 }
 
-/// Death-order rank list for one CSV cell; ';'-separated so the cell
-/// survives comma-splitting CSV consumers.
-std::string join_ranks(const std::vector<Rank>& ranks) {
-  std::string out;
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    if (i) out += ';';
-    out += std::to_string(ranks[i]);
-  }
-  return out;
-}
-
 std::string_view system_token(sys::SystemId id) {
   switch (id) {
     case sys::SystemId::kSummit: return "summit";
@@ -52,8 +41,6 @@ std::string_view app_name(sim::App app) {
 struct Priced {
   sim::SimPoint sim;
   perf::Prediction prediction;
-  std::optional<ShrinkProvenance> shrink;
-  std::optional<SdcReport> sdc;
 };
 
 /// Preflight validation: decomposes the measured lattice the way the
@@ -193,29 +180,6 @@ PointResult price_point(ArtifactCache& cache, const SeriesSpec& series,
                                         schedule.size_multiplier);
         priced.prediction = simulator.predict(*workload, schedule.devices,
                                               schedule.size_multiplier);
-
-        // A rank death mid-run never fails the point: the solver
-        // shrinks onto the survivors and the point completes
-        // degraded, priced — measured and predicted both — against
-        // the devices that finished the work.
-        if (hooks.rank_failure_injector) {
-          std::optional<ShrinkProvenance> shrink =
-              hooks.rank_failure_injector(series, schedule);
-          if (shrink.has_value()) {
-            HEMO_EXPECTS(shrink->survivor_count >= 1);
-            HEMO_EXPECTS(shrink->survivor_count <= schedule.devices);
-            priced.sim = simulator.simulate(*workload, shrink->survivor_count,
-                                            schedule.size_multiplier);
-            priced.prediction = simulator.predict_degraded(
-                *workload, schedule.devices, shrink->survivor_count,
-                schedule.size_multiplier);
-            priced.shrink = std::move(shrink);
-          }
-        }
-        // SDC sentinel activity annotates the point; detection + recovery
-        // is the success path, so it neither fails nor re-prices it.
-        if (hooks.sdc_injector)
-          priced.sdc = hooks.sdc_injector(series, schedule);
         return priced;
       });
 
@@ -223,8 +187,6 @@ PointResult price_point(ArtifactCache& cache, const SeriesSpec& series,
   if (outcome.ok()) {
     out.sim = outcome.value->sim;
     out.prediction = outcome.value->prediction;
-    out.shrink = std::move(outcome.value->shrink);
-    out.sdc = outcome.value->sdc;
   } else {
     out.failure = std::move(outcome.failure);
   }
@@ -242,22 +204,6 @@ std::size_t CampaignResult::failed_points() const {
   for (const SeriesResult& s : series)
     for (const PointResult& p : s.points)
       if (!p.ok()) ++n;
-  return n;
-}
-
-std::size_t CampaignResult::degraded_points() const {
-  std::size_t n = 0;
-  for (const SeriesResult& s : series)
-    for (const PointResult& p : s.points)
-      if (p.degraded()) ++n;
-  return n;
-}
-
-std::int64_t CampaignResult::sdc_detected_total() const {
-  std::int64_t n = 0;
-  for (const SeriesResult& s : series)
-    for (const PointResult& p : s.points)
-      if (p.sdc.has_value()) n += p.sdc->detected;
   return n;
 }
 
@@ -335,8 +281,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, ArtifactCache& cache) {
         PointHooks hooks;
         hooks.workload_provider = spec.workload_provider;
         hooks.fault_injector = spec.fault_injector;
-        hooks.rank_failure_injector = spec.rank_failure_injector;
-        hooks.sdc_injector = spec.sdc_injector;
         *slot = price_point(cache, series, slot->schedule, spec.job, hooks);
       });
     }
@@ -492,35 +436,21 @@ bool parse_series(std::string_view text, SeriesSpec* out) {
 void write_campaign_csv(const CampaignResult& result, std::ostream& os) {
   Table table({"campaign", "system", "model", "app", "workload", "devices",
                "size_multiplier", "status", "attempts", "mflups",
-               "iteration_s", "predicted_mflups", "survivors",
-               "failed_ranks", "recovery_step", "sdc_detected",
-               "sdc_false_positive", "sdc_quarantines", "error"});
+               "iteration_s", "predicted_mflups", "error"});
   for (const SeriesResult& series : result.series) {
     const sys::SystemSpec& sys_spec = sys::system_spec(series.spec.system);
     for (const PointResult& p : series.points) {
       const bool ok = p.ok();
-      const bool degraded = p.degraded();
-      // Degraded points report the devices that finished the work; clean
-      // points finished on everything they started with.
-      const int survivors =
-          degraded ? p.shrink->survivor_count : p.schedule.devices;
       table.add_row(
           {result.name, sys_spec.name, std::string(hal::name_of(series.spec.model)),
            std::string(app_name(series.spec.app)),
            std::string(workload_name(series.spec.workload)),
            std::to_string(p.schedule.devices),
            std::to_string(p.schedule.size_multiplier),
-           !ok ? (p.failure->timed_out ? "timeout" : "failed")
-               : (degraded ? "degraded" : "ok"),
+           !ok ? (p.failure->timed_out ? "timeout" : "failed") : "ok",
            std::to_string(p.attempts), ok ? fmt_double(p.sim.mflups) : "",
            ok ? fmt_double(p.sim.iteration_s) : "",
            ok ? fmt_double(p.prediction.mflups) : "",
-           ok ? std::to_string(survivors) : "",
-           degraded ? join_ranks(p.shrink->failed_ranks) : "",
-           degraded ? std::to_string(p.shrink->recovery_step) : "",
-           p.sdc ? std::to_string(p.sdc->detected) : "",
-           p.sdc ? std::to_string(p.sdc->false_positives) : "",
-           p.sdc ? std::to_string(p.sdc->quarantines) : "",
            ok ? "" : p.failure->message});
     }
   }
@@ -534,8 +464,6 @@ void write_campaign_json(const CampaignResult& result, std::ostream& os) {
   os << "  \"wall_s\": " << fmt_double(result.wall_s) << ",\n";
   os << "  \"points\": " << result.total_points() << ",\n";
   os << "  \"failed_points\": " << result.failed_points() << ",\n";
-  os << "  \"degraded_points\": " << result.degraded_points() << ",\n";
-  os << "  \"sdc_detected_total\": " << result.sdc_detected_total() << ",\n";
   os << "  \"cache\": {\"hits\": " << result.cache.hits
      << ", \"misses\": " << result.cache.misses
      << ", \"evictions\": " << result.cache.evictions
@@ -575,22 +503,9 @@ void write_campaign_json(const CampaignResult& result, std::ostream& os) {
          << ", \"size_multiplier\": " << p.schedule.size_multiplier
          << ", \"attempts\": " << p.attempts;
       if (p.ok()) {
-        os << ", \"status\": \"" << (p.degraded() ? "degraded" : "ok")
-           << "\", \"mflups\": " << fmt_double(p.sim.mflups)
+        os << ", \"status\": \"ok\", \"mflups\": " << fmt_double(p.sim.mflups)
            << ", \"iteration_s\": " << fmt_double(p.sim.iteration_s)
            << ", \"predicted_mflups\": " << fmt_double(p.prediction.mflups);
-        if (p.degraded()) {
-          os << ", \"shrink\": {\"failed_ranks\": [";
-          for (std::size_t r = 0; r < p.shrink->failed_ranks.size(); ++r)
-            os << (r ? ", " : "") << p.shrink->failed_ranks[r];
-          os << "], \"recovery_step\": " << p.shrink->recovery_step
-             << ", \"survivor_count\": " << p.shrink->survivor_count << "}";
-        }
-        if (p.sdc.has_value()) {
-          os << ", \"sdc\": {\"detected\": " << p.sdc->detected
-             << ", \"false_positives\": " << p.sdc->false_positives
-             << ", \"quarantines\": " << p.sdc->quarantines << "}";
-        }
       } else {
         os << ", \"status\": \""
            << (p.failure->timed_out ? "timeout" : "failed")

@@ -75,28 +75,6 @@ struct SeriesSpec {
   WorkloadKind workload = WorkloadKind::kCylinderBisection;
 };
 
-/// Shrink provenance of one degraded point: which ranks died, where the
-/// solver re-decomposed and resumed, and how many devices finished the
-/// work (the count MFLUPS/efficiency are reported against).  Mirrors
-/// resilience::RunStats' {dead_ranks, last_recovery_step} plus the
-/// survivor count.
-struct ShrinkProvenance {
-  std::vector<Rank> failed_ranks;       // death order
-  std::int64_t recovery_step = -1;      // step the last shrink resumed at
-  int survivor_count = 0;               // devices that finished the point
-};
-
-/// SDC sentinel provenance of one point: silent-data-corruption events the
-/// solver's RS006 guard detected (and recovered from) while the point ran.
-/// Mirrors resilience::RunStats' sdc counters.  A point with detections is
-/// still "ok" — detection plus rollback IS the success path; the report
-/// makes the campaign self-auditing rather than failing.
-struct SdcReport {
-  std::int64_t detected = 0;         // confirmed RS006 detections
-  std::int64_t false_positives = 0;  // retracted (checker-fault) mismatches
-  std::int64_t quarantines = 0;      // ranks retired via the shrink path
-};
-
 /// "Summit/CUDA/HARVEY/cylinder-bisection" — job names and report rows.
 std::string series_label(const SeriesSpec& spec);
 
@@ -118,23 +96,6 @@ struct CampaignSpec {
   std::function<void(const SeriesSpec&, const sys::SchedulePoint&,
                      int attempt)>
       fault_injector;
-  /// Rank-death hook: called once per point after it priced cleanly; a
-  /// returned provenance means the point lost ranks mid-run and finished
-  /// in degraded mode on the survivors.  The point is then re-priced —
-  /// measured MFLUPS and the ideal prediction both — against the
-  /// post-shrink device count (ClusterSimulator::predict_degraded), its
-  /// status becomes "degraded" in every sink, and the campaign continues;
-  /// a rank death never aborts a campaign.
-  std::function<std::optional<ShrinkProvenance>(const SeriesSpec&,
-                                                const sys::SchedulePoint&)>
-      rank_failure_injector;
-  /// SDC hook: called once per point after it priced; a returned report
-  /// means the point's solver run detected (and survived) silent data
-  /// corruption.  The report is attached to the point and surfaced in the
-  /// CSV/JSON sinks; it never fails or re-prices the point.
-  std::function<std::optional<SdcReport>(const SeriesSpec&,
-                                         const sys::SchedulePoint&)>
-      sdc_injector;
   /// Statically validates every series' workload before pricing it: a
   /// small decomposition of the measured lattice is built and run through
   /// DistributedSolver::validate() (lattice, partition and halo-exchange
@@ -155,15 +116,8 @@ struct PointResult {
   perf::Prediction prediction;  // valid iff ok()
   int attempts = 0;
   std::optional<JobFailure> failure;
-  /// Present when the point lost ranks and completed on the survivors;
-  /// sim/prediction are then priced against shrink->survivor_count
-  /// devices, not schedule.devices.
-  std::optional<ShrinkProvenance> shrink;
-  /// Present when the point's run reported SDC sentinel activity.
-  std::optional<SdcReport> sdc;
 
   bool ok() const { return !failure.has_value(); }
-  bool degraded() const { return ok() && shrink.has_value(); }
 };
 
 struct SeriesResult {
@@ -186,12 +140,6 @@ struct PointHooks {
   std::function<void(const SeriesSpec&, const sys::SchedulePoint&,
                      int attempt)>
       fault_injector;
-  std::function<std::optional<ShrinkProvenance>(const SeriesSpec&,
-                                                const sys::SchedulePoint&)>
-      rank_failure_injector;
-  std::function<std::optional<SdcReport>(const SeriesSpec&,
-                                         const sys::SchedulePoint&)>
-      sdc_injector;
 };
 
 /// Canonical identity of one evaluation point — the coalescing and
@@ -230,10 +178,6 @@ struct CampaignResult {
 
   std::size_t total_points() const;
   std::size_t failed_points() const;
-  /// Points that lost ranks but completed on the survivors.
-  std::size_t degraded_points() const;
-  /// Confirmed SDC detections summed over every point's report.
-  std::int64_t sdc_detected_total() const;
   /// The captured failures, in deterministic (series, point) order.
   std::vector<JobFailure> failures() const;
 };

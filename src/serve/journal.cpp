@@ -21,6 +21,9 @@ void wal_encode_series(WalBuffer* out, const rt::SeriesSpec& series) {
   out->i32(static_cast<std::int32_t>(series.workload));
 }
 
+// Bytes one series occupies on the wire (four i32 enums).
+constexpr std::size_t kWalSeriesBytes = 4 * sizeof(std::int32_t);
+
 rt::SeriesSpec wal_decode_series(WalCursor* in) {
   rt::SeriesSpec series;
   series.system = static_cast<sys::SystemId>(in->i32());
@@ -69,20 +72,6 @@ void wal_encode_result(WalBuffer* out, const rt::PointResult& result) {
   out->f64(result.prediction.mflups);
   out->f64(result.prediction.surface_points);
   out->i32(result.prediction.comm_events);
-  out->u8(result.shrink.has_value() ? 1 : 0);
-  if (result.shrink) {
-    out->u32(static_cast<std::uint32_t>(result.shrink->failed_ranks.size()));
-    for (Rank rank : result.shrink->failed_ranks)
-      out->i32(static_cast<std::int32_t>(rank));
-    out->i64(result.shrink->recovery_step);
-    out->i32(result.shrink->survivor_count);
-  }
-  out->u8(result.sdc.has_value() ? 1 : 0);  // journal v2
-  if (result.sdc) {
-    out->i64(result.sdc->detected);
-    out->i64(result.sdc->false_positives);
-    out->i64(result.sdc->quarantines);
-  }
 }
 
 rt::PointResult wal_decode_result(WalCursor* in) {
@@ -106,23 +95,6 @@ rt::PointResult wal_decode_result(WalCursor* in) {
   result.prediction.mflups = in->f64();
   result.prediction.surface_points = in->f64();
   result.prediction.comm_events = in->i32();
-  if (in->u8() != 0) {
-    rt::ShrinkProvenance shrink;
-    const std::uint32_t n_ranks = in->u32();
-    shrink.failed_ranks.reserve(n_ranks);
-    for (std::uint32_t i = 0; i < n_ranks; ++i)
-      shrink.failed_ranks.push_back(static_cast<Rank>(in->i32()));
-    shrink.recovery_step = in->i64();
-    shrink.survivor_count = in->i32();
-    result.shrink = std::move(shrink);
-  }
-  if (in->u8() != 0) {
-    rt::SdcReport sdc;
-    sdc.detected = in->i64();
-    sdc.false_positives = in->i64();
-    sdc.quarantines = in->i64();
-    result.sdc = sdc;
-  }
   return result;
 }
 
@@ -161,6 +133,11 @@ void wal_decode_admitted(WalCursor* in, std::uint64_t* request_id,
   *tenant = in->str();
   *name = in->str();
   const std::uint32_t n = in->u32();
+  // The count sizes an allocation, so it must fit the bytes that follow.
+  if (n > in->remaining() / kWalSeriesBytes)
+    throw JournalError("journal admitted record claims " + std::to_string(n) +
+                       " series in " + std::to_string(in->remaining()) +
+                       " payload bytes");
   series->clear();
   series->reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)

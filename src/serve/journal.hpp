@@ -44,11 +44,10 @@ class JournalError : public std::runtime_error {
 };
 
 inline constexpr std::uint64_t kJournalMagic = 0x4c41574f4d4548ull;  // "HEMOWAL"
-// v2: point records carry an optional SDC sentinel report (flag + three
-// i64 counters) after the shrink block.  v1 journals are not readable by
-// v2 (the point payload grew), and recovery refuses newer-than-known
-// versions — a version bump is a clean break, not a compatibility layer.
-inline constexpr std::uint32_t kJournalVersion = 2;
+// Bumped whenever a payload layout changes (v3: point records end at the
+// prediction).  Recovery reads exactly this version — a version bump is a
+// clean break, not a compatibility layer.
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 enum class WalTag : std::uint32_t {
   kTenantConfig = 1,   // a configure_tenant that took effect
@@ -116,6 +115,7 @@ class WalCursor {
     return out;
   }
   bool at_end() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
  private:
   template <class T>

@@ -44,9 +44,9 @@ RecoveredState replay_journal(const std::string& path) {
   std::uint32_t version = 0;
   if (!peek_pod(raw.bytes, 0, &magic) || magic != kJournalMagic)
     throw JournalError("journal '" + path + "' has the wrong magic number");
-  // Exact-version match: v2 grew the point payload (SDC report), so a v1
-  // journal's point records would mis-decode rather than merely miss
-  // fields.  Refusing loudly beats replaying garbage.
+  // Exact-version match: each bump changed the point payload's layout, so
+  // another version's point records would mis-decode rather than merely
+  // miss fields.  Refusing loudly beats replaying garbage.
   if (!peek_pod(raw.bytes, sizeof magic, &version) ||
       version != kJournalVersion)
     throw JournalError("journal '" + path + "' has unsupported version " +

@@ -78,11 +78,98 @@ std::optional<std::string> Server::configure_tenant(
   return std::nullopt;
 }
 
-Server::SubmitOutcome Server::submit(const std::string& tenant,
-                                     const std::string& name,
-                                     const std::vector<rt::SeriesSpec>& series,
-                                     EventSink sink) {
-  return submit(tenant, name, series, std::move(sink), SubmitOptions{});
+Server::Layout Server::lay_out(const std::vector<rt::SeriesSpec>& series) {
+  Layout layout;
+  layout.schedule.resize(series.size());
+  layout.unavailable.resize(series.size());
+  layout.point_costs.resize(series.size());
+  for (std::size_t s = 0; s < series.size(); ++s) {
+    layout.schedule[s] =
+        sys::piecewise_schedule(sys::system_spec(series[s].system).max_devices);
+    const std::vector<sys::SchedulePoint>& schedule = layout.schedule[s];
+    layout.unavailable[s] = rt::unavailable_failure(series[s]);
+    layout.point_costs[s].resize(schedule.size(), 0.0);
+    layout.total_points += schedule.size();
+    if (layout.unavailable[s]) continue;  // never priced, never executed
+    for (std::size_t k = 0; k < schedule.size(); ++k) {
+      layout.point_costs[s][k] =
+          predicted_point_cost(cache_, series[s], schedule[k]);
+      layout.total_cost += layout.point_costs[s][k];
+    }
+  }
+  return layout;
+}
+
+std::shared_ptr<Server::RequestState> Server::open_request_locked(
+    std::uint64_t id, const std::string& tenant, const std::string& name,
+    const std::vector<rt::SeriesSpec>& series, const Layout& layout,
+    EventSink sink, Touched* touched) {
+  // requires mu_ held
+  auto request = std::make_shared<RequestState>();
+  request->id = id;
+  request->tenant = tenant;
+  request->name = name;
+  request->series = series;
+  request->point_costs = layout.point_costs;
+  request->total_points = layout.total_points;
+  request->cost = layout.total_cost;
+  request->start = std::chrono::steady_clock::now();
+  request->sink = std::move(sink);
+  HEMO_EXPECTS(request->sink != nullptr);
+  requests_.emplace(id, request);
+  counters_.points_admitted += layout.total_points;
+
+  // Staged first, before any task exists: outbox sequencing then
+  // guarantees no point event can reach the sink ahead of it.
+  Event accepted;
+  accepted.kind = Event::Kind::kAccepted;
+  accepted.request_id = id;
+  accepted.tenant = tenant;
+  accepted.name = name;
+  accepted.points = layout.total_points;
+  accepted.cost = layout.total_cost;
+  stage_locked(request, std::move(accepted), touched);
+  return request;
+}
+
+std::size_t Server::enqueue_points_locked(
+    const std::shared_ptr<RequestState>& request, const Layout& layout,
+    const Replayed& replayed, Touched* touched) {
+  // requires mu_ held
+  std::size_t queued = 0;
+  for (std::size_t s = 0; s < request->series.size(); ++s) {
+    for (std::size_t k = 0; k < layout.schedule[s].size(); ++k) {
+      const PointSubscriber subscriber{request->id, request->tenant, s, k};
+      if (!replayed.empty() && replayed[s][k]) {
+        // The dedup path: deliver the journaled result, no execution.
+        record_point_locked(subscriber, *replayed[s][k], /*coalesced=*/false,
+                            /*recovered=*/true, touched);
+        continue;
+      }
+      if (layout.unavailable[s]) {
+        // The study never evaluated this combination: deliver the same
+        // structured failure run_campaign records, with no dispatch
+        // (attempts stays 0).
+        rt::PointResult failed;
+        failed.schedule = layout.schedule[s][k];
+        failed.failure = layout.unavailable[s];
+        record_point_locked(subscriber, failed, /*coalesced=*/false,
+                            /*recovered=*/false, touched);
+        continue;
+      }
+      PointTask task;
+      task.request_id = request->id;
+      task.tenant = request->tenant;
+      task.series_index = s;
+      task.point_index = k;
+      task.series = request->series[s];
+      task.schedule = layout.schedule[s][k];
+      task.key = rt::point_key(task.series, task.schedule);
+      dispatcher_.enqueue(std::move(task));
+      ++queued;
+    }
+  }
+  return queued;
 }
 
 Server::SubmitOutcome Server::submit(const std::string& tenant,
@@ -100,30 +187,8 @@ Server::SubmitOutcome Server::submit(const std::string& tenant,
     return outcome;
   }
 
-  // Phase 1, unlocked: lay out and price every point.  Pricing resolves
-  // workloads through the shared cache, so a first-seen geometry is
-  // voxelized here, outside the scheduling lock, and reused by execution.
-  struct SeriesLayout {
-    std::vector<sys::SchedulePoint> schedule;
-    std::optional<rt::JobFailure> unavailable;
-  };
-  std::vector<SeriesLayout> layout(series.size());
-  std::vector<std::vector<double>> point_costs(series.size());
-  std::size_t total_points = 0;
-  double total_cost = 0.0;
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    layout[s].schedule = sys::piecewise_schedule(
-        sys::system_spec(series[s].system).max_devices);
-    layout[s].unavailable = rt::unavailable_failure(series[s]);
-    point_costs[s].resize(layout[s].schedule.size(), 0.0);
-    total_points += layout[s].schedule.size();
-    if (layout[s].unavailable) continue;  // never priced, never executed
-    for (std::size_t k = 0; k < layout[s].schedule.size(); ++k) {
-      point_costs[s][k] =
-          predicted_point_cost(cache_, series[s], layout[s].schedule[k]);
-      total_cost += point_costs[s][k];
-    }
-  }
+  // Phase 1, unlocked: lay out and price every point.
+  const Layout layout = lay_out(series);
 
   // Phase 2, locked: shed, admit, journal, register, queue, pump.
   Touched touched;
@@ -140,7 +205,7 @@ Server::SubmitOutcome Server::submit(const std::string& tenant,
       outcome.detail = std::move(shed_detail);
     } else {
       const AdmissionController::Decision decision = admission_.admit(
-          tenant, total_cost, static_cast<int>(total_points));
+          tenant, layout.total_cost, static_cast<int>(layout.total_points));
       if (!decision.admitted) {
         switch (decision.reason) {
           case RejectReason::kQueueFull: ++counters_.rejected_queue_full; break;
@@ -150,72 +215,28 @@ Server::SubmitOutcome Server::submit(const std::string& tenant,
         outcome.reason = decision.reason;
         outcome.detail = decision.detail;
       } else {
-        auto request = std::make_shared<RequestState>();
-        request->id = ++next_request_id_;
-        request->tenant = tenant;
-        request->name = name.empty() ? "campaign" : name;
-        request->series = series;
-        request->point_costs = std::move(point_costs);
-        request->total_points = total_points;
-        request->cost = total_cost;
-        request->start = std::chrono::steady_clock::now();
-        if (submit_options.deadline)
-          request->deadline = request->start + *submit_options.deadline;
-        request->sink = std::move(sink);
+        const std::uint64_t id = ++next_request_id_;
+        const std::string request_name = name.empty() ? "campaign" : name;
 
         // WAL discipline: the admission is durable before the accepted
         // event can reach the client.  A crash before this append means
         // the client never heard "accepted" and simply re-submits.
         if (journal_) {
           WalBuffer payload;
-          wal_encode_admitted(&payload, request->id, tenant, request->name,
-                              series);
+          wal_encode_admitted(&payload, id, tenant, request_name, series);
           journal_locked(WalTag::kAdmitted, payload);
         }
 
-        requests_.emplace(request->id, request);
+        const std::shared_ptr<RequestState> request = open_request_locked(
+            id, tenant, request_name, series, layout, std::move(sink),
+            &touched);
+        if (submit_options.deadline)
+          request->deadline = request->start + *submit_options.deadline;
         ++counters_.requests_admitted;
-        counters_.points_admitted += total_points;
-
         outcome.admitted = true;
-        outcome.request_id = request->id;
+        outcome.request_id = id;
 
-        // Staged first, before any task exists: outbox sequencing then
-        // guarantees no point event can reach the sink ahead of it.
-        Event accepted;
-        accepted.kind = Event::Kind::kAccepted;
-        accepted.request_id = request->id;
-        accepted.tenant = tenant;
-        accepted.name = request->name;
-        accepted.points = total_points;
-        accepted.cost = total_cost;
-        stage_locked(request, std::move(accepted), &touched);
-
-        for (std::size_t s = 0; s < series.size(); ++s) {
-          for (std::size_t k = 0; k < layout[s].schedule.size(); ++k) {
-            if (layout[s].unavailable) {
-              // The study never evaluated this combination: deliver the
-              // same structured failure run_campaign records, with no
-              // dispatch (attempts stays 0).
-              rt::PointResult failed;
-              failed.schedule = layout[s].schedule[k];
-              failed.failure = layout[s].unavailable;
-              record_point_locked({request->id, tenant, s, k}, failed,
-                                  /*coalesced=*/false, /*recovered=*/false,
-                                  &touched);
-              continue;
-            }
-            PointTask task;
-            task.request_id = request->id;
-            task.tenant = tenant;
-            task.series_index = s;
-            task.point_index = k;
-            task.series = series[s];
-            task.schedule = layout[s].schedule[k];
-            task.key = rt::point_key(series[s], layout[s].schedule[k]);
-            dispatcher_.enqueue(std::move(task));
-          }
-        }
+        enqueue_points_locked(request, layout, Replayed{}, &touched);
         if (request->deadline &&
             std::chrono::steady_clock::now() >= *request->deadline) {
           // Deterministic zero-budget semantics: an already-expired
@@ -273,106 +294,37 @@ Server::RestoreOutcome Server::restore(
     }
 
     // Unlocked: lay out and price exactly as submit() phase 1 does.
-    struct SeriesLayout {
-      std::vector<sys::SchedulePoint> schedule;
-      std::optional<rt::JobFailure> unavailable;
-    };
-    std::vector<SeriesLayout> layout(recovered.series.size());
-    std::vector<std::vector<double>> point_costs(recovered.series.size());
-    std::size_t total_points = 0;
-    double total_cost = 0.0;
-    for (std::size_t s = 0; s < recovered.series.size(); ++s) {
-      layout[s].schedule = sys::piecewise_schedule(
-          sys::system_spec(recovered.series[s].system).max_devices);
-      layout[s].unavailable = rt::unavailable_failure(recovered.series[s]);
-      point_costs[s].resize(layout[s].schedule.size(), 0.0);
-      total_points += layout[s].schedule.size();
-      if (layout[s].unavailable) continue;
-      for (std::size_t k = 0; k < layout[s].schedule.size(); ++k) {
-        point_costs[s][k] = predicted_point_cost(cache_, recovered.series[s],
-                                                 layout[s].schedule[k]);
-        total_cost += point_costs[s][k];
-      }
-    }
+    const Layout layout = lay_out(recovered.series);
 
     // Journaled completions, indexed by slot; out-of-range ones (a log
     // from a different schedule build) are dropped rather than trusted.
-    std::vector<std::vector<const rt::PointResult*>> replayed(
-        recovered.series.size());
+    Replayed replayed(recovered.series.size());
     for (std::size_t s = 0; s < recovered.series.size(); ++s)
-      replayed[s].assign(layout[s].schedule.size(), nullptr);
+      replayed[s].assign(layout.schedule[s].size(), nullptr);
     for (const RecoveredPoint& point : recovered.completed)
       if (point.series_index < replayed.size() &&
           point.point_index < replayed[point.series_index].size())
         replayed[point.series_index][point.point_index] = &point.result;
+    for (const std::vector<const rt::PointResult*>& slots : replayed)
+      outcome.points_replayed +=
+          slots.size() - std::count(slots.begin(), slots.end(), nullptr);
 
     Touched touched;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto request = std::make_shared<RequestState>();
-      request->id = recovered.id;
-      request->tenant = recovered.tenant;
-      request->name = recovered.name;
-      request->series = recovered.series;
-      request->point_costs = std::move(point_costs);
-      request->total_points = total_points;
-      request->cost = total_cost;
-      request->start = std::chrono::steady_clock::now();
-      request->sink = sink_factory(recovered);
-      HEMO_EXPECTS(request->sink != nullptr);
-
       // Force-charge: this request already passed admission in the
       // previous process and its client was told so.
-      admission_.restore(recovered.tenant, total_cost,
-                         static_cast<int>(total_points));
-      requests_.emplace(request->id, request);
-      ++counters_.requests_resumed;
-      counters_.points_admitted += total_points;
-      ++outcome.requests_resumed;
-
-      // Re-deliver the accepted event: the client of the resumed stream
+      admission_.restore(recovered.tenant, layout.total_cost,
+                         static_cast<int>(layout.total_points));
+      // Re-delivers the accepted event: the client of the resumed stream
       // gets the same prologue an uninterrupted run produced.
-      Event accepted;
-      accepted.kind = Event::Kind::kAccepted;
-      accepted.request_id = request->id;
-      accepted.tenant = request->tenant;
-      accepted.name = request->name;
-      accepted.points = total_points;
-      accepted.cost = total_cost;
-      stage_locked(request, std::move(accepted), &touched);
-
-      for (std::size_t s = 0; s < recovered.series.size(); ++s) {
-        for (std::size_t k = 0; k < layout[s].schedule.size(); ++k) {
-          const PointSubscriber subscriber{request->id, request->tenant, s, k};
-          if (replayed[s][k]) {
-            // The dedup path: deliver the journaled result, no execution.
-            record_point_locked(subscriber, *replayed[s][k],
-                                /*coalesced=*/false, /*recovered=*/true,
-                                &touched);
-            ++outcome.points_replayed;
-            continue;
-          }
-          if (layout[s].unavailable) {
-            // Deterministic re-derivation, same as submit().
-            rt::PointResult failed;
-            failed.schedule = layout[s].schedule[k];
-            failed.failure = layout[s].unavailable;
-            record_point_locked(subscriber, failed, /*coalesced=*/false,
-                                /*recovered=*/false, &touched);
-            continue;
-          }
-          PointTask task;
-          task.request_id = request->id;
-          task.tenant = request->tenant;
-          task.series_index = s;
-          task.point_index = k;
-          task.series = recovered.series[s];
-          task.schedule = layout[s].schedule[k];
-          task.key = rt::point_key(recovered.series[s], layout[s].schedule[k]);
-          dispatcher_.enqueue(std::move(task));
-          ++outcome.points_requeued;
-        }
-      }
+      const std::shared_ptr<RequestState> request = open_request_locked(
+          recovered.id, recovered.tenant, recovered.name, recovered.series,
+          layout, sink_factory(recovered), &touched);
+      ++counters_.requests_resumed;
+      ++outcome.requests_resumed;
+      outcome.points_requeued +=
+          enqueue_points_locked(request, layout, replayed, &touched);
       pump_locked(&touched);
     }
     drain(touched);
@@ -414,7 +366,7 @@ void Server::pump_locked(Touched* touched) {
           if (abandon_if_expired(task.key)) return;
           if (options_.execution_hook)
             options_.execution_hook(task.series, task.schedule);
-          rt::JobOptions job = options_.job;
+          rt::JobOptions job;
           job.cancelled = [this, key = task.key] {
             return execution_expired(key);
           };
@@ -426,7 +378,7 @@ void Server::pump_locked(Touched* touched) {
             // cancelling.  Re-price without the cancel hook — someone is
             // waiting for a real result now.
             result = rt::price_point(cache_, task.series, task.schedule,
-                                     options_.job);
+                                     rt::JobOptions{});
           }
           on_point_complete(task, result);
         });
@@ -464,13 +416,6 @@ void Server::record_point_locked(const PointSubscriber& subscriber,
       request->point_costs[subscriber.series_index][subscriber.point_index]);
   ++counters_.points_completed;
   if (recovered) ++counters_.points_replayed;
-  if (result.sdc.has_value()) {
-    counters_.sdc_detected += static_cast<std::uint64_t>(result.sdc->detected);
-    counters_.sdc_false_positive +=
-        static_cast<std::uint64_t>(result.sdc->false_positives);
-    counters_.sdc_quarantines +=
-        static_cast<std::uint64_t>(result.sdc->quarantines);
-  }
   ++request->done_points;
   if (!result.ok()) ++request->failed_points;
 
@@ -686,33 +631,16 @@ bool Server::abandon_if_expired(const std::string& key) {
 bool Server::overloaded_locked(const std::string& tenant,
                                std::string* detail) {
   // requires mu_ held
-  if (options_.shed_queue_depth > 0) {
-    const std::size_t backlog = dispatcher_.queued();
-    if (backlog >= options_.shed_queue_depth) {
-      const std::size_t hard =
-          options_.shed_queue_depth *
-          std::max<std::size_t>(1, options_.shed_hard_factor);
-      const bool exempt =
-          admission_.weight(tenant) >= options_.shed_exempt_weight &&
-          backlog < hard;
-      if (!exempt) {
-        *detail = "service overloaded: " + std::to_string(backlog) +
-                  " points queued (shed threshold " +
-                  std::to_string(options_.shed_queue_depth) +
-                  "); retry later";
-        return true;
-      }
-    }
-  }
-  if (options_.shed_fsync_backlog > 0 && journal_ &&
-      journal_->unsynced() >= options_.shed_fsync_backlog) {
-    *detail = "service overloaded: " +
-              std::to_string(journal_->unsynced()) +
-              " journal records awaiting fsync (threshold " +
-              std::to_string(options_.shed_fsync_backlog) + "); retry later";
-    return true;
-  }
-  return false;
+  const std::size_t depth = options_.shed_queue_depth;
+  const std::size_t backlog = dispatcher_.queued();
+  if (depth == 0 || backlog < depth) return false;
+  if (admission_.weight(tenant) >= kShedExemptWeight &&
+      backlog < depth * kShedHardFactor)
+    return false;  // exempt until the hard limit
+  *detail = "service overloaded: " + std::to_string(backlog) +
+            " points queued (shed threshold " + std::to_string(depth) +
+            "); retry later";
+  return true;
 }
 
 void Server::journal_locked(WalTag tag, const WalBuffer& payload) {
@@ -788,11 +716,6 @@ bool Server::shutting_down() const {
 
 ServeHandle::ServeHandle(Server& server, std::string tenant)
     : server_(server), tenant_(std::move(tenant)) {}
-
-Server::SubmitOutcome ServeHandle::submit(
-    const std::string& name, const std::vector<rt::SeriesSpec>& series) {
-  return submit(name, series, Server::SubmitOptions{});
-}
 
 Server::SubmitOutcome ServeHandle::submit(
     const std::string& name, const std::vector<rt::SeriesSpec>& series,
@@ -925,8 +848,7 @@ std::string event_json(const Event& event) {
          << ", \"size_multiplier\": " << p.schedule.size_multiplier
          << ", \"attempts\": " << p.attempts;
       if (p.ok()) {
-        os << ", \"status\": \"" << (p.degraded() ? "degraded" : "ok")
-           << "\", \"mflups\": " << fmt_double(p.sim.mflups)
+        os << ", \"status\": \"ok\", \"mflups\": " << fmt_double(p.sim.mflups)
            << ", \"iteration_s\": " << fmt_double(p.sim.iteration_s)
            << ", \"predicted_mflups\": " << fmt_double(p.prediction.mflups);
       } else {
@@ -975,9 +897,6 @@ std::string stats_json(const ServeStats& stats) {
      << ", \"replayed\": " << stats.points_replayed
      << ", \"queued\": " << stats.queued
      << ", \"dispatched\": " << stats.dispatched
-     << "}, \"sdc\": {\"detected\": " << stats.sdc_detected
-     << ", \"false_positives\": " << stats.sdc_false_positive
-     << ", \"quarantines\": " << stats.sdc_quarantines
      << "}, \"journal\": {\"active\": "
      << (stats.journal_active ? "true" : "false")
      << ", \"records\": " << stats.journal_records

@@ -37,9 +37,9 @@
 // executions every subscriber abandoned are dropped cooperatively, and
 // the client receives exactly one deadline_exceeded event before done.
 //
-// Overload shedding: past a configurable dispatcher-backlog (or unsynced-
-// journal) threshold, new work from non-exempt tenants is rejected with
-// the retryable `overloaded` reason instead of queuing unboundedly.
+// Overload shedding: past a configurable dispatcher-backlog threshold, new
+// work from non-exempt tenants is rejected with the retryable `overloaded`
+// reason instead of queuing unboundedly.
 //
 // The in-process ServeHandle below is the no-socket client used by tests
 // and embedders; the wire front-end lives in serve/socket.hpp.
@@ -69,6 +69,12 @@
 
 namespace hemo::serve {
 
+/// Tenants with weight >= this keep being admitted through a load shed —
+/// until the hard limit below, which protects the server itself.
+inline constexpr double kShedExemptWeight = 2.0;
+/// Even exempt tenants are shed at ServeOptions::shed_queue_depth * this.
+inline constexpr std::size_t kShedHardFactor = 2;
+
 struct ServeOptions {
   int workers = 0;                  // <= 0: hardware concurrency
   std::size_t cache_capacity = 256;
@@ -83,8 +89,6 @@ struct ServeOptions {
   /// Completed-point memo capacity (CoalescingBoard).
   std::size_t memo_capacity = 4096;
   TenantConfig tenant_defaults;
-  /// Per-point timeout/retry, forwarded to rt::price_point.
-  rt::JobOptions job;
   /// Test hook, called on the worker at the start of every *execution*
   /// (never for coalesced or memoized deliveries).  The coalescing tests
   /// park executions here to force an in-flight overlap.
@@ -97,18 +101,9 @@ struct ServeOptions {
   std::optional<JournalOptions> journal;
 
   /// Load shedding: when the fair-share backlog reaches this depth, new
-  /// submits from tenants below shed_exempt_weight are rejected with the
+  /// submits from tenants below kShedExemptWeight are rejected with the
   /// retryable kOverloaded reason.  0 = shedding off.
   std::size_t shed_queue_depth = 0;
-  /// Tenants with weight >= this keep being admitted through a shed —
-  /// until the hard limit below, which protects the server itself.
-  double shed_exempt_weight = 2.0;
-  /// Even exempt tenants are shed at shed_queue_depth * this factor.
-  std::size_t shed_hard_factor = 2;
-  /// Shed every new submit while this many journal records await fsync
-  /// (group-commit backlog).  0 = off.  With group_commit == 1 the
-  /// backlog is always 0 and this never fires.
-  std::size_t shed_fsync_backlog = 0;
 };
 
 /// One streamed server-to-client notification.
@@ -171,12 +166,6 @@ struct ServeStats {
   std::uint64_t points_replayed = 0;   // delivered from the journal, no
                                        // re-execution (the dedup counter)
 
-  // SDC sentinel (RS006) activity aggregated over every delivered point's
-  // SdcReport — the serving tier's self-audit against silent corruption.
-  std::uint64_t sdc_detected = 0;
-  std::uint64_t sdc_false_positive = 0;
-  std::uint64_t sdc_quarantines = 0;
-
   // Journal.
   bool journal_active = false;
   std::uint64_t journal_records = 0;   // appended this process
@@ -238,10 +227,7 @@ class Server {
   /// stay callable until the done event has been delivered.
   SubmitOutcome submit(const std::string& tenant, const std::string& name,
                        const std::vector<rt::SeriesSpec>& series,
-                       EventSink sink);
-  SubmitOutcome submit(const std::string& tenant, const std::string& name,
-                       const std::vector<rt::SeriesSpec>& series,
-                       EventSink sink, const SubmitOptions& options);
+                       EventSink sink, const SubmitOptions& options = {});
 
   struct RestoreOutcome {
     std::size_t requests_resumed = 0;       // unfinished, re-admitted
@@ -309,6 +295,34 @@ class Server {
   /// Requests whose outboxes a locked section touched; drained after the
   /// lock is released.
   using Touched = std::vector<std::shared_ptr<RequestState>>;
+
+  /// Schedule, availability and admission price of every point of one
+  /// series list, computed unlocked: pricing resolves workloads through
+  /// the shared cache, so a first-seen geometry is voxelized outside the
+  /// scheduling lock and reused by execution.
+  struct Layout {
+    std::vector<std::vector<sys::SchedulePoint>> schedule;  // [series][point]
+    std::vector<std::optional<rt::JobFailure>> unavailable;  // [series]
+    std::vector<std::vector<double>> point_costs;  // [series][point]
+    std::size_t total_points = 0;
+    double total_cost = 0.0;
+  };
+  /// Journaled results by slot ([series][point]; null = not replayed).
+  using Replayed = std::vector<std::vector<const rt::PointResult*>>;
+
+  Layout lay_out(const std::vector<rt::SeriesSpec>& series);
+  /// Registers an admitted request and stages its accepted event.
+  std::shared_ptr<RequestState> open_request_locked(
+      std::uint64_t id, const std::string& tenant, const std::string& name,
+      const std::vector<rt::SeriesSpec>& series, const Layout& layout,
+      EventSink sink, Touched* touched);
+  /// Routes every point of a just-opened request: a replayed slot is
+  /// delivered from the journal, an unavailable series' points get its
+  /// structured failure, and the rest are queued on the dispatcher.
+  /// Returns the number queued.
+  std::size_t enqueue_points_locked(
+      const std::shared_ptr<RequestState>& request, const Layout& layout,
+      const Replayed& replayed, Touched* touched);
 
   void stage_locked(const std::shared_ptr<RequestState>& request,
                     Event event, Touched* touched);
@@ -381,10 +395,8 @@ class ServeHandle {
 
   /// Submits a campaign; events will arrive on this handle's queue.
   Server::SubmitOutcome submit(const std::string& name,
-                               const std::vector<rt::SeriesSpec>& series);
-  Server::SubmitOutcome submit(const std::string& name,
                                const std::vector<rt::SeriesSpec>& series,
-                               const Server::SubmitOptions& options);
+                               const Server::SubmitOptions& options = {});
 
   /// Recovery adapter: returns the EventSink Server::restore() needs for
   /// one resumed request and registers the request on this handle, so

@@ -190,14 +190,6 @@ perf::Prediction ClusterSimulator::predict(const Workload& workload,
   return model.predict(workload.target_points(size_multiplier), devices);
 }
 
-perf::Prediction ClusterSimulator::predict_degraded(
-    const Workload& workload, int devices, int survivors,
-    int size_multiplier) const {
-  const perf::PerformanceModel model(spec_);
-  return model.predict_degraded(workload.target_points(size_multiplier),
-                                devices, survivors);
-}
-
 std::vector<std::vector<double>> application_efficiencies(
     const std::vector<std::vector<SimPoint>>& series) {
   HEMO_EXPECTS(!series.empty());

@@ -71,13 +71,6 @@ class ClusterSimulator {
   perf::Prediction predict(const Workload& workload, int devices,
                            int size_multiplier) const;
 
-  /// Degraded-mode prediction: the point started at `devices` but rank
-  /// deaths shrank it onto `survivors`, so its architectural efficiency is
-  /// judged against the survivor-count ideal
-  /// (perf::PerformanceModel::predict_degraded).
-  perf::Prediction predict_degraded(const Workload& workload, int devices,
-                                    int survivors, int size_multiplier) const;
-
   sys::SystemId system() const { return system_; }
   hal::Model model() const { return model_; }
   App app() const { return app_; }

@@ -61,7 +61,7 @@ TEST(Overload, ShedsLowPriorityRejectsRetryablyAndRecoversAfterDrain) {
   Gate gate;
   Server server(parked_options(&gate, 8));
   TenantConfig heavy;
-  heavy.weight = 2.0;  // >= shed_exempt_weight: exempt until the hard limit
+  heavy.weight = 2.0;  // >= kShedExemptWeight: exempt until the hard limit
   ASSERT_FALSE(server.configure_tenant("prio", heavy));
   ServeHandle low(server, "alice");
   ServeHandle high(server, "prio");
@@ -160,41 +160,6 @@ TEST(Overload, RejectedEventSaysOverloaded) {
   gate.release();
   client.wait(fill.request_id);
   server.wait_idle();
-}
-
-// Journal group-commit backlog shedding: with an fsync window larger
-// than the campaign's record count, finishing one campaign leaves
-// unsynced records, and a threshold of 1 sheds the next submit.
-TEST(Overload, FsyncBacklogSheds) {
-  const std::string wal =
-      std::string(::testing::TempDir()) + "overload_fsync.wal";
-  std::remove(wal.c_str());
-  {
-    ServeOptions options;
-    options.workers = 2;
-    JournalOptions journal;
-    journal.path = wal;
-    journal.group_commit = 1000;  // never syncs within this test
-    options.journal = journal;
-    options.shed_fsync_backlog = 1;
-    Server server(options);
-    ServeHandle client(server, "alice");
-    const Server::SubmitOutcome first =
-        client.submit("durable", {series_of(kSeries)});
-    ASSERT_TRUE(first.admitted);  // backlog was empty at admission
-    client.wait(first.request_id);
-    {
-      const ServeStats stats = server.stats();
-      EXPECT_TRUE(stats.journal_active);
-      EXPECT_GE(stats.journal_unsynced, 1u);
-    }
-    const Server::SubmitOutcome shed =
-        client.submit("backlogged", {series_of(kSeries)});
-    EXPECT_FALSE(shed.admitted);
-    EXPECT_EQ(shed.reason, RejectReason::kOverloaded);
-    server.wait_idle();
-  }
-  std::remove(wal.c_str());
 }
 
 }  // namespace

@@ -155,6 +155,70 @@ TEST(Recovery, IgnoresDuplicateAndUnknownPoints) {
   EXPECT_EQ(state.unfinished_requests(), 1u);
 }
 
+// A CRC-valid admitted record whose series count cannot fit its payload
+// (here 0xFFFFFFFF series in zero remaining bytes) is a malformed record:
+// replay stops there with the valid prefix kept, instead of sizing an
+// allocation from the count.
+TEST(Recovery, OversizedSeriesCountTruncatesReplay) {
+  TempFile file("recovery_series_count.wal");
+  TenantConfig config;
+  config.weight = 2.0;
+  {
+    Journal journal({file.path});
+    WalBuffer tenant;
+    wal_encode_tenant(&tenant, "alice", config);
+    journal.append(WalTag::kTenantConfig, tenant);
+  }
+  const RecoveredState prefix = replay_journal(file.path);
+  ASSERT_EQ(prefix.records, 1u);
+  {
+    JournalOptions resume{file.path};
+    resume.resume_offset = prefix.valid_bytes;
+    Journal journal(resume);
+    WalBuffer admitted;
+    admitted.u64(1);
+    admitted.str("alice");
+    admitted.str("job");
+    admitted.u32(0xFFFFFFFFu);
+    journal.append(WalTag::kAdmitted, admitted);
+  }
+  const RecoveredState state = replay_journal(file.path);
+  EXPECT_NE(state.truncated_reason.find("4294967295 series"),
+            std::string::npos)
+      << state.truncated_reason;
+  EXPECT_EQ(state.records, 1u);
+  EXPECT_EQ(state.valid_bytes, prefix.valid_bytes);
+  ASSERT_EQ(state.tenants.size(), 1u);
+  EXPECT_EQ(state.tenants[0].second.weight, 2.0);
+  EXPECT_TRUE(state.requests.empty());
+}
+
+// Replay reads exactly kJournalVersion: a header one version older or
+// newer is refused, naming the version it found.
+TEST(Recovery, RefusesOtherJournalVersions) {
+  for (const std::uint32_t version :
+       {kJournalVersion - 1, kJournalVersion + 1}) {
+    TempFile file("recovery_version.wal");
+    {
+      WalBuffer header;
+      header.u64(kJournalMagic);
+      header.u32(version);
+      std::ofstream os(file.path, std::ios::binary);
+      os.write(header.bytes().data(),
+               static_cast<std::streamsize>(header.bytes().size()));
+    }
+    try {
+      replay_journal(file.path);
+      ADD_FAILURE() << "version " << version << " was replayed";
+    } catch (const JournalError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // The tentpole property: an interrupted journal restores into a server
 // that finishes the campaign byte-identical to the uninterrupted run,
 // delivering journaled points from the log instead of re-executing them.

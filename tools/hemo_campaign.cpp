@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "analysis/flux_rules.hpp"
+#include "base/parse.hpp"
 #include "base/table.hpp"
 #include "perf/model.hpp"
 #include "rt/campaign.hpp"
@@ -59,14 +60,6 @@ int usage(const char* argv0) {
       static_cast<int>(std::strlen(argv0)), "",
       static_cast<int>(std::strlen(argv0)), "", argv0);
   return 2;
-}
-
-bool parse_int(const char* text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
 }
 
 int list_vocabulary() {

@@ -39,7 +39,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,8 +50,10 @@
 #include <vector>
 
 #include "base/format.hpp"
+#include "base/parse.hpp"
 #include "base/table.hpp"
 #include "chaos/scenarios.hpp"
+#include "geom/cylinder.hpp"
 
 namespace {
 
@@ -112,19 +113,6 @@ int list_kinds() {
   return 0;
 }
 
-/// A whole decimal int: no trailing characters, nothing outside int.
-bool parse_int(const std::string& text, int* out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-      v > INT_MAX)
-    return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
 /// Digits only, within 64 bits.
 bool parse_seed(const std::string& text, std::uint64_t* out) {
   if (text.empty()) return false;
@@ -135,13 +123,10 @@ bool parse_seed(const std::string& text, std::uint64_t* out) {
   return errno != ERANGE;
 }
 
-/// A whole number in [chaos::kMinScale, chaos::kMaxScale].
+/// A number in [geom::kMinScale, geom::kMaxScale].
 bool parse_scale(const std::string& text, double* out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || !(v >= chaos::kMinScale) ||
-      !(v <= chaos::kMaxScale))
+  double v = 0.0;
+  if (!parse_double(text, &v) || v < geom::kMinScale || v > geom::kMaxScale)
     return false;
   *out = v;
   return true;

@@ -45,6 +45,7 @@
 #include "analysis/registry.hpp"
 #include "analysis/report.hpp"
 #include "analysis/rules.hpp"
+#include "base/parse.hpp"
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
 #include "perf/model.hpp"
@@ -67,22 +68,6 @@ int usage(const char* argv0) {
                "--emit-baseline FILE\n",
                argv0, argv0, argv0, argv0, argv0);
   return 1;
-}
-
-bool parse_int(const char* text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 int bad_number(const std::string& flag, const char* value, const char* argv0) {
@@ -197,6 +182,13 @@ int run_lattice(const std::string& ends_name, double scale, int ranks,
                                       ? geom::CylinderEnds::kPeriodic
                                       : geom::CylinderEnds::kInletOutlet;
   const auto lattice = geom::make_cylinder_lattice(spec, ends);
+  // Every rank must own at least one point (bisection_partition's
+  // precondition); refuse here instead of aborting there.
+  if (ranks > lattice->size()) {
+    std::fprintf(stderr, "--ranks %d exceeds the lattice's %lld points\n",
+                 ranks, static_cast<long long>(lattice->size()));
+    return 1;
+  }
 
   std::vector<analysis::Diagnostic> all = analysis::check_lattice(*lattice);
   if (ranks > 1) {
@@ -302,7 +294,8 @@ int main(int argc, char** argv) {
         return bad_number(arg, v, argv[0]);
     } else if (arg == "--scale") {
       const char* v = next();
-      if (v == nullptr || !parse_double(v, &scale) || scale <= 0.0)
+      if (v == nullptr || !parse_double(v, &scale) ||
+          scale < geom::kMinScale || scale > geom::kMaxScale)
         return bad_number(arg, v, argv[0]);
     } else if (arg == "--ranks") {
       const char* v = next();

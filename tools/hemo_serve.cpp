@@ -61,6 +61,7 @@
 #include <unistd.h>
 
 #include "base/format.hpp"
+#include "base/parse.hpp"
 #include "rt/campaign.hpp"
 #include "serve/protocol.hpp"
 #include "serve/recovery.hpp"
@@ -93,22 +94,6 @@ int usage(const char* argv0) {
       static_cast<int>(std::strlen(argv0)), "", argv0, argv0,
       static_cast<int>(std::strlen(argv0)), "");
   return 2;
-}
-
-bool parse_int(const char* text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 struct Args {
