@@ -1,10 +1,14 @@
 // Google-benchmark microbenchmark of the guard kernel of a resilient
 // DistributedSolver step, the work that rides on the stream-collide:
 //
-//   BM_AuditTile  one 256-point tile audit, in cache: the sentinel digest
-//                 alone, the digest plus a per-point scalar velocity scan,
-//                 and the digest plus resilience::max_speed2, the scan
-//                 vectorized across points that audit_tile runs.
+//   BM_AuditTile    one 256-point tile audit, in cache: the sentinel
+//                   digest alone, the digest plus a per-point scalar
+//                   velocity scan, and the digest plus
+//                   resilience::max_speed2, the scan vectorized across
+//                   points that audit_tile runs.
+//   BM_VerifyState  the sentinel's verify read from memory: lbm::tile_digest
+//                   over every 256-point tile of an aorta-sized 8-rank
+//                   state, reported in bytes digested per second.
 
 #include <benchmark/benchmark.h>
 
@@ -73,6 +77,45 @@ void BM_AuditTile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTile);
 }
 BENCHMARK(BM_AuditTile)->DenseRange(kDigest, kSimdScan);
+
+// The dist-resilient state: the synthetic aorta's 198,465 points over 8
+// ranks, each rank's q-rows a stride of owned + ghost points apart (about
+// 30 MB).  kGhosts is of the order of a bisected aorta rank's halo.
+constexpr std::int64_t kAortaPoints = 198465;
+constexpr int kRanks = 8;
+constexpr std::int64_t kGhosts = 1500;
+/// States cycled through, so each digest pass finds its state out of the
+/// host's shared last-level cache (300 MiB on the reference host).
+constexpr int kStates = 12;
+
+void BM_VerifyState(benchmark::State& state) {
+  const std::int64_t owned = kAortaPoints / kRanks;
+  const std::int64_t stride = owned + kGhosts;
+  const std::size_t values = static_cast<std::size_t>(lbm::kQ) *
+                             static_cast<std::size_t>(stride);
+  // kStates x kRanks rank arrays, each filled like the in-cache tile.
+  const std::vector<double> tile = tile_state();
+  std::vector<std::vector<double>> ranks(
+      static_cast<std::size_t>(kStates * kRanks), std::vector<double>(values));
+  for (std::vector<double>& f : ranks)
+    for (std::size_t k = 0; k < values; ++k) f[k] = tile[k % tile.size()];
+
+  std::size_t at = 0;
+  for (auto _ : state) {
+    for (int r = 0; r < kRanks; ++r) {
+      const double* f = ranks[at + static_cast<std::size_t>(r)].data();
+      for (std::int64_t begin = 0; begin < owned; begin += kTile) {
+        const lbm::TileDigest d = lbm::tile_digest(
+            f, stride, begin, std::min(begin + kTile, owned));
+        benchmark::DoNotOptimize(d);
+      }
+    }
+    at = (at + kRanks) % ranks.size();
+  }
+  state.SetBytesProcessed(state.iterations() * kRanks * lbm::kQ * owned *
+                          static_cast<std::int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_VerifyState)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

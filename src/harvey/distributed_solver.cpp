@@ -107,7 +107,8 @@ void DistributedSolver::build_decomposition() {
     // Local adjacency and node types; ghost rows are never executed, so
     // their adjacency stays kSolidNeighbor and their type kBulk.  The
     // engine keeps its own 32-bit slot table built from the adjacency, so
-    // the adjacency itself is dropped once the engine exists.
+    // the adjacency itself is dropped once the engine exists.  A point
+    // with an upstream ghost is a border point.
     std::vector<PointIndex> adjacency(static_cast<std::size_t>(lbm::kQ) *
                                           static_cast<std::size_t>(rs.local),
                                       kSolidNeighbor);
@@ -117,13 +118,17 @@ void DistributedSolver::build_decomposition() {
       const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
       rs.node_type[static_cast<std::size_t>(li)] =
           static_cast<std::uint8_t>(global_->node_type(gi));
+      bool border = false;
       for (int q = 0; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up == kSolidNeighbor) continue;
+        const std::int64_t slot = map.at(up);
+        border = border || slot >= rs.owned;
         adjacency[static_cast<std::size_t>(q) *
                       static_cast<std::size_t>(rs.local) +
-                  static_cast<std::size_t>(li)] = map.at(up);
+                  static_cast<std::size_t>(li)] = slot;
       }
+      if (border) rs.border_points.push_back(li);
     }
 
     // Distributions: everything (ghosts included) starts at equilibrium;
@@ -208,11 +213,11 @@ void DistributedSolver::set_execution_model(hal::Model model) {
   model_ = model;
 }
 
-void DistributedSolver::advance_state(bool audit) {
-  // One launch runs every live rank's tiles.  A tile writes only its own
-  // rank's slots of its own points, so the result does not depend on how
-  // the launch is chunked across engine workers; the audit of a tile reads
-  // exactly the points its work-item just wrote.
+void DistributedSolver::step_tiles(TilePass pass) {
+  // One launch runs every live rank's tiles of the pass.  A tile writes
+  // only its own rank's slots of its own points, so the result does not
+  // depend on how the launch is chunked across engine workers; the audit of
+  // a tile reads exactly the points its work-item just wrote.
   std::vector<lbm::StepEngine::BlockStep> rank_steps;
   rank_steps.reserve(ranks_.size());
   for (const RankState& rs : ranks_)
@@ -220,18 +225,38 @@ void DistributedSolver::advance_state(bool audit) {
   const lbm::StepEngine::BlockStep* steps = rank_steps.data();
   const TileSpan* tiles = plan_.tiles.data();
   const RankState* ranks = ranks_.data();
-  resilience::TileAudit* audits = audit ? step_audits_.data() : nullptr;
+  const bool border_only = pass == TilePass::kBorder;
+  const std::size_t* border_tiles = plan_.border_tiles.data();
+  lbm::TileDigest* inputs =
+      pass == TilePass::kInterior ? input_digests_.data() : nullptr;
+  resilience::TileAudit* audits =
+      resilience_.has_value() ? step_audits_.data() : nullptr;
   const Vec3 force = options_.body_force;
-  hal::launch(model_, static_cast<std::int64_t>(plan_.tiles.size()),
-              [=](std::int64_t k) {
-                const TileSpan& t = tiles[k];
-                const lbm::StepEngine::BlockStep& s = steps[t.rank];
-                s.range(t.begin, t.end);
-                if (audits != nullptr)
-                  audits[k] = resilience::audit_tile(
-                      s.output(), ranks[t.rank].local, t.begin, t.end,
-                      force.x, force.y, force.z);
-              });
+  const std::size_t items =
+      border_only ? plan_.border_tiles.size() : plan_.tiles.size();
+  hal::launch(model_, static_cast<std::int64_t>(items), [=](std::int64_t i) {
+    const std::size_t k =
+        border_only ? border_tiles[i] : static_cast<std::size_t>(i);
+    const TileSpan& t = tiles[k];
+    const RankState& rs = ranks[t.rank];
+    if (inputs != nullptr) {
+      inputs[k] = lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
+      if (t.border) return;  // its ghosts are not exchanged yet
+    }
+    // A border tile's input was last read by its digest, before the
+    // exchange: fetch its rows ahead of the gather, as the digest does for
+    // an interior tile.
+    if (border_only)
+      lbm::prefetch_tile(rs.current(), rs.local, t.begin, t.end);
+    const lbm::StepEngine::BlockStep& s = steps[t.rank];
+    s.range(t.begin, t.end);
+    if (audits != nullptr)
+      audits[k] = resilience::audit_tile(s.output(), rs.local, t.begin, t.end,
+                                         force.x, force.y, force.z);
+  });
+}
+
+void DistributedSolver::commit_step() {
   for (RankState& rs : ranks_)
     if (rs.owned > 0) rs.engine.commit();  // dead ranks idle
   ++steps_done_;
@@ -245,12 +270,18 @@ void DistributedSolver::plan_step() {
   plan_.rank_first_tile.assign(1, 0);
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    for (std::int64_t begin = 0; begin < rs.owned; begin += tile_points)
-      plan_.tiles.push_back(
-          TileSpan{r, begin, std::min(begin + tile_points, rs.owned)});
+    auto border = rs.border_points.begin();
+    for (std::int64_t begin = 0; begin < rs.owned; begin += tile_points) {
+      const std::int64_t end = std::min(begin + tile_points, rs.owned);
+      border = std::lower_bound(border, rs.border_points.end(), begin);
+      const bool is_border = border != rs.border_points.end() && *border < end;
+      if (is_border) plan_.border_tiles.push_back(plan_.tiles.size());
+      plan_.tiles.push_back(TileSpan{r, begin, end, is_border});
+    }
     plan_.rank_first_tile.push_back(plan_.tiles.size());
   }
   step_audits_.assign(plan_.tiles.size(), resilience::TileAudit{});
+  input_digests_.assign(plan_.tiles.size(), lbm::TileDigest{});
 }
 
 // ---------------------------------------------------------------------------
@@ -282,19 +313,19 @@ double DistributedSolver::mass_of(
   return mass;
 }
 
-std::span<const resilience::TileAudit> DistributedSolver::rank_audits(
-    const std::vector<resilience::TileAudit>& audits, Rank r) const {
+template <class T>
+std::span<const T> DistributedSolver::rank_share(const std::vector<T>& per_tile,
+                                                 Rank r) const {
   const std::size_t first = plan_.rank_first_tile[static_cast<std::size_t>(r)];
   const std::size_t last =
       plan_.rank_first_tile[static_cast<std::size_t>(r) + 1];
-  return std::span<const resilience::TileAudit>(audits).subspan(
-      first, last - first);
+  return std::span<const T>(per_tile).subspan(first, last - first);
 }
 
 std::vector<lbm::TileDigest> DistributedSolver::digests_of(
     const std::vector<resilience::TileAudit>& audits, Rank r) const {
   std::vector<lbm::TileDigest> digests;
-  for (const resilience::TileAudit& a : rank_audits(audits, r))
+  for (const resilience::TileAudit& a : rank_share(audits, r))
     digests.push_back(a.digest);
   return digests;
 }
@@ -306,7 +337,8 @@ void DistributedSolver::step() {
   }
   network_->begin_step(steps_done_);
   exchange_halos();
-  advance_state(/*audit=*/false);
+  step_tiles(TilePass::kAll);
+  commit_step();
 }
 
 void DistributedSolver::run(int steps) {
@@ -503,7 +535,7 @@ std::vector<analysis::Diagnostic> DistributedSolver::health_of(
   std::vector<analysis::Diagnostic> out;
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const std::vector<analysis::Diagnostic> rank_diags =
-        resilience::health_diagnostics(rank_audits(audits, r), steps_done_,
+        resilience::health_diagnostics(rank_share(audits, r), steps_done_,
                                        "rank " + std::to_string(r));
     out.insert(out.end(), rank_diags.begin(), rank_diags.end());
   }
@@ -673,20 +705,6 @@ bool DistributedSolver::handle_sdc(
   why << "silent data corruption detected at step " << steps_done_;
   rollback_or_fault(why.str());  // re-anchors the digests itself
   return true;
-}
-
-bool DistributedSolver::sentinel_verify_all(bool force) {
-  const resilience::SentinelPolicy& pol = sentinel_->policy();
-  if (!force && steps_done_ % pol.check_interval != 0) return false;
-  const std::vector<resilience::TileAudit> audits = audit_state();
-  std::vector<resilience::Sentinel::Mismatch> found;
-  for (Rank r = 0; r < partition_.n_ranks; ++r) {
-    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    if (rs.owned == 0) continue;
-    sentinel_->verify(r, rank_view(rs), digests_of(audits, r), &found,
-                      &stats_.sdc_checks, &stats_.sdc_false_positive);
-  }
-  return handle_sdc(found, /*reexec=*/false);
 }
 
 bool DistributedSolver::reexec_vote_sample() {
@@ -900,11 +918,28 @@ void DistributedSolver::resilient_step() {
 
   const bool snapshot_due = steps_done_ % rec.checkpoint_interval == 0 &&
                             snapshot_.step != steps_done_;
-  if (sentinel_.has_value()) {
-    // Verify BEFORE the state is consumed (packed into halos, read by the
-    // kernel) and unconditionally before a snapshot is taken, so rollback
-    // targets are always verified-clean.
-    if (sentinel_verify_all(/*force=*/snapshot_due)) return;
+  // The sentinel verifies the input on its check interval and always before
+  // a snapshot, so rollback targets are verified-clean.
+  const bool verify_due =
+      sentinel_.has_value() &&
+      (snapshot_due ||
+       steps_done_ % sentinel_->policy().check_interval == 0);
+  if (verify_due) {
+    // One launch digests every tile's input and steps the interior tiles
+    // while they are in cache.  Their output waits in the spare buffers
+    // until the border tiles are stepped; a rollback just drops it.  The
+    // verdict comes BEFORE the halo pack reads the border points and
+    // before the snapshot copies the state.
+    step_tiles(TilePass::kInterior);
+    std::vector<resilience::Sentinel::Mismatch> found;
+    for (Rank r = 0; r < partition_.n_ranks; ++r) {
+      const RankState& rs = ranks_[static_cast<std::size_t>(r)];
+      if (rs.owned == 0) continue;
+      sentinel_->verify(r, rank_view(rs), rank_share(input_digests_, r),
+                        &found, &stats_.sdc_checks,
+                        &stats_.sdc_false_positive);
+    }
+    if (handle_sdc(found, /*reexec=*/false)) return;
   }
   if (snapshot_due) take_snapshot();
 
@@ -937,7 +972,8 @@ void DistributedSolver::resilient_step() {
   }
   suspect_rank_ = -1;
   suspect_count_ = 0;
-  advance_state(/*audit=*/true);
+  step_tiles(verify_due ? TilePass::kBorder : TilePass::kAll);
+  commit_step();
 
   // Compute-SDC cross-check: the step's input still survives in each
   // rank engine's second buffer (the swap's other half), so sampled tiles
@@ -1029,6 +1065,9 @@ void DistributedSolver::reanchor_after_restore() {
   const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
   if (sentinel_.has_value()) sentinel_record_all(audits);
+  // The file passed its CRC checks: it is the rollback target until the
+  // next snapshot boundary, which may be several steps away.
+  if (resilience_.has_value()) take_snapshot();
 }
 
 // ---------------------------------------------------------------------------

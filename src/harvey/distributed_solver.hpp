@@ -20,6 +20,15 @@
 // (CRC-checked io::Blob files) let a campaign resume a failed point from
 // its last good step.
 //
+// A step is one launch over the (rank, tile) spans of the step plan, after
+// the halo exchange.  With the SDC sentinel on, a step that verifies its
+// input is two launches instead, with the verdict and the exchange between
+// them.  The first digests every tile's input and steps the interior tiles
+// (no point reads a ghost slot) from cache; the sentinel's verdict and the
+// snapshot then come before any halo message is sent, since the pack reads
+// the border tiles' points; the second launch, after the exchange, steps
+// the border tiles.  Only the border tiles' input is read twice.
+//
 // Elastic shrink-recovery (opt-in via ShrinkPolicy): when a rank's
 // outbound traffic goes permanently silent — every receive from it
 // exhausts the retransmit budget with *nothing* arriving, step after
@@ -55,8 +64,9 @@
 namespace hemo::harvey {
 
 class DistributedSolver {
-  // Tests compare the audits made inside the step launch against a
-  // separate audit of the committed state.
+  // Tests compare the audits made inside the step launches against a
+  // separate audit of the committed state, and the plan's border flags
+  // against the partition.
   friend struct DistributedSolverPeer;
 
  public:
@@ -165,6 +175,8 @@ class DistributedSolver {
   struct RankState {
     std::vector<PointIndex> owned_global;  // global index of local point i
     std::vector<std::uint8_t> node_type;   // local
+    // Owned points with an upstream neighbour on another rank, ascending.
+    std::vector<std::int64_t> border_points;
     std::vector<double> f_a, f_b;
     lbm::StepEngine engine;  // steps the owned points of f_a/f_b
     std::int64_t owned = 0;  // owned points come first; ghosts after
@@ -201,20 +213,31 @@ class DistributedSolver {
 
   /// One tile: owned points [begin, end) of a rank.  The tiles are the
   /// sentinel's (SentinelPolicy::tile_points), so one audit over them also
-  /// yields every digest the sentinel records or verifies.
+  /// yields every digest the sentinel records or verifies.  A border tile
+  /// holds a point that reads a ghost slot, so it can be stepped only after
+  /// the halo exchange; an interior tile reads owned slots only.
   struct TileSpan {
     Rank rank = 0;
     std::int64_t begin = 0;
     std::int64_t end = 0;
+    bool border = false;
   };
 
   /// The step-wide work plan of the current decomposition: every tile of
-  /// every rank, the work-items of both the step launch and the audit
-  /// launch.  Dead ranks own no points and contribute nothing.
+  /// every rank, the work-items of the step and audit launches.  Dead ranks
+  /// own no points and contribute nothing.
   struct StepPlan {
     std::vector<TileSpan> tiles;  // (rank, tile) order
     // Rank r's tiles are tiles[rank_first_tile[r], rank_first_tile[r + 1]).
     std::vector<std::size_t> rank_first_tile;
+    std::vector<std::size_t> border_tiles;  // indices into tiles, ascending
+  };
+
+  /// The tiles one step launch runs (see resilient_step).
+  enum class TilePass {
+    kAll,       // step every tile
+    kInterior,  // digest every tile's input, then step the interior ones
+    kBorder,    // step the border tiles
   };
 
   /// One halo edge that failed past the retransmit budget, and whether
@@ -232,11 +255,15 @@ class DistributedSolver {
   /// Scatters e.q.size() values into exchange e's destination ghost slots.
   void unpack(const Exchange& e, const double* values);
   void exchange_halos();
-  /// Runs one step of every live rank as one launch over plan_.tiles.
-  /// With `audit`, each work-item then audits the tile it just wrote,
-  /// health partials included, into step_audits_: the audit of the state
-  /// the step commits, read from cache instead of from memory.
-  void advance_state(bool audit);
+  /// One launch over the tiles of `pass`.  A stepped tile writes only its
+  /// own rank's slots of its own points.  Under resilience its work-item
+  /// then audits the tile it just wrote, health partials included, into
+  /// step_audits_: the audit of the state the step commits, read from
+  /// cache instead of from memory.  kInterior first digests each tile's
+  /// input into input_digests_, the sentinel's verify digests.
+  void step_tiles(TilePass pass);
+  /// Completes the step every tile of which ran: the live buffers swap.
+  void commit_step();
 
   /// Rebuilds plan_ for the current decomposition and audit tile size.
   void plan_step();
@@ -249,16 +276,18 @@ class DistributedSolver {
   std::vector<analysis::Diagnostic> health_of(
       const std::vector<resilience::TileAudit>& audits) const;
   static double mass_of(const std::vector<resilience::TileAudit>& audits);
-  /// Rank r's share of an audit, and its tile digests.
-  std::span<const resilience::TileAudit> rank_audits(
-      const std::vector<resilience::TileAudit>& audits, Rank r) const;
+  /// Rank r's share of a per-tile table in plan_.tiles order.
+  template <class T>
+  std::span<const T> rank_share(const std::vector<T>& per_tile,
+                                Rank r) const;
+  /// Rank r's tile digests from an audit.
   std::vector<lbm::TileDigest> digests_of(
       const std::vector<resilience::TileAudit>& audits, Rank r) const;
 
-  /// Builds ranks_ and exchanges_ from the current partition_.  Called by
-  /// the constructor and again by shrink_to_survivors() after the
-  /// partition was re-bisected over the survivors.  Dead ranks own zero
-  /// points and take part in no exchange.
+  /// Builds ranks_ and exchanges_ from the current partition_, and flags
+  /// each rank's border points.  Called by the constructor and again by
+  /// shrink_to_survivors() after the partition was re-bisected over the
+  /// survivors.  Dead ranks own zero points and take part in no exchange.
   void build_decomposition();
 
   // Halo machinery.
@@ -276,7 +305,8 @@ class DistributedSolver {
   /// back, as one launch over (rank, q-row) copies.
   void copy_snapshot_rows(bool to_snapshot);
   /// After a checkpoint restore: the restored state becomes the mass
-  /// reference and the sentinel's record.
+  /// reference, the sentinel's record and, under resilience, the rollback
+  /// target.
   void reanchor_after_restore();
   void rollback_or_fault(const std::string& why);
   std::int64_t total_values() const;
@@ -285,19 +315,15 @@ class DistributedSolver {
   // SDC sentinel (RS006) machinery.
   resilience::Sentinel::RankView rank_view(const RankState& rs) const;
   void sentinel_record_all(const std::vector<resilience::TileAudit>& audits);
-  /// Verifies every rank's recorded digests (when due, or `force`d because
-  /// a snapshot is about to be taken).  Returns true when a confirmed
-  /// detection was escalated (rollback or quarantine) — the step attempt
-  /// is over and the caller must return.
-  bool sentinel_verify_all(bool force);
   /// Duplicate re-execution vote-compare over sampled tiles (runs after
-  /// advance_state, while the step's input still survives in each rank
+  /// commit_step, while the step's input still survives in each rank
   /// engine's second buffer).
-  /// Same return contract as sentinel_verify_all.
+  /// Same return contract as handle_sdc.
   bool reexec_vote_sample();
   /// Shared escalation for both detection paths: records RS006 per
   /// mismatch, then quarantines the offending rank (repeat offender +
-  /// shrink possible) or rolls back.
+  /// shrink possible) or rolls back.  Returns true when it escalated a
+  /// detection: the step attempt is over and the caller must return.
   bool handle_sdc(const std::vector<resilience::Sentinel::Mismatch>& found,
                   bool reexec);
   void apply_due_bit_flips();
@@ -326,9 +352,10 @@ class DistributedSolver {
   std::vector<RankState> ranks_;
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
   StepPlan plan_;
-  // The audits of the last advance_state(/*audit=*/true), in plan_.tiles
-  // order.
+  // Per tile, in plan_.tiles order: the audits of the last resilient step
+  // launch(es), and the digests of the input of the last kInterior launch.
   std::vector<resilience::TileAudit> step_audits_;
+  std::vector<lbm::TileDigest> input_digests_;
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
   bool owns_kokkos_runtime_ = false;

@@ -6,11 +6,12 @@
 //
 // The protocol is record-then-verify: the owner records every tile's
 // digest at the end of a step, after the state passed the health guards,
-// and verifies them at the start of the next step, before anything reads
-// the state.  In-memory corruption striking between the two — the only
-// window in which the owner is not actively rewriting the slots — flips
-// the digest of exactly one tile, which localizes the damage to
-// {rank, tile, step} without any reference state.  A mismatch is
+// and verifies them at the start of the next step, before any of the
+// state leaves the rank or is kept as a snapshot.  In-memory corruption
+// striking between the two — the only window in which the owner is not
+// actively rewriting the slots — flips the digest of exactly one tile,
+// which localizes the damage to {rank, tile, step} without any reference
+// state.  A mismatch is
 // re-digested once before it is reported: if the second pass agrees with
 // the record after all, the *checker* glitched, not the state, and the
 // detection is retracted as a false positive instead of triggering a
@@ -28,11 +29,13 @@
 // on: audit_tile() produces a tile's digest and its RS001/RS003 partials
 // together, so one audit serves the guards, the mass check and the
 // sentinel record.  The distributed solver makes that audit inside its
-// step launch: the work-item that computes a tile audits it right after,
-// while the tile is still in cache, and the solver records the digests
-// once the guards have passed.  Verify is the only pass that reads the
-// state from memory: it has to re-read whatever sat in memory between two
-// steps.
+// step launches: the work-item that computes a tile audits it right
+// after, while the tile is still in cache, and the solver records the
+// digests once the guards have passed.  The verify digests ride in a step
+// launch too: on a verifying step the first launch digests each tile's
+// input and then steps the tile if no point of it reads a ghost slot; the
+// verdict comes before the halo exchange, and the tiles that read ghosts
+// are stepped after it.
 //
 // The digests cover a rank's owned points only.  Ghost slots are
 // legitimately rewritten by every halo exchange (and are CRC-framed on

@@ -360,8 +360,10 @@ TEST(DistributedDialects, StepIsOneKernelLaunchOverEveryRanksBlocks) {
 }
 
 // A resilient step with the sentinel on reads its state in two launches:
-// the pre-step verify, and the step launch, whose work-items audit the
-// tiles they just wrote.  A snapshot step adds one launch for the copy.
+// one digests every tile's input for the verify and steps the interior
+// tiles, the other steps the border tiles after the halo exchange; both
+// audit the tiles they just wrote.  A snapshot step adds one launch for
+// the copy.
 TEST(DistributedDialects, SentinelResilientStepIsTwoLaunches) {
   constexpr int kRanks = 5;
   auto lattice = multi_block_cylinder();
@@ -376,11 +378,11 @@ TEST(DistributedDialects, SentinelResilientStepIsTwoLaunches) {
 
   hemo::hal::DeviceEngine& engine = hemo::hal::DeviceEngine::instance();
   engine.reset_counters();
-  solver.step();  // step 1: verify, step
+  solver.step();  // step 1: verify + interior, border
   EXPECT_EQ(engine.counters().kernel_launches, 2);
   solver.run(2);
   engine.reset_counters();
-  solver.step();  // step 4: verify, snapshot, step
+  solver.step();  // step 4: verify + interior, snapshot, border
   EXPECT_EQ(engine.counters().kernel_launches, 3);
   EXPECT_EQ(solver.resilience_stats().snapshots, 2);
   engine.reset_counters();

@@ -551,6 +551,46 @@ TEST(Checkpoint, MissingFileIsRejected) {
                hemo::io::BlobError);
 }
 
+TEST(Checkpoint, RestoredResilientRunRollsBackBeforeTheNextSnapshot) {
+  // Restored at step 13 with snapshots every 8 steps, the run meets a
+  // stall at step 14, before the next snapshot boundary (16).  The
+  // restored state is the rollback target: the run rolls back once and
+  // ends bit-identical to an unfaulted run, as it would unrestored.
+  constexpr int kRanks = 4;
+  constexpr int kCut = 13;
+  constexpr int kSteps = 20;
+  const TempFile ckpt("ckpt_restored_rollback.bin");
+  auto lattice = small_cylinder();
+  {
+    DistributedSolver saved(lattice, decomp::slab_partition(*lattice, kRanks),
+                            flow_options());
+    saved.run(kCut);
+    saved.save_checkpoint(ckpt.path);
+  }
+
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  resilience::FaultPlan plan;
+  resilience::FaultEvent e;
+  e.kind = resilience::FaultKind::kStall;
+  e.step = kCut + 1;
+  e.src = 0;
+  e.stall_polls = 1000;  // outlasts any retransmission budget
+  plan.add(e);
+  solver.set_network(
+      std::make_unique<resilience::FaultyNetwork>(kRanks, plan));
+  resilience::Options opts;
+  opts.recovery.checkpoint_interval = 8;
+  solver.enable_resilience(opts);
+  solver.restore_checkpoint(ckpt.path);
+  ASSERT_EQ(solver.step_count(), kCut);
+
+  solver.run(kSteps - kCut);
+  EXPECT_EQ(solver.resilience_stats().rollbacks, 1);
+  EXPECT_EQ(solver.step_count(), kSteps);
+  EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, kSteps));
+}
+
 TEST(ResilientSolver, VelocityCeilingGuardFiresRS003) {
   // Setting the top exponent bit of a +x population of an interior bulk
   // point lifts it from ~1/18 to ~1e307, still finite.  The point that
@@ -713,9 +753,28 @@ TEST(AuditTile, SeededRunIsIdenticalAcrossDialectsAndEngineThreads) {
 
 namespace hemo::harvey {
 
-/// Reaches the audits the last step launch made, and a separate audit of
-/// the committed state, as the guards would read it.
+/// Reaches the audits the last step launches made, a separate audit of
+/// the committed state, as the guards would read it, and the step plan's
+/// tiles with their border flags.
 struct DistributedSolverPeer {
+  struct Tile {
+    Rank rank;
+    std::int64_t begin;
+    std::int64_t end;
+    bool border;
+    friend bool operator==(const Tile&, const Tile&) = default;
+  };
+  static std::vector<Tile> plan_tiles(const DistributedSolver& solver) {
+    std::vector<Tile> out;
+    for (const DistributedSolver::TileSpan& t : solver.plan_.tiles)
+      out.push_back(Tile{t.rank, t.begin, t.end, t.border});
+    return out;
+  }
+  static const std::vector<std::size_t>& border_tiles(
+      const DistributedSolver& solver) {
+    return solver.plan_.border_tiles;
+  }
+
   static const std::vector<resilience::TileAudit>& step_audits(
       const DistributedSolver& solver) {
     return solver.step_audits_;
@@ -795,4 +854,106 @@ TEST(AuditTile, StepLaunchAuditsEqualASeparateAuditOfTheCommittedState) {
         }
   }
   engine.set_threads(1);
+}
+
+namespace {
+
+/// The tiles of every rank of `partition`, recomputed from the lattice: a
+/// tile is a border tile when one of its points has an upstream neighbour
+/// owned by another rank, the points whose step reads a ghost slot.
+std::vector<hemo::harvey::DistributedSolverPeer::Tile> expected_tiles(
+    const lbm::SparseLattice& lattice, const decomp::Partition& partition,
+    std::int64_t tile_points) {
+  std::vector<hemo::harvey::DistributedSolverPeer::Tile> out;
+  for (hemo::Rank r = 0; r < partition.n_ranks; ++r) {
+    const std::vector<hemo::PointIndex> owned = partition.points_of(r);
+    const auto n = static_cast<std::int64_t>(owned.size());
+    for (std::int64_t begin = 0; begin < n; begin += tile_points) {
+      const std::int64_t end = std::min(begin + tile_points, n);
+      bool border = false;
+      for (std::int64_t li = begin; li < end; ++li)
+        for (int q = 1; q < lbm::kQ; ++q) {
+          const hemo::PointIndex up =
+              lattice.neighbor(q, owned[static_cast<std::size_t>(li)]);
+          border = border || (up != hemo::kSolidNeighbor &&
+                              partition.owner[static_cast<std::size_t>(up)] !=
+                                  r);
+        }
+      out.push_back({r, begin, end, border});
+    }
+  }
+  return out;
+}
+
+/// The plan's tiles equal the recomputed ones, and its border list names
+/// exactly the flagged tiles.  Returns the number of border tiles.
+std::size_t expect_plan_matches(const DistributedSolver& solver,
+                                const lbm::SparseLattice& lattice,
+                                std::int64_t tile_points,
+                                const std::string& label) {
+  using hemo::harvey::DistributedSolverPeer;
+  const std::vector<DistributedSolverPeer::Tile> plan =
+      DistributedSolverPeer::plan_tiles(solver);
+  EXPECT_TRUE(plan == expected_tiles(lattice, solver.partition(), tile_points))
+      << label;
+  std::vector<std::size_t> flagged;
+  for (std::size_t k = 0; k < plan.size(); ++k)
+    if (plan[k].border) flagged.push_back(k);
+  EXPECT_EQ(DistributedSolverPeer::border_tiles(solver), flagged) << label;
+  return flagged.size();
+}
+
+}  // namespace
+
+TEST(AuditTile, BorderTilesAreExactlyThoseReadingAGhost) {
+  geom::CylinderSpec spec;
+  spec.scale = 2.0;
+  spec.radius_per_scale = 4.0;
+  spec.axial_per_scale = 16.0;
+  auto lattice =
+      geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+
+  for (const int ranks : {1, 2, 5, 8})
+    for (const std::int64_t tile_points : {48, 256}) {
+      const std::string label = std::to_string(ranks) + " rank(s), " +
+                                std::to_string(tile_points) + "-point tiles";
+      DistributedSolver solver(
+          lattice, decomp::bisection_partition(*lattice, ranks),
+          flow_options());
+      resilience::Options options;
+      options.sentinel.enabled = true;
+      options.sentinel.tile_points = tile_points;
+      solver.enable_resilience(options);
+      const std::size_t border =
+          expect_plan_matches(solver, *lattice, tile_points, label);
+      if (ranks == 1)
+        EXPECT_EQ(border, 0u) << label;
+      else
+        EXPECT_GT(border, 0u) << label;
+    }
+
+  // A rank killed mid-run: the shrink re-bisects over the survivors, and
+  // the flags follow the new decomposition.
+  constexpr int kRanks = 5;
+  constexpr std::int64_t kTilePoints = 48;
+  DistributedSolver solver(lattice, decomp::bisection_partition(*lattice, kRanks),
+                           flow_options());
+  resilience::FaultPlan plan;
+  plan.kill_rank(3, /*step=*/4);
+  solver.set_network(
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan)));
+  resilience::Options options;
+  options.shrink.enabled = true;
+  options.sentinel.enabled = true;
+  options.sentinel.tile_points = kTilePoints;
+  solver.enable_resilience(options);
+  const std::vector<hemo::harvey::DistributedSolverPeer::Tile> before =
+      hemo::harvey::DistributedSolverPeer::plan_tiles(solver);
+  solver.run(12);
+  ASSERT_EQ(solver.resilience_stats().shrinks, 1);
+  ASSERT_EQ(solver.owned_count(3), 0);
+  EXPECT_GT(expect_plan_matches(solver, *lattice, kTilePoints, "after shrink"),
+            0u);
+  EXPECT_FALSE(hemo::harvey::DistributedSolverPeer::plan_tiles(solver) ==
+               before);
 }

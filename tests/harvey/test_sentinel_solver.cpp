@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -272,6 +274,82 @@ TEST(SentinelSolver, FullInstrumentationStaysQuietOnACleanRun) {
   EXPECT_EQ(stats.sdc_false_positive, 0);
   EXPECT_EQ(stats.rollbacks, 0);
   EXPECT_FALSE(has_rule(stats.diagnostics, "RS006"));
+  expect_bit_identical(solver.global_distributions(), reference);
+}
+
+namespace {
+
+/// The first point of the first kTilePoints-point tile of rank r that is a
+/// border tile (`border`: it holds a point with an upstream neighbour on
+/// another rank) or an interior tile (`!border`); -1 if there is none.
+std::int64_t first_point_of_tile(const lbm::SparseLattice& lattice,
+                                 const decomp::Partition& partition, Rank r,
+                                 bool border) {
+  const std::vector<hemo::PointIndex> owned = partition.points_of(r);
+  for (std::size_t begin = 0; begin < owned.size(); begin += kTilePoints) {
+    const std::size_t end =
+        std::min(begin + static_cast<std::size_t>(kTilePoints), owned.size());
+    bool reads_ghost = false;
+    for (std::size_t li = begin; li < end; ++li)
+      for (int q = 1; q < lbm::kQ; ++q) {
+        const hemo::PointIndex up = lattice.neighbor(q, owned[li]);
+        if (up != hemo::kSolidNeighbor &&
+            partition.owner[static_cast<std::size_t>(up)] != r)
+          reads_ghost = true;
+      }
+    if (reads_ghost == border) return owned[begin];
+  }
+  return -1;
+}
+
+}  // namespace
+
+TEST(SentinelSolver, DetectingStepSendsNoHaloTrafficAndTakesNoSnapshot) {
+  // The sentinel's verdict on a step's input comes before the halo pack
+  // reads it and before a snapshot copies it.  A flip in an interior tile
+  // (step 6) and one in a border tile (step 8, a snapshot step) are each
+  // detected by a step call that puts nothing on the wire and takes no
+  // snapshot; the run then ends bit-identical to a clean one.
+  const std::vector<double> reference = clean_run(kRanks, kSteps);
+
+  auto lattice = small_cylinder();
+  const decomp::Partition partition =
+      decomp::slab_partition(*lattice, kRanks);
+  const std::int64_t interior_point =
+      first_point_of_tile(*lattice, partition, 1, /*border=*/false);
+  const std::int64_t border_point =
+      first_point_of_tile(*lattice, partition, 2, /*border=*/true);
+  ASSERT_GE(interior_point, 0);
+  ASSERT_GE(border_point, 0);
+  static_assert(kSteps > 8);
+  ASSERT_EQ(8 % sentinel_options().recovery.checkpoint_interval, 0);
+  ASSERT_NE(6 % sentinel_options().recovery.checkpoint_interval, 0);
+
+  DistributedSolver solver(lattice, partition, flow_options());
+  resilience::FaultPlan plan;
+  plan.add(bit_flip_at(/*step=*/6, interior_point, /*q=*/4, /*bit=*/43));
+  plan.add(bit_flip_at(/*step=*/8, border_point, /*q=*/11, /*bit=*/38));
+  solver.set_fault_injection(&plan);
+  solver.enable_resilience(sentinel_options());
+
+  std::vector<std::int64_t> detected_at;
+  while (solver.step_count() < kSteps) {
+    const std::int64_t step = solver.step_count();
+    const std::int64_t messages = solver.network().message_count();
+    const resilience::RunStats before = solver.resilience_stats();
+    solver.step();
+    const resilience::RunStats& after = solver.resilience_stats();
+    if (after.sdc_detected == before.sdc_detected) continue;
+    detected_at.push_back(step);
+    EXPECT_EQ(solver.network().message_count(), messages) << "step " << step;
+    EXPECT_EQ(after.snapshots, before.snapshots) << "step " << step;
+    EXPECT_EQ(after.rollbacks, before.rollbacks + 1) << "step " << step;
+  }
+
+  EXPECT_EQ(detected_at, (std::vector<std::int64_t>{6, 8}));
+  ASSERT_EQ(solver.resilience_stats().sdc_detections.size(), 2u);
+  EXPECT_EQ(solver.resilience_stats().sdc_detections[0].rank, 1);
+  EXPECT_EQ(solver.resilience_stats().sdc_detections[1].rank, 2);
   expect_bit_identical(solver.global_distributions(), reference);
 }
 
