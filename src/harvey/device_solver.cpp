@@ -63,12 +63,6 @@ std::vector<double> DeviceSolver::distributions() const {
   return canonical;
 }
 
-lbm::Moments DeviceSolver::moments(PointIndex i) const {
-  HEMO_EXPECTS(i >= 0 && i < lattice_->size());
-  return lbm::moments_at(distributions().data(), lattice_->size(), i,
-                         options_.body_force);
-}
-
 double DeviceSolver::total_mass() const {
   const std::vector<double> f = distributions();
   double mass = 0.0;

@@ -16,7 +16,6 @@
 
 #include "hal/device.hpp"
 #include "hal/model.hpp"
-#include "lbm/kernels.hpp"
 #include "lbm/solver.hpp"
 #include "lbm/sparse_lattice.hpp"
 #include "lbm/step_engine.hpp"
@@ -46,7 +45,6 @@ class DeviceSolver {
   /// the host, so callers see the same snapshot as the pull path.
   std::vector<double> distributions() const;
 
-  lbm::Moments moments(PointIndex i) const;
   double total_mass() const;
 
  private:

@@ -322,19 +322,12 @@ std::span<const T> DistributedSolver::rank_share(const std::vector<T>& per_tile,
   return std::span<const T>(per_tile).subspan(first, last - first);
 }
 
-std::vector<lbm::TileDigest> DistributedSolver::digests_of(
-    const std::vector<resilience::TileAudit>& audits, Rank r) const {
-  std::vector<lbm::TileDigest> digests;
-  for (const resilience::TileAudit& a : rank_share(audits, r))
-    digests.push_back(a.digest);
-  return digests;
-}
-
 void DistributedSolver::step() {
   if (resilience_.has_value()) {
     resilient_step();
     return;
   }
+  if (injected_faults_ != nullptr) apply_due_bit_flips();
   network_->begin_step(steps_done_);
   exchange_halos();
   step_tiles(TilePass::kAll);
@@ -358,6 +351,8 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
   HEMO_EXPECTS(options.recovery.checkpoint_interval >= 1);
   HEMO_EXPECTS(options.recovery.max_rollbacks >= 0);
   HEMO_EXPECTS(options.sentinel.tile_points >= 1);
+  HEMO_EXPECTS(options.sentinel.check_interval >= 1);
+  HEMO_EXPECTS(options.sentinel.reexec_sample >= 0);
   resilience_ = options;
   stats_ = resilience::RunStats{};
   rollbacks_used_ = 0;
@@ -366,15 +361,12 @@ void DistributedSolver::enable_resilience(const resilience::Options& options) {
   const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
 
-  sentinel_.reset();
   sdc_hits_.assign(static_cast<std::size_t>(partition_.n_ranks), 0);
-  if (options.sentinel.enabled) {
-    sentinel_.emplace(options.sentinel);
-    sentinel_->reset(partition_.n_ranks);
+  if (sentinel_on()) {
     // Anchor the sentinel: digest the initial state and snapshot it, so a
     // corruption landing before the first checkpoint boundary still has a
     // verified-clean rollback target.
-    sentinel_record_all(audits);
+    sentinel_record(audits);
     take_snapshot();
   }
 }
@@ -639,8 +631,7 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
   network_->reset();
   // The digests described the abandoned state; re-anchor on the restored
   // (verified-clean) snapshot.
-  if (sentinel_.has_value())
-    sentinel_record_all(audit_state());
+  if (sentinel_on()) sentinel_record(audit_state());
 }
 
 // ---------------------------------------------------------------------------
@@ -648,52 +639,43 @@ void DistributedSolver::rollback_or_fault(const std::string& why) {
 // vote-compare, bit-flip chaos injection, and the escalation glue.
 // ---------------------------------------------------------------------------
 
-resilience::Sentinel::RankView DistributedSolver::rank_view(
-    const RankState& rs) const {
-  resilience::Sentinel::RankView view;
-  view.f = rs.current();
-  view.stride = rs.local;
-  view.owned = rs.owned;
-  return view;
-}
-
-void DistributedSolver::sentinel_record_all(
+void DistributedSolver::sentinel_record(
     const std::vector<resilience::TileAudit>& audits) {
-  for (Rank r = 0; r < partition_.n_ranks; ++r) {
-    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    if (rs.owned == 0) continue;  // dead rank post-shrink
-    sentinel_->record(r, rank_view(rs), digests_of(audits, r), steps_done_);
-  }
+  recorded_.resize(audits.size());
+  for (std::size_t k = 0; k < audits.size(); ++k)
+    recorded_[k] = audits[k].digest;
+  recorded_step_ = steps_done_;
 }
 
-bool DistributedSolver::handle_sdc(
-    const std::vector<resilience::Sentinel::Mismatch>& found, bool reexec) {
+bool DistributedSolver::handle_sdc(const std::vector<std::size_t>& found,
+                                   bool reexec) {
   if (found.empty()) return false;
   Rank quarantine = -1;
-  for (const resilience::Sentinel::Mismatch& m : found) {
+  for (const std::size_t k : found) {
+    const Rank r = plan_.tiles[k].rank;
+    int& hits = sdc_hits_[static_cast<std::size_t>(r)];
     ++stats_.sdc_detected;
-    ++sdc_hits_[static_cast<std::size_t>(m.rank)];
+    ++hits;
     resilience::SdcDetection d;
-    d.rank = m.rank;
-    d.tile = m.tile;
+    d.rank = r;
+    d.tile = static_cast<std::int64_t>(
+        k - plan_.rank_first_tile[static_cast<std::size_t>(r)]);
     d.step = steps_done_;
-    d.latency_steps = steps_done_ - m.recorded_step;
+    // A re-execution vote checks the step just taken.
+    d.latency_steps = reexec ? 0 : steps_done_ - recorded_step_;
     d.reexec = reexec;
     stats_.sdc_detections.push_back(d);
     std::ostringstream where, msg;
-    where << "rank " << m.rank;
+    where << "rank " << r;
     msg << "step " << steps_done_ << ": silent data corruption in tile "
-        << m.tile
+        << d.tile
         << (reexec ? " (duplicate re-execution vote-compare"
                    : " (digest mismatch vs record at step ");
-    if (!reexec) msg << m.recorded_step;
-    msg << "); detection " << sdc_hits_[static_cast<std::size_t>(m.rank)]
-        << " on this rank";
+    if (!reexec) msg << recorded_step_;
+    msg << "); detection " << hits << " on this rank";
     record("RS006", analysis::Severity::kError, where.str(), msg.str());
-    if (quarantine < 0 &&
-        sdc_hits_[static_cast<std::size_t>(m.rank)] >=
-            resilience::kQuarantineThreshold)
-      quarantine = m.rank;
+    if (quarantine < 0 && hits >= resilience::kQuarantineThreshold)
+      quarantine = r;
   }
   if (quarantine >= 0 && can_shrink()) {
     // Repeat offender: its memory keeps corrupting — retire the device.
@@ -708,13 +690,13 @@ bool DistributedSolver::handle_sdc(
 }
 
 bool DistributedSolver::reexec_vote_sample() {
-  const resilience::SentinelPolicy& pol = sentinel_->policy();
-  if (pol.reexec_sample <= 0) return false;
-  std::vector<resilience::Sentinel::Mismatch> found;
+  const int reexec_sample = resilience_->sentinel.reexec_sample;
+  if (reexec_sample <= 0) return false;
+  std::vector<std::size_t> found;
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    if (rs.owned == 0) continue;
-    const std::int64_t tiles = sentinel_->tiles_of(rs.owned);
+    const std::span<const TileSpan> tiles = rank_share(plan_.tiles, r);
+    if (tiles.empty()) continue;  // dead rank post-shrink
     const std::size_t values = rs.values();
     if (reexec_scratch_a_.size() < values) reexec_scratch_a_.resize(values);
     if (reexec_scratch_b_.size() < values) reexec_scratch_b_.resize(values);
@@ -726,13 +708,12 @@ bool DistributedSolver::reexec_vote_sample() {
                     0x9E3779B97F4A7C15ull) ^
                    static_cast<std::uint64_t>(r));
     const int samples = static_cast<int>(
-        std::min<std::int64_t>(pol.reexec_sample, tiles));
+        std::min(static_cast<std::size_t>(reexec_sample), tiles.size()));
     for (int s = 0; s < samples; ++s) {
-      const std::int64_t t = static_cast<std::int64_t>(
-          rng.next_below(static_cast<std::uint64_t>(tiles)));
-      const std::int64_t begin = t * pol.tile_points;
-      const std::int64_t end =
-          std::min(begin + pol.tile_points, rs.owned);
+      const std::size_t t = static_cast<std::size_t>(
+          rng.next_below(static_cast<std::uint64_t>(tiles.size())));
+      const std::int64_t begin = tiles[t].begin;
+      const std::int64_t end = tiles[t].end;
       // Re-execute twice independently; the two shadows vote against the
       // live result.
       rs.engine.recompute_range(options_, begin, end,
@@ -766,8 +747,8 @@ bool DistributedSolver::reexec_vote_sample() {
         continue;
       }
       if (!matches_live)
-        found.push_back(
-            resilience::Sentinel::Mismatch{r, t, steps_done_});
+        found.push_back(plan_.rank_first_tile[static_cast<std::size_t>(r)] +
+                        t);
     }
   }
   return handle_sdc(found, /*reexec=*/true);
@@ -796,8 +777,12 @@ void DistributedSolver::apply_due_bit_flips() {
     bits ^= 1ull << e->flip_bit;
     std::memcpy(&v, &bits, sizeof bits);
     e->fired_rank = r;
-    const std::int64_t tp = resilience_->sentinel.tile_points;
-    e->fired_tile = tp > 0 ? li / tp : -1;
+    const std::span<const TileSpan> tiles = rank_share(plan_.tiles, r);
+    e->fired_tile = std::partition_point(tiles.begin(), tiles.end(),
+                                         [li](const TileSpan& t) {
+                                           return t.end <= li;
+                                         }) -
+                    tiles.begin();
   }
 }
 
@@ -893,11 +878,8 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   suspect_count_ = 0;
   snapshot_ = Snapshot{};
   take_snapshot();
-  if (sentinel_.has_value()) {
-    // New decomposition, new tile geometry: old digests are meaningless.
-    sentinel_->reset(partition_.n_ranks);
-    sentinel_record_all(audit_state());
-  }
+  // New decomposition, new tile geometry: old digests are meaningless.
+  if (sentinel_on()) sentinel_record(audit_state());
 
   ++stats_.shrinks;
   stats_.last_recovery_step = resume_step;
@@ -921,9 +903,9 @@ void DistributedSolver::resilient_step() {
   // The sentinel verifies the input on its check interval and always before
   // a snapshot, so rollback targets are verified-clean.
   const bool verify_due =
-      sentinel_.has_value() &&
+      sentinel_on() &&
       (snapshot_due ||
-       steps_done_ % sentinel_->policy().check_interval == 0);
+       steps_done_ % resilience_->sentinel.check_interval == 0);
   if (verify_due) {
     // One launch digests every tile's input and steps the interior tiles
     // while they are in cache.  Their output waits in the spare buffers
@@ -931,14 +913,14 @@ void DistributedSolver::resilient_step() {
     // verdict comes BEFORE the halo pack reads the border points and
     // before the snapshot copies the state.
     step_tiles(TilePass::kInterior);
-    std::vector<resilience::Sentinel::Mismatch> found;
-    for (Rank r = 0; r < partition_.n_ranks; ++r) {
-      const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-      if (rs.owned == 0) continue;
-      sentinel_->verify(r, rank_view(rs), rank_share(input_digests_, r),
-                        &found, &stats_.sdc_checks,
-                        &stats_.sdc_false_positive);
-    }
+    const std::vector<std::size_t> found = resilience::verify_digests(
+        recorded_, input_digests_,
+        [this](std::size_t k) {
+          const TileSpan& t = plan_.tiles[k];
+          const RankState& rs = ranks_[static_cast<std::size_t>(t.rank)];
+          return lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
+        },
+        &stats_.sdc_checks, &stats_.sdc_false_positive);
     if (handle_sdc(found, /*reexec=*/false)) return;
   }
   if (snapshot_due) take_snapshot();
@@ -979,7 +961,7 @@ void DistributedSolver::resilient_step() {
   // rank engine's second buffer (the swap's other half), so sampled tiles
   // can be re-executed against the freshly written output while both
   // exist.
-  if (sentinel_.has_value() && reexec_vote_sample()) return;
+  if (sentinel_on() && reexec_vote_sample()) return;
 
   // The step launch's audits feed the guards, the mass reference and the
   // record.
@@ -997,7 +979,7 @@ void DistributedSolver::resilient_step() {
   // Close the record/verify window: record the digests of the state the
   // step produced.  Anything that changes it before the next verify is
   // corruption.
-  if (sentinel_.has_value()) sentinel_record_all(step_audits_);
+  if (sentinel_on()) sentinel_record(step_audits_);
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,7 +1046,7 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
 void DistributedSolver::reanchor_after_restore() {
   const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
-  if (sentinel_.has_value()) sentinel_record_all(audits);
+  if (sentinel_on()) sentinel_record(audits);
   // The file passed its CRC checks: it is the rollback target until the
   // next snapshot boundary, which may be several steps away.
   if (resilience_.has_value()) take_snapshot();

@@ -29,6 +29,11 @@
 // the border tiles' points; the second launch, after the exchange, steps
 // the border tiles.  Only the border tiles' input is read twice.
 //
+// The step plan is the one table of tiles: the audits, the sentinel's
+// record and verify digests, the re-execution samples and a bit flip's
+// ground-truth tile all index it, and plan_step() alone computes where a
+// tile begins and ends.
+//
 // Elastic shrink-recovery (opt-in via ShrinkPolicy): when a rank's
 // outbound traffic goes permanently silent — every receive from it
 // exhausts the retransmit budget with *nothing* arriving, step after
@@ -119,18 +124,18 @@ class DistributedSolver {
   /// per `options`.  Records the current mass as the conservation
   /// reference.  May be called before any stepping only.
   void enable_resilience(const resilience::Options& options);
-  bool resilience_enabled() const { return resilience_.has_value(); }
   const resilience::RunStats& resilience_stats() const { return stats_; }
 
   /// Registers a fault plan whose kBitFlip events this solver applies to
-  /// its own live distribution state at the start of each step — in-memory
-  /// SDC injection, the fault class the FaultyNetwork cannot reach.  The
-  /// solver resolves each event's global point to its owner rank at fire
-  /// time, flips the requested bit, and records the ground truth
-  /// (fired_rank, fired_tile) on the event so a chaos harness can score
-  /// the sentinel's localization.  Non-owning — typically the same plan a
-  /// FaultyNetwork holds, so the one-shot fired flags are shared and a
-  /// rollback replay re-fires neither network nor memory faults.  Pass
+  /// its own live distribution state at the start of each step, with or
+  /// without resilience — in-memory SDC injection, the fault class the
+  /// FaultyNetwork cannot reach.  The solver resolves each event's global
+  /// point to its owner rank at fire time, flips the requested bit, and
+  /// records the ground truth (fired_rank, and as fired_tile the rank's
+  /// step-plan tile holding the point) on the event so a chaos harness can
+  /// score the sentinel's localization.  Non-owning — typically the same
+  /// plan a FaultyNetwork holds, so the one-shot fired flags are shared and
+  /// a rollback replay re-fires neither network nor memory faults.  Pass
   /// nullptr to detach.
   void set_fault_injection(resilience::FaultPlan* plan) {
     injected_faults_ = plan;
@@ -161,7 +166,6 @@ class DistributedSolver {
   /// kernels run as plain host loops; results are bit-identical either
   /// way, which the tests assert.
   void set_execution_model(hal::Model model);
-  std::optional<hal::Model> execution_model() const { return model_; }
 
   lbm::Moments global_moments(PointIndex global_index) const;
   /// Sum of the audit tiles' masses in (rank, tile) order: the solver's
@@ -280,9 +284,6 @@ class DistributedSolver {
   template <class T>
   std::span<const T> rank_share(const std::vector<T>& per_tile,
                                 Rank r) const;
-  /// Rank r's tile digests from an audit.
-  std::vector<lbm::TileDigest> digests_of(
-      const std::vector<resilience::TileAudit>& audits, Rank r) const;
 
   /// Builds ranks_ and exchanges_ from the current partition_, and flags
   /// each rank's border points.  Called by the constructor and again by
@@ -313,19 +314,22 @@ class DistributedSolver {
   void resilient_step();
 
   // SDC sentinel (RS006) machinery.
-  resilience::Sentinel::RankView rank_view(const RankState& rs) const;
-  void sentinel_record_all(const std::vector<resilience::TileAudit>& audits);
+  bool sentinel_on() const {
+    return resilience_.has_value() && resilience_->sentinel.enabled;
+  }
+  /// Records the audits' digests as the state of steps_done_.
+  void sentinel_record(const std::vector<resilience::TileAudit>& audits);
   /// Duplicate re-execution vote-compare over sampled tiles (runs after
   /// commit_step, while the step's input still survives in each rank
   /// engine's second buffer).
   /// Same return contract as handle_sdc.
   bool reexec_vote_sample();
   /// Shared escalation for both detection paths: records RS006 per
-  /// mismatch, then quarantines the offending rank (repeat offender +
-  /// shrink possible) or rolls back.  Returns true when it escalated a
-  /// detection: the step attempt is over and the caller must return.
-  bool handle_sdc(const std::vector<resilience::Sentinel::Mismatch>& found,
-                  bool reexec);
+  /// mismatching tile (indices into plan_.tiles), then quarantines the
+  /// offending rank (repeat offender + shrink possible) or rolls back.
+  /// Returns true when it escalated a detection: the step attempt is over
+  /// and the caller must return.
+  bool handle_sdc(const std::vector<std::size_t>& found, bool reexec);
   void apply_due_bit_flips();
 
   // Elastic shrink-recovery.
@@ -368,12 +372,15 @@ class DistributedSolver {
   double prev_mass_ = 0.0;
   bool closed_system_ = false;  // no inlet/outlet point: RS002 holds mass
 
-  // SDC sentinel state.  sdc_hits_[r] accumulates RS006 detections blamed
-  // on rank r across the whole run (not per step): a device whose memory
-  // keeps flipping bits is failing, not unlucky, and reaching
-  // resilience::kQuarantineThreshold escalates it to the shrink path.
+  // SDC sentinel state.  recorded_ holds the digests of the state of step
+  // recorded_step_, in plan_.tiles order.  sdc_hits_[r] accumulates RS006
+  // detections blamed on rank r across the whole run (not per step): a
+  // device whose memory keeps flipping bits is failing, not unlucky, and
+  // reaching resilience::kQuarantineThreshold escalates it to the shrink
+  // path.
   resilience::FaultPlan* injected_faults_ = nullptr;  // non-owning
-  std::optional<resilience::Sentinel> sentinel_;
+  std::vector<lbm::TileDigest> recorded_;
+  std::int64_t recorded_step_ = -1;
   std::vector<int> sdc_hits_;
   std::vector<double> reexec_scratch_a_, reexec_scratch_b_;
 

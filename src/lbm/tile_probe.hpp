@@ -1,6 +1,6 @@
 #pragma once
 // Tile-granular probes over live distribution arrays, the measurement
-// layer of the SDC sentinel (hemo::resilience::Sentinel).  A tile is a
+// layer of the SDC sentinel (resilience/sentinel.hpp).  A tile is a
 // block of consecutive point indices; its digest folds every distribution
 // slot of those points into a cheap FNV-1a hash of the raw bit patterns
 // plus the physical invariants (tile mass and momentum) the hash alone
@@ -48,12 +48,6 @@ struct TileDigest {
     return !(a == b);
   }
 };
-
-/// Number of tiles covering `points` point indices.
-constexpr std::int64_t tile_count(std::int64_t points,
-                                  std::int64_t tile_points) {
-  return tile_points <= 0 ? 0 : (points + tile_points - 1) / tile_points;
-}
 
 /// Digest of points [begin, end) of a live SoA array with q-row stride
 /// `stride` (the distributed solver's rank-local point count, ghosts

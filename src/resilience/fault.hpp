@@ -72,7 +72,9 @@ struct FaultEvent {
   int flip_q = 0;               // distribution direction [0, kQ)
   int flip_bit = 0;             // bit position [0, 64)
   Rank fired_rank = -1;         // owner rank the flip landed on
-  std::int64_t fired_tile = -1;  // digest tile (local index / tile_points)
+  // The owner's step-plan tile holding the point, as the sentinel's
+  // SdcDetection::tile numbers it.
+  std::int64_t fired_tile = -1;
 
   bool fired = false;  // set by the network when the event is applied
 };

@@ -5,86 +5,34 @@
 #include <cstddef>
 #include <limits>
 #include <sstream>
-#include <utility>
 
 #include "base/contracts.hpp"
 #include "lbm/kernels.hpp"
 
 namespace hemo::resilience {
 
-Sentinel::Sentinel(SentinelPolicy policy) : policy_(policy) {
-  HEMO_EXPECTS(policy_.tile_points >= 1);
-  HEMO_EXPECTS(policy_.check_interval >= 1);
-  HEMO_EXPECTS(policy_.reexec_sample >= 0);
-}
-
-void Sentinel::reset(int n_ranks) {
-  HEMO_EXPECTS(n_ranks >= 0);
-  tables_.assign(static_cast<std::size_t>(n_ranks), RankTable{});
-}
-
-void Sentinel::record(Rank r, const RankView& view,
-                      std::vector<lbm::TileDigest> digests,
-                      std::int64_t step) {
-  HEMO_EXPECTS(r >= 0 && static_cast<std::size_t>(r) < tables_.size());
-  HEMO_EXPECTS(static_cast<std::int64_t>(digests.size()) ==
-               tiles_of(view.owned));
-  RankTable& table = tables_[static_cast<std::size_t>(r)];
-  table.digests = std::move(digests);
-  table.step = step;
-  table.owned = view.owned;
-}
-
-bool Sentinel::has_record(Rank r) const {
-  return r >= 0 && static_cast<std::size_t>(r) < tables_.size() &&
-         tables_[static_cast<std::size_t>(r)].step >= 0;
-}
-
-std::int64_t Sentinel::recorded_step(Rank r) const {
-  return has_record(r) ? tables_[static_cast<std::size_t>(r)].step : -1;
-}
-
-const Sentinel::RankTable* Sentinel::comparable_table(
-    Rank r, const RankView& view) const {
-  if (!has_record(r)) return nullptr;
-  const RankTable& table = tables_[static_cast<std::size_t>(r)];
-  // A record describing different coverage cannot be compared against the
-  // current state; treat it as absent rather than as a wall of mismatches.
-  // (The solver re-records after every transition that changes it, so this
-  // only guards against misuse.)
-  if (table.owned != view.owned) return nullptr;
-  return &table;
-}
-
-void Sentinel::verify(Rank r, const RankView& view,
-                      std::span<const lbm::TileDigest> now,
-                      std::vector<Mismatch>* mismatches, std::int64_t* checks,
-                      std::int64_t* false_positives) const {
-  const RankTable* table = comparable_table(r, view);
-  if (table == nullptr) return;
-  const std::int64_t tiles = tiles_of(view.owned);
-  HEMO_EXPECTS(static_cast<std::int64_t>(table->digests.size()) == tiles);
-  HEMO_EXPECTS(static_cast<std::int64_t>(now.size()) == tiles);
-  for (std::int64_t t = 0; t < tiles; ++t) {
-    const lbm::TileDigest& digest = now[static_cast<std::size_t>(t)];
-    if (checks != nullptr) ++*checks;
-    if (digest == table->digests[static_cast<std::size_t>(t)]) continue;
+std::vector<std::size_t> verify_digests(
+    std::span<const lbm::TileDigest> recorded,
+    std::span<const lbm::TileDigest> now,
+    const std::function<lbm::TileDigest(std::size_t)>& redigest,
+    std::int64_t* checks, std::int64_t* false_positives) {
+  HEMO_EXPECTS(recorded.size() == now.size());
+  std::vector<std::size_t> confirmed;
+  *checks += static_cast<std::int64_t>(now.size());
+  for (std::size_t k = 0; k < now.size(); ++k) {
+    if (now[k] == recorded[k]) continue;
     // Confirm before accusing the state: a second, independent pass over
-    // the same slots.  Agreement between the two fresh digests means the
-    // state really changed under us; disagreement means the first pass
+    // the same slots.  Agreement with the record means the first pass
     // itself misread — a checker fault, retracted and counted but never
-    // escalated into a rollback.
-    const std::int64_t begin = t * policy_.tile_points;
-    const std::int64_t end = std::min(begin + policy_.tile_points, view.owned);
-    const lbm::TileDigest again =
-        lbm::tile_digest(view.f, view.stride, begin, end);
-    if (again != digest) {
-      if (false_positives != nullptr) ++*false_positives;
+    // escalated into a rollback; any other digest means the state really
+    // changed under us.
+    if (redigest(k) == recorded[k]) {
+      ++*false_positives;
       continue;
     }
-    if (mismatches != nullptr)
-      mismatches->push_back(Mismatch{r, t, table->step});
+    confirmed.push_back(k);
   }
+  return confirmed;
 }
 
 namespace {

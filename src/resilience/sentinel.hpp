@@ -1,8 +1,7 @@
 #pragma once
-// SDC sentinel: rolling tile-digest tables over live distribution arrays
-// plus the per-tile numerical-health audit, the detection machinery behind
-// guard RS006 (see SentinelPolicy in resilience/policy.hpp for the
-// escalation story).
+// SDC sentinel: the digest comparison and the per-tile numerical-health
+// audit, the detection machinery behind guard RS006 (see SentinelPolicy in
+// resilience/policy.hpp for the escalation story).
 //
 // The protocol is record-then-verify: the owner records every tile's
 // digest at the end of a step, after the state passed the health guards,
@@ -11,19 +10,20 @@
 // striking between the two — the only window in which the owner is not
 // actively rewriting the slots — flips the digest of exactly one tile,
 // which localizes the damage to {rank, tile, step} without any reference
-// state.  A mismatch is
-// re-digested once before it is reported: if the second pass agrees with
-// the record after all, the *checker* glitched, not the state, and the
-// detection is retracted as a false positive instead of triggering a
-// rollback.
+// state.  A mismatch is re-digested once before it is reported: if the
+// second pass agrees with the record after all, the *checker* glitched,
+// not the state, and the detection is retracted as a false positive
+// instead of triggering a rollback.
 //
-// The Sentinel keeps the digest tables and compares; the caller computes
-// the digests it records and verifies against (lbm::tile_digest, or the
-// digest half of audit_tile), so a digest pass the caller already made is
-// never repeated.  Only a mismatching tile is digested again here, to
-// confirm it.  Record and verify read the same array with no step between
-// them, so the digests read its rows in storage order: the verdicts do not
-// depend on which direction a row holds.
+// The tiles are the distributed solver's step plan, which alone knows
+// where a tile begins and ends: the solver keeps the record in plan order
+// and computes the digests it records and verifies against (the digest
+// half of audit_tile, and lbm::tile_digest), so a digest pass it already
+// made is never repeated.  verify_digests() only compares, and calls back
+// for a mismatching tile's confirming re-digest.  Record and verify read
+// the same array with no step between them, so the digests read its rows
+// in storage order: the verdicts do not depend on which direction a row
+// holds.
 //
 // The same tile pass feeds the numerical-health guards, which are always
 // on: audit_tile() produces a tile's digest and its RS001/RS003 partials
@@ -42,84 +42,32 @@
 // the wire already), so including them would turn every exchange into a
 // false detection.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "base/types.hpp"
 #include "lbm/tile_probe.hpp"
 #include "resilience/policy.hpp"
 
 namespace hemo::resilience {
 
-class Sentinel {
- public:
-  explicit Sentinel(SentinelPolicy policy);
-
-  const SentinelPolicy& policy() const { return policy_; }
-
-  /// One rank's live distribution array, as the digest loops see it.
-  struct RankView {
-    const double* f = nullptr;   // live SoA array
-    std::int64_t stride = 0;     // q-row stride (owned + ghost slots)
-    std::int64_t owned = 0;      // points digested: indices [0, owned)
-  };
-
-  /// A tile whose digest no longer matches its record (confirmed by the
-  /// second digest pass).
-  struct Mismatch {
-    Rank rank = -1;
-    std::int64_t tile = -1;
-    std::int64_t recorded_step = -1;
-  };
-
-  /// Drops every digest table and resizes for `n_ranks` ranks.  Called
-  /// whenever the recorded digests can no longer describe the live state:
-  /// enabling resilience, rollback, shrink re-decomposition, checkpoint
-  /// restore.
-  void reset(int n_ranks);
-
-  /// Records one rank's tile digests, computed by the caller over `view`'s
-  /// tiles (`digests[t]` the lbm::tile_digest of tile t — the distributed
-  /// solver takes them from its step launch's audits).
-  void record(Rank r, const RankView& view,
-              std::vector<lbm::TileDigest> digests, std::int64_t step);
-
-  bool has_record(Rank r) const;
-  std::int64_t recorded_step(Rank r) const;
-
-  /// Verifies one rank's recorded digests against `now`, the digests the
-  /// caller computed over `view`'s tiles.  A mismatching tile is confirmed
-  /// by a second, serial digest of `view` before it is reported: confirmed
-  /// mismatches are appended to `mismatches`; `checks` advances by the
-  /// number of tiles compared and `false_positives` by the number of
-  /// retracted (non-reproducing) mismatches.  A rank with no record, or
-  /// with a record of other coverage, verifies vacuously.
-  void verify(Rank r, const RankView& view,
-              std::span<const lbm::TileDigest> now,
-              std::vector<Mismatch>* mismatches, std::int64_t* checks,
-              std::int64_t* false_positives) const;
-
-  /// Tiles covering one rank's owned points.
-  std::int64_t tiles_of(std::int64_t owned) const {
-    return lbm::tile_count(owned, policy_.tile_points);
-  }
-
- private:
-  struct RankTable {
-    std::vector<lbm::TileDigest> digests;
-    std::int64_t step = -1;       // when the digests were recorded
-    std::int64_t owned = 0;       // coverage the digests describe
-  };
-
-  /// Rank r's record when it can be compared against `view`, else null.
-  const RankTable* comparable_table(Rank r, const RankView& view) const;
-
-  SentinelPolicy policy_;
-  std::vector<RankTable> tables_;
-};
+/// Compares `now`, the digests of a step's input, against `recorded`, the
+/// digests recorded after the step that produced it, one entry per tile in
+/// the same order.  A mismatching tile k is confirmed by `redigest(k)`, a
+/// second digest of the same slots, before it is reported: it is retracted
+/// as a checker glitch only when that second digest equals the record.
+/// `checks` advances by the number of tiles compared and `false_positives`
+/// by the number of retracted mismatches.  Returns the indices of the
+/// confirmed mismatches, ascending.
+std::vector<std::size_t> verify_digests(
+    std::span<const lbm::TileDigest> recorded,
+    std::span<const lbm::TileDigest> now,
+    const std::function<lbm::TileDigest(std::size_t)>& redigest,
+    std::int64_t* checks, std::int64_t* false_positives);
 
 /// One tile's share of a state audit: its sentinel digest plus the
 /// partials the RS001/RS003 guards fold across tiles.

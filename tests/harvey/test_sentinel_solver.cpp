@@ -100,45 +100,104 @@ void expect_bit_identical(const std::vector<double>& state,
 }  // namespace
 
 TEST(SentinelSolver, DetectsLocalizesAndRecoversAnInjectedFlip) {
-  const std::vector<double> reference = clean_run(kRanks, kSteps);
+  // A flip mid-lattice on 4 ranks, then flips at the last point of rank 1,
+  // in its last, short tile, on 2 and 5 ranks with tile sizes that do not
+  // divide the rank's point count.
+  struct Case {
+    int ranks;
+    std::int64_t tile_points;
+    bool last_tile;
+  };
+  const Case cases[] = {{kRanks, kTilePoints, false},
+                        {2, 48, true},
+                        {2, 100, true},
+                        {5, 48, true},
+                        {5, 100, true}};
+  for (const Case& c : cases) {
+    const std::string label = std::to_string(c.ranks) + " ranks, " +
+                              std::to_string(c.tile_points) + "-point tiles";
+    const std::vector<double> reference = clean_run(c.ranks, kSteps);
 
+    auto lattice = small_cylinder();
+    const decomp::Partition partition =
+        decomp::slab_partition(*lattice, c.ranks);
+    std::int64_t point = lattice->size() / 2;
+    if (c.last_tile) {
+      const std::vector<hemo::PointIndex> owned = partition.points_of(1);
+      const auto n = static_cast<std::int64_t>(owned.size());
+      ASSERT_NE(n % c.tile_points, 0) << label;
+      point = owned.back();
+    }
+    DistributedSolver solver(lattice, partition, flow_options());
+    resilience::FaultPlan plan;
+    plan.add(bit_flip_at(/*step=*/6, point, /*q=*/7, /*bit=*/44));
+    solver.set_fault_injection(&plan);
+    resilience::Options options = sentinel_options();
+    options.sentinel.tile_points = c.tile_points;
+    solver.enable_resilience(options);
+
+    solver.run(kSteps);
+
+    // The flip fired exactly once and stamped its ground truth.
+    const resilience::FaultEvent& fired = plan.events().front();
+    ASSERT_TRUE(fired.fired) << label;
+    ASSERT_GE(fired.fired_rank, 0) << label;
+    ASSERT_GE(fired.fired_tile, 0) << label;
+    if (c.last_tile) {
+      const std::int64_t n = solver.owned_count(1);
+      EXPECT_EQ(fired.fired_rank, 1) << label;
+      EXPECT_EQ(fired.fired_tile, (n - 1) / c.tile_points) << label;
+    }
+
+    const resilience::RunStats& stats = solver.resilience_stats();
+    EXPECT_EQ(stats.sdc_detected, 1) << label;
+    EXPECT_EQ(stats.sdc_false_positive, 0) << label;
+    EXPECT_GE(stats.rollbacks, 1) << label;
+    EXPECT_GT(stats.sdc_checks, 0) << label;
+    EXPECT_TRUE(has_rule(stats.diagnostics, "RS006")) << label;
+
+    // Localization: the detection blames the rank and tile the flip
+    // actually landed on, within one record/verify window of the event.
+    ASSERT_EQ(stats.sdc_detections.size(), 1u) << label;
+    const resilience::SdcDetection& d = stats.sdc_detections.front();
+    EXPECT_EQ(d.rank, fired.fired_rank) << label;
+    EXPECT_EQ(d.tile, fired.fired_tile) << label;
+    EXPECT_GE(d.step, 6) << label;
+    EXPECT_GE(d.latency_steps, 0) << label;
+    EXPECT_LE(d.latency_steps, options.sentinel.check_interval) << label;
+    EXPECT_FALSE(d.reexec) << label;
+
+    expect_bit_identical(solver.global_distributions(), reference);
+  }
+}
+
+TEST(SentinelSolver, BitFlipFiresOnASolverWithoutResilience) {
+  // A registered kBitFlip lands at the start of its step whether or not
+  // resilience is on.  Without it nothing detects the flip, so the run
+  // ends away from a clean one.
+  constexpr int kPlainRanks = 2;
   auto lattice = small_cylinder();
-  DistributedSolver solver(lattice,
-                           decomp::slab_partition(*lattice, kRanks),
-                           flow_options());
-  resilience::FaultPlan plan;
-  plan.add(bit_flip_at(/*step=*/6, lattice->size() / 2, /*q=*/7,
-                       /*bit=*/44));
-  solver.set_fault_injection(&plan);
-  solver.enable_resilience(sentinel_options());
+  const decomp::Partition partition =
+      decomp::slab_partition(*lattice, kPlainRanks);
+  const std::int64_t point = lattice->size() - 1;
+  const Rank owner = partition.owner[static_cast<std::size_t>(point)];
+  const std::vector<hemo::PointIndex> owned = partition.points_of(owner);
+  const std::int64_t local =
+      std::lower_bound(owned.begin(), owned.end(), point) - owned.begin();
+  const std::int64_t tile_points = resilience::SentinelPolicy{}.tile_points;
+  ASSERT_GT(local / tile_points, 0);  // past the first tile
 
+  DistributedSolver solver(lattice, partition, flow_options());
+  resilience::FaultPlan plan;
+  plan.add(bit_flip_at(/*step=*/3, point, /*q=*/7, /*bit=*/44));
+  solver.set_fault_injection(&plan);
   solver.run(kSteps);
 
-  // The flip fired exactly once and stamped its ground truth.
   const resilience::FaultEvent& fired = plan.events().front();
-  ASSERT_TRUE(fired.fired);
-  ASSERT_GE(fired.fired_rank, 0);
-  ASSERT_GE(fired.fired_tile, 0);
-
-  const resilience::RunStats& stats = solver.resilience_stats();
-  EXPECT_EQ(stats.sdc_detected, 1);
-  EXPECT_EQ(stats.sdc_false_positive, 0);
-  EXPECT_GE(stats.rollbacks, 1);
-  EXPECT_GT(stats.sdc_checks, 0);
-  EXPECT_TRUE(has_rule(stats.diagnostics, "RS006"));
-
-  // Localization: the detection blames the rank and tile the flip
-  // actually landed on, within one record/verify window of the event.
-  ASSERT_EQ(stats.sdc_detections.size(), 1u);
-  const resilience::SdcDetection& d = stats.sdc_detections.front();
-  EXPECT_EQ(d.rank, fired.fired_rank);
-  EXPECT_EQ(d.tile, fired.fired_tile);
-  EXPECT_GE(d.step, 6);
-  EXPECT_GE(d.latency_steps, 0);
-  EXPECT_LE(d.latency_steps, sentinel_options().sentinel.check_interval);
-  EXPECT_FALSE(d.reexec);
-
-  expect_bit_identical(solver.global_distributions(), reference);
+  EXPECT_TRUE(fired.fired);
+  EXPECT_EQ(fired.fired_rank, owner);
+  EXPECT_EQ(fired.fired_tile, local / tile_points);
+  EXPECT_NE(solver.global_distributions(), clean_run(kPlainRanks, kSteps));
 }
 
 TEST(SentinelSolver, OneShotFlipNeverRefiresAndCountersStayMonotone) {

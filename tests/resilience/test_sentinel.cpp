@@ -9,18 +9,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <ostream>
 #include <utility>
 #include <vector>
 
 #include "lbm/d3q19.hpp"
 #include "lbm/tile_probe.hpp"
-#include "resilience/policy.hpp"
 
 namespace lbm = hemo::lbm;
 namespace resilience = hemo::resilience;
-using hemo::Rank;
-using resilience::Sentinel;
 
 namespace {
 
@@ -59,17 +58,7 @@ std::vector<lbm::TileDigest> digest_tiles(const double* f,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Tile probe: counting, bit sensitivity, exact bits.
-
-TEST(TileProbe, TileCountEdges) {
-  EXPECT_EQ(lbm::tile_count(0, 256), 0);
-  EXPECT_EQ(lbm::tile_count(1, 256), 1);
-  EXPECT_EQ(lbm::tile_count(256, 256), 1);
-  EXPECT_EQ(lbm::tile_count(257, 256), 2);
-  EXPECT_EQ(lbm::tile_count(1000, 100), 10);
-  // Degenerate grain: no tiles rather than a division fault.
-  EXPECT_EQ(lbm::tile_count(5, 0), 0);
-}
+// Tile probe: bit sensitivity, exact bits.
 
 TEST(TileProbe, DigestDetectsEverySingleBitFlip) {
   constexpr std::int64_t kPoints = 37;  // odd: exercises the scalar tail
@@ -186,35 +175,19 @@ TEST(TileProbe, DigestTablesLocalizeFlipsToOneTile) {
 
 namespace {
 
-resilience::SentinelPolicy tile100_policy() {
-  resilience::SentinelPolicy p;
-  p.enabled = true;
-  p.tile_points = 100;
-  return p;
-}
+constexpr std::int64_t kTile100 = 100;
 
-Sentinel::RankView view_of(const std::vector<double>& f,
-                           std::int64_t stride, std::int64_t owned) {
-  return {f.data(), stride, owned};
-}
-
-/// `view`'s tile digests, as the solvers compute them.
-std::vector<lbm::TileDigest> digests(const Sentinel& sentinel,
-                                     const Sentinel::RankView& view) {
-  return digest_tiles(view.f, view.stride, view.owned,
-                      sentinel.policy().tile_points);
-}
-
-void record(Sentinel& sentinel, Rank r, const Sentinel::RankView& view,
-            std::int64_t step) {
-  sentinel.record(r, view, digests(sentinel, view), step);
-}
-
-void verify(const Sentinel& sentinel, Rank r, const Sentinel::RankView& view,
-            std::vector<Sentinel::Mismatch>* mismatches, std::int64_t* checks,
-            std::int64_t* false_positives) {
-  sentinel.verify(r, view, digests(sentinel, view), mismatches, checks,
-                  false_positives);
+/// A confirming re-digest of tile k of [0, owned) of `f`, as the solver
+/// makes it; counts its calls in `*calls`.
+std::function<lbm::TileDigest(std::size_t)> redigest_of(
+    const std::vector<double>& f, std::int64_t stride, std::int64_t owned,
+    int* calls) {
+  return [&f, stride, owned, calls](std::size_t k) {
+    ++*calls;
+    const std::int64_t begin = static_cast<std::int64_t>(k) * kTile100;
+    return lbm::tile_digest(f.data(), stride, begin,
+                            std::min(begin + kTile100, owned));
+  };
 }
 
 }  // namespace
@@ -223,84 +196,71 @@ TEST(Sentinel, RecordThenVerifyIsQuietOnCleanState) {
   constexpr std::int64_t kStride = 1050;  // 1000 owned + 50 ghost slots
   constexpr std::int64_t kOwned = 1000;
   std::vector<double> f = synthetic_state(kStride);
-
-  Sentinel sentinel(tile100_policy());
-  sentinel.reset(3);
-  EXPECT_EQ(sentinel.tiles_of(kOwned), 10);
-  EXPECT_FALSE(sentinel.has_record(2));
-
-  record(sentinel, 2, view_of(f, kStride, kOwned), 5);
-  EXPECT_TRUE(sentinel.has_record(2));
-  EXPECT_FALSE(sentinel.has_record(0));
-  EXPECT_EQ(sentinel.recorded_step(2), 5);
+  const std::vector<lbm::TileDigest> recorded =
+      digest_tiles(f.data(), kStride, kOwned, kTile100);
+  ASSERT_EQ(recorded.size(), 10u);
 
   // Ghost slots are legitimately rewritten by every exchange: a flip
   // there must be invisible to the digests.
   flip_bit(f.data() + 3 * kStride + 1010, 21);
 
-  std::vector<Sentinel::Mismatch> mismatches;
+  int redigests = 0;
   std::int64_t checks = 0, false_positives = 0;
-  verify(sentinel, 2, view_of(f, kStride, kOwned), &mismatches, &checks,
-         &false_positives);
-  EXPECT_TRUE(mismatches.empty());
+  const std::vector<std::size_t> found = resilience::verify_digests(
+      recorded, digest_tiles(f.data(), kStride, kOwned, kTile100),
+      redigest_of(f, kStride, kOwned, &redigests), &checks, &false_positives);
+  EXPECT_TRUE(found.empty());
   EXPECT_EQ(checks, 10);
   EXPECT_EQ(false_positives, 0);
+  EXPECT_EQ(redigests, 0);  // only a mismatch is digested again
 }
 
 TEST(Sentinel, VerifyLocalizesEachCorruptTile) {
   constexpr std::int64_t kOwned = 1000;
   std::vector<double> f = synthetic_state(kOwned);
-  Sentinel sentinel(tile100_policy());
-  sentinel.reset(4);
-  record(sentinel, 1, view_of(f, kOwned, kOwned), 7);
+  const std::vector<lbm::TileDigest> recorded =
+      digest_tiles(f.data(), kOwned, kOwned, kTile100);
 
   flip_bit(f.data() + 7 * kOwned + 537, 3);   // tile 5
   flip_bit(f.data() + 0 * kOwned + 123, 60);  // tile 1
 
-  std::vector<Sentinel::Mismatch> mismatches;
+  int redigests = 0;
   std::int64_t checks = 0, false_positives = 0;
-  verify(sentinel, 1, view_of(f, kOwned, kOwned), &mismatches, &checks,
-         &false_positives);
-  ASSERT_EQ(mismatches.size(), 2u);
-  EXPECT_EQ(mismatches[0].rank, 1);
-  EXPECT_EQ(mismatches[0].tile, 1);
-  EXPECT_EQ(mismatches[0].recorded_step, 7);
-  EXPECT_EQ(mismatches[1].rank, 1);
-  EXPECT_EQ(mismatches[1].tile, 5);
-  EXPECT_EQ(mismatches[1].recorded_step, 7);
+  const std::vector<std::size_t> found = resilience::verify_digests(
+      recorded, digest_tiles(f.data(), kOwned, kOwned, kTile100),
+      redigest_of(f, kOwned, kOwned, &redigests), &checks, &false_positives);
+  EXPECT_EQ(found, (std::vector<std::size_t>{1, 5}));
+  EXPECT_EQ(checks, 10);
+  EXPECT_EQ(redigests, 2);
   // The corruption reproduces on the confirming re-digest: a real
   // detection, not a retracted checker glitch.
   EXPECT_EQ(false_positives, 0);
 }
 
-TEST(Sentinel, VerifyIsVacuousWithoutAMatchingRecord) {
-  constexpr std::int64_t kOwned = 400;
-  std::vector<double> f = synthetic_state(kOwned);
-  Sentinel sentinel(tile100_policy());
-  sentinel.reset(2);
+TEST(Sentinel, VerifyRetractsOnlyARedigestThatMatchesTheRecord) {
+  // Three mismatching tiles, each confirmed by a different re-digest: one
+  // that equals the record (the first pass misread: retracted), one that
+  // equals the first digest, and one that equals neither.  The last two
+  // both say the state no longer matches the record, so both are
+  // confirmed.
+  constexpr std::int64_t kPoints = 400;
+  const std::vector<double> f = synthetic_state(kPoints);
+  const std::vector<lbm::TileDigest> recorded =
+      digest_tiles(f.data(), kPoints, kPoints, kTile100);
+  std::vector<lbm::TileDigest> now = recorded;
+  for (const std::size_t k : std::initializer_list<std::size_t>{0, 2, 3})
+    now[k].hash ^= 1;
+  const auto redigest = [&](std::size_t k) {
+    lbm::TileDigest again = recorded[k];
+    if (k == 2) again = now[k];
+    if (k == 3) again.hash ^= 2;  // a third value
+    return again;
+  };
 
-  std::vector<Sentinel::Mismatch> mismatches;
   std::int64_t checks = 0, false_positives = 0;
-
-  // No record at all.
-  verify(sentinel, 0, view_of(f, kOwned, kOwned), &mismatches, &checks,
-         &false_positives);
-  EXPECT_EQ(checks, 0);
-
-  record(sentinel, 0, view_of(f, kOwned, kOwned), 2);
-
-  // Coverage changed (shrink redistributed points): the record cannot
-  // describe this state any more.
-  verify(sentinel, 0, view_of(f, kOwned, 300), &mismatches, &checks,
-         &false_positives);
-  EXPECT_EQ(checks, 0);
-
-  // reset() drops every table.
-  sentinel.reset(2);
-  EXPECT_FALSE(sentinel.has_record(0));
-  verify(sentinel, 0, view_of(f, kOwned, kOwned), &mismatches, &checks,
-         &false_positives);
-  EXPECT_EQ(checks, 0);
-  EXPECT_TRUE(mismatches.empty());
-  EXPECT_EQ(false_positives, 0);
+  const std::vector<std::size_t> found = resilience::verify_digests(
+      recorded, now, redigest, &checks, &false_positives);
+  EXPECT_EQ(found, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(checks, 4);
+  EXPECT_EQ(false_positives, 1);
 }
