@@ -792,51 +792,22 @@ bool DistributedSolver::can_shrink() const {
 }
 
 template <class Visit>
-void DistributedSolver::for_each_owned_slot(Visit visit) const {
-  const auto n = static_cast<std::size_t>(global_->size());
+void DistributedSolver::walk_row(std::span<double* const> per_rank, int q,
+                                 Visit visit) const {
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
-    const auto local = static_cast<std::size_t>(rs.local);
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi = static_cast<std::size_t>(
-          rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q) {
-        const auto row = static_cast<std::size_t>(q);
-        visit(r, row * local + static_cast<std::size_t>(li), row * n + gi);
-      }
-    }
+    double* row = per_rank[r] + static_cast<std::size_t>(q) *
+                                    static_cast<std::size_t>(rs.local);
+    for (std::int64_t li = 0; li < rs.owned; ++li)
+      visit(row[li], static_cast<std::size_t>(
+                         rs.owned_global[static_cast<std::size_t>(li)]));
   }
 }
 
-std::vector<double> DistributedSolver::gather_owned(
-    std::span<const double* const> per_rank) const {
-  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) *
-                          static_cast<std::size_t>(global_->size()));
-  for_each_owned_slot([&](std::size_t r, std::size_t at, std::size_t g) {
-    out[g] = per_rank[r][at];
-  });
-  return out;
-}
-
-std::vector<double> DistributedSolver::snapshot_global_state() const {
-  // Reassemble the snapshot into global q-major ordering using the
-  // *current* (pre-shrink) ownership.  The snapshot holds every rank's
-  // state from before the death, so the dead rank's points are recovered
-  // from it — this is the redistribution source for the shrink.
-  HEMO_EXPECTS(snapshot_.step >= 0);
-  std::vector<const double*> saved;
-  for (const std::vector<double>& state : snapshot_.state)
-    saved.push_back(state.data());
-  return gather_owned(saved);
-}
-
-void DistributedSolver::scatter_global_state(const std::vector<double>& f) {
-  // Owned slots only: every ghost (q, slot) the kernel will read is
-  // overwritten by the first halo exchange after resumption, so ghosts can
-  // stay at the equilibrium fill build_decomposition() gave them.
-  for_each_owned_slot([&](std::size_t r, std::size_t at, std::size_t g) {
-    ranks_[r].current()[at] = f[g];
-  });
+std::vector<double*> DistributedSolver::live_arrays() const {
+  std::vector<double*> live;
+  for (const RankState& rs : ranks_) live.push_back(rs.current());
+  return live;
 }
 
 void DistributedSolver::shrink_to_survivors(Rank dead) {
@@ -844,8 +815,11 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   HEMO_EXPECTS(alive_[static_cast<std::size_t>(dead)]);
 
   // Recover the last consistent global state while the old decomposition
-  // is still in place, then retire the rank.
-  const std::vector<double> f = snapshot_global_state();
+  // is still in place, then retire the rank: roll every rank back to the
+  // snapshot, which holds the dead rank's pre-death state too, and gather.
+  HEMO_EXPECTS(snapshot_.step >= 0);
+  copy_snapshot_rows(/*to_snapshot=*/false);
+  const std::vector<double> f = global_distributions();
   const std::int64_t resume_step = snapshot_.step;
   const double resume_prev_mass = snapshot_.prev_mass;
 
@@ -863,7 +837,14 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   partition_ =
       decomp::bisection_partition(*global_, partition_.n_ranks, survivors);
   build_decomposition();
-  scatter_global_state(f);
+  // Owned slots only: the first exchange after resumption refreshes every
+  // ghost slot a kernel reads, so ghosts can stay at the equilibrium fill.
+  const auto n = static_cast<std::size_t>(global_->size());
+  const std::vector<double*> live = live_arrays();
+  for (int q = 0; q < lbm::kQ; ++q) {
+    const double* row = f.data() + static_cast<std::size_t>(q) * n;
+    walk_row(live, q, [row](double& slot, std::size_t g) { slot = row[g]; });
+  }
   steps_done_ = resume_step;
   prev_mass_ = resume_prev_mass;
 
@@ -987,63 +968,38 @@ void DistributedSolver::resilient_step() {
 // ---------------------------------------------------------------------------
 
 void DistributedSolver::save_checkpoint(const std::string& path) const {
-  io::BlobWriter writer(path, lbm::kCheckpointMagic,
-                        lbm::kCheckpointVersion);
-  const lbm::CheckpointMeta meta{steps_done_, global_->size(),
-                                 partition_.n_ranks, lbm::kQ};
-  writer.add_record(lbm::kCheckpointMetaTag, &meta, sizeof meta);
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& rs = ranks_[r];
-    writer.add_record(lbm::kCheckpointStateTag + static_cast<std::uint32_t>(r),
-                      rs.current(), rs.values() * sizeof(double));
-  }
-  writer.finish();
+  const std::vector<double*> live = live_arrays();
+  std::vector<double> row(static_cast<std::size_t>(global_->size()));
+  lbm::write_checkpoint(path, steps_done_, global_->size(), [&](int q) {
+    walk_row(live, q, [&row](double& slot, std::size_t g) { row[g] = slot; });
+    return row.data();
+  });
 }
 
 void DistributedSolver::restore_checkpoint(const std::string& path) {
-  io::BlobReader reader(path, lbm::kCheckpointMagic,
-                        lbm::kCheckpointVersion);
-  const lbm::CheckpointMeta meta = lbm::read_checkpoint_meta(
-      reader, path, global_->size(), partition_.n_ranks);
-
-  // All or nothing: every record is read and checked into its rank's spare
-  // pull buffer, which the next step overwrites anyway, and the live state
+  // All or nothing: each row is scattered into the ranks' spare pull
+  // buffers, which the next step overwrites anyway, and the live state
   // changes only once the whole file has passed.
-  std::vector<bool> seen(ranks_.size(), false);
-  while (!reader.at_end()) {
-    const io::BlobRecord rec = reader.next();
-    if (rec.tag < lbm::kCheckpointStateTag ||
-        rec.tag >= lbm::kCheckpointStateTag + ranks_.size())
-      throw io::BlobError("checkpoint '" + path + "': unknown record tag");
-    const std::size_t r = rec.tag - lbm::kCheckpointStateTag;
-    if (seen[r])
-      throw io::BlobError("checkpoint '" + path + "': two records for rank " +
-                          std::to_string(r));
-    RankState& rs = ranks_[r];
-    if (rec.bytes.size() != rs.values() * sizeof(double))
-      throw io::BlobError("checkpoint '" + path + "': rank record size " +
-                          std::to_string(rec.bytes.size()) +
-                          " does not match this decomposition");
-    std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.spare()));
-    seen[r] = true;
-  }
-  for (std::size_t r = 0; r < seen.size(); ++r)
-    if (!seen[r])
-      throw io::BlobError("checkpoint '" + path + "': no record for rank " +
-                          std::to_string(r));
+  std::vector<double*> spare;
+  for (RankState& rs : ranks_) spare.push_back(rs.spare());
+  const std::int64_t step = lbm::read_checkpoint(
+      path, global_->size(), [&](int q, const char* row) {
+        walk_row(spare, q, [row](double& slot, std::size_t g) {
+          std::memcpy(&slot, row + g * sizeof slot, sizeof slot);
+        });
+      });
 
   // The staged buffers become the live state, as a step's output does.
+  // Their ghost slots are stale: the first exchange refreshes every ghost
+  // slot a kernel reads, as after a shrink.
   for (RankState& rs : ranks_) {
     rs.engine.commit();
-    rs.engine.set_steps_done(meta.step);
+    rs.engine.set_steps_done(step);
   }
-  steps_done_ = meta.step;
-  snapshot_ = Snapshot{};  // pre-restore snapshots are no longer valid
-  reanchor_after_restore();
-}
-
-void DistributedSolver::reanchor_after_restore() {
+  steps_done_ = step;
+  // The restored state is the mass reference, the sentinel's record and,
+  // under resilience, the rollback target.
+  snapshot_ = Snapshot{};
   const std::vector<resilience::TileAudit> audits = audit_state();
   initial_mass_ = prev_mass_ = mass_of(audits);
   if (sentinel_on()) sentinel_record(audits);
@@ -1142,9 +1098,14 @@ void DistributedSolver::set_inlet_velocity(double velocity) {
 }
 
 std::vector<double> DistributedSolver::global_distributions() const {
-  std::vector<const double*> live;
-  for (const RankState& rs : ranks_) live.push_back(rs.current());
-  return gather_owned(live);
+  const auto n = static_cast<std::size_t>(global_->size());
+  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) * n);
+  const std::vector<double*> live = live_arrays();
+  for (int q = 0; q < lbm::kQ; ++q) {
+    double* row = out.data() + static_cast<std::size_t>(q) * n;
+    walk_row(live, q, [row](double& slot, std::size_t g) { row[g] = slot; });
+  }
+  return out;
 }
 
 lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {

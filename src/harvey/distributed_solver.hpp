@@ -143,11 +143,11 @@ class DistributedSolver {
 
   // -- Checkpoint / restart -------------------------------------------------
 
-  /// Writes a versioned, CRC-checked binary checkpoint of the full solver
-  /// state (every rank's distributions + the step counter) through
-  /// io::BlobWriter.  restore_checkpoint() of the file reproduces the run
-  /// bit-identically.  The restore is all or nothing: a file that fails
-  /// any check (header, CRC, record size, a missing or repeated rank) throws
+  /// Writes a CRC-checked checkpoint (lbm/checkpoint.hpp) of the step
+  /// counter and the global_distributions() rows.  It records no
+  /// decomposition, so it restores bit-identically at any rank count, after
+  /// a shrink, or into an lbm::Solver, and theirs restore here.  The
+  /// restore is all or nothing: a file that fails any check throws
   /// io::BlobError and leaves the solver as it was.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
@@ -305,10 +305,6 @@ class DistributedSolver {
   /// Copies every rank's live array into the snapshot (`to_snapshot`) or
   /// back, as one launch over (rank, q-row) copies.
   void copy_snapshot_rows(bool to_snapshot);
-  /// After a checkpoint restore: the restored state becomes the mass
-  /// reference, the sentinel's record and, under resilience, the rollback
-  /// target.
-  void reanchor_after_restore();
   void rollback_or_fault(const std::string& why);
   std::int64_t total_values() const;
   void resilient_step();
@@ -336,18 +332,15 @@ class DistributedSolver {
   Rank diagnose_dead_rank(const std::vector<FailedEdge>& failed) const;
   bool can_shrink() const;
   void shrink_to_survivors(Rank dead);
-  std::vector<double> snapshot_global_state() const;
-  void scatter_global_state(const std::vector<double>& f);
 
-  /// The one (rank, local) <-> global index walk: visit(r, at, g) for every
-  /// owned (rank, point, q) slot, `at` its index in rank r's kQ x local
-  /// array and `g` its index in the global q-major array.
+  /// The one (rank, local) <-> global walk, over direction q: visit(slot,
+  /// g) for each owned slot of row q of the per-rank arrays (per_rank[r]
+  /// holding kQ x local values), rank by rank in local order, with g the
+  /// point's global index.  Ghost slots are not visited.
   template <class Visit>
-  void for_each_owned_slot(Visit visit) const;
-  /// Owned slots of per-rank arrays (per_rank[r], kQ x local each)
-  /// reassembled into the global q-major ordering.
-  std::vector<double> gather_owned(
-      std::span<const double* const> per_rank) const;
+  void walk_row(std::span<double* const> per_rank, int q, Visit visit) const;
+  /// Each rank's live array, by rank.
+  std::vector<double*> live_arrays() const;
 
   std::shared_ptr<const lbm::SparseLattice> global_;
   decomp::Partition partition_;

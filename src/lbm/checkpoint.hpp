@@ -1,64 +1,48 @@
 #pragma once
-// The one on-disk checkpoint format of every solver: an io::Blob (CRC-32
-// per record, atomic .tmp + rename publish; see io/blob.hpp) holding a
-// metadata record (tag kCheckpointMetaTag) and then one state record per
-// rank (tag kCheckpointStateTag + rank).  harvey::DistributedSolver writes
-// each rank's distribution array, ghost slots included; lbm::Solver writes
-// the single-rank case, whose one state record is the canonical snapshot
-// of the whole lattice — portable across propagation patterns and AA
-// parities.
+// The one on-disk checkpoint format of every solver, written and read by
+// this module alone: an io::Blob (CRC-32 per record, atomic .tmp + rename
+// publish; see io/blob.hpp) holding a metadata record {step, global_size,
+// q} and then kQ state records.  Record q is direction q's row over the
+// global points, in global order — the rows of lbm::Solver::
+// distributions() and harvey::DistributedSolver::global_distributions().
+// No rank count, ghost slot or AA parity is stored, so a checkpoint
+// restores into either solver, at any rank count, under pull or AA.
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "io/blob.hpp"
-#include "lbm/d3q19.hpp"
 
 namespace hemo::lbm {
 
-/// Every checkpoint failure — missing file, wrong magic, truncation, a CRC
-/// mismatch, or a file taken for another solver configuration — is one
-/// recoverable error type: campaigns catch it and fall back to a cold
-/// start.
+/// Every checkpoint failure — missing file, wrong magic or version,
+/// truncation, a CRC mismatch, a record out of order, or a file taken for
+/// another lattice — is one recoverable error type: campaigns catch it and
+/// fall back to a cold start.
 using CheckpointError = io::BlobError;
 
 inline constexpr std::uint64_t kCheckpointMagic =
     0x48454D4F44434B50ull;  // "HEMODCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
-inline constexpr std::uint32_t kCheckpointMetaTag = 0;
-inline constexpr std::uint32_t kCheckpointStateTag = 1;  // + rank
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
-struct CheckpointMeta {
-  std::int64_t step = 0;
-  std::int64_t global_size = 0;
-  std::int32_t n_ranks = 0;
-  std::int32_t q = kQ;
-};
+/// Writes the checkpoint of a `global_size`-point state at `step`.  row(q)
+/// yields direction q's row of global_size values; it is called for q in
+/// order, and its pointer need only stay valid until the next call.
+void write_checkpoint(const std::string& path, std::int64_t step,
+                      std::int64_t global_size,
+                      const std::function<const double*(int q)>& row);
 
-/// Reads the metadata record that must open a checkpoint and checks it
-/// against the restoring solver's lattice size and rank count.
-inline CheckpointMeta read_checkpoint_meta(io::BlobReader& reader,
-                                           const std::string& path,
-                                           std::int64_t global_size,
-                                           int n_ranks) {
-  if (reader.at_end())
-    throw CheckpointError("checkpoint '" + path + "' has no metadata record");
-  const io::BlobRecord rec = reader.next();
-  if (rec.tag != kCheckpointMetaTag ||
-      rec.bytes.size() != sizeof(CheckpointMeta))
-    throw CheckpointError("checkpoint '" + path +
-                          "': first record is not valid metadata");
-  CheckpointMeta meta;
-  std::copy(rec.bytes.begin(), rec.bytes.end(),
-            reinterpret_cast<char*>(&meta));
-  if (meta.global_size != global_size || meta.n_ranks != n_ranks ||
-      meta.q != kQ)
-    throw CheckpointError("checkpoint '" + path +
-                          "' was taken for a different solver configuration");
-  if (meta.step < 0)
-    throw CheckpointError("checkpoint '" + path + "': negative step counter");
-  return meta;
-}
+/// Reads a checkpoint taken for a `global_size`-point lattice and returns
+/// its step.  row(q, bytes) receives direction q's row, global_size
+/// doubles as raw bytes (copy them out with std::memcpy), in order and
+/// each only after its CRC has passed.  Throws CheckpointError on a file
+/// of another version or lattice, a record out of order, a row of the
+/// wrong size or CRC, or a record after the last row — possibly after
+/// some rows were handed over, so a caller stages them where a failed
+/// restore does not show.
+std::int64_t read_checkpoint(
+    const std::string& path, std::int64_t global_size,
+    const std::function<void(int q, const char* bytes)>& row);
 
 }  // namespace hemo::lbm

@@ -85,41 +85,34 @@ std::array<double, 6> Solver::stress(PointIndex i) const {
 }
 
 void Solver::save_checkpoint(const std::string& path) const {
-  const std::vector<double>& canonical = distributions();
-  io::BlobWriter writer(path, kCheckpointMagic, kCheckpointVersion);
-  const CheckpointMeta meta{engine_.steps_done(), lattice_->size(), 1, kQ};
-  writer.add_record(kCheckpointMetaTag, &meta, sizeof meta);
-  writer.add_record(kCheckpointStateTag, canonical.data(),
-                    canonical.size() * sizeof(double));
-  writer.finish();
+  // Pull writes the live buffer's rows, AA its canonical snapshot's.
+  const double* f = distributions().data();
+  const auto n = static_cast<std::size_t>(lattice_->size());
+  write_checkpoint(path, engine_.steps_done(), lattice_->size(),
+                   [=](int q) { return f + static_cast<std::size_t>(q) * n; });
 }
 
 void Solver::restore_checkpoint(const std::string& path) {
-  io::BlobReader reader(path, kCheckpointMagic, kCheckpointVersion);
-  const CheckpointMeta meta =
-      read_checkpoint_meta(reader, path, lattice_->size(), /*n_ranks=*/1);
-  if (reader.at_end())
-    throw CheckpointError("checkpoint '" + path + "' has no state record");
-  // The record is read and CRC-checked in full before any solver state
-  // changes, so a failed restore leaves the solver untouched.
-  const io::BlobRecord rec = reader.next();
-  if (rec.tag != kCheckpointStateTag ||
-      rec.bytes.size() != buf_b_.size() * sizeof(double))
-    throw CheckpointError("checkpoint '" + path +
-                          "': state record does not match this lattice");
-  if (!reader.at_end())
-    throw CheckpointError("checkpoint '" + path +
-                          "': unexpected records after the state");
-
-  engine_.set_steps_done(meta.step);
+  // All or nothing: the rows are staged in the buffer the live state is not
+  // in — pull's spare, AA's canonical cache, stale from the first row on —
+  // and become the state only once the whole file has passed.
+  double* stage =
+      engine_.live() == buf_a_.data() ? buf_b_.data() : buf_a_.data();
+  aa_canonical_fresh_ = false;
+  const auto n = static_cast<std::size_t>(lattice_->size());
+  const std::int64_t step = read_checkpoint(
+      path, lattice_->size(), [=](int q, const char* row) {
+        std::memcpy(stage + static_cast<std::size_t>(q) * n, row,
+                    n * sizeof(double));
+      });
   if (options_.propagation == Propagation::kPullSoA) {
-    std::memcpy(engine_.live(), rec.bytes.data(), rec.bytes.size());
-    return;
+    engine_.commit();  // the staged buffer becomes live, as a step's output
+  } else {
+    aa_decanonicalize(lattice_->adjacency().data(), lattice_->size(), step,
+                      buf_b_.data(), buf_a_.data());
+    aa_canonical_fresh_ = true;
   }
-  std::memcpy(buf_b_.data(), rec.bytes.data(), rec.bytes.size());
-  aa_decanonicalize(lattice_->adjacency().data(), lattice_->size(),
-                    meta.step, buf_b_.data(), buf_a_.data());
-  aa_canonical_fresh_ = true;
+  engine_.set_steps_done(step);
 }
 
 double Solver::max_speed() const {

@@ -64,14 +64,11 @@ class Solver {
   /// Deviatoric stress tensor at one point (see lbm/hemodynamics.hpp).
   std::array<double, 6> stress(PointIndex i) const;
 
-  /// Single-rank checkpoint (lbm/checkpoint.hpp) of the full state: the
-  /// step counter and the canonical distributions, CRC-checked and
-  /// written atomically (.tmp + rename) so a crash mid-write never tears
-  /// the live file.  The stored snapshot is always canonical, so
-  /// checkpoints are portable across propagation patterns and AA step
-  /// parities; restore is bit-exact, leaves the solver untouched on
-  /// failure, and throws CheckpointError (instead of aborting) on
-  /// malformed or corrupted files.
+  /// Checkpoint (lbm/checkpoint.hpp) of the step counter and the canonical
+  /// distributions' rows, CRC-checked and written atomically (.tmp +
+  /// rename).  A checkpoint of either pattern at either AA parity, or of a
+  /// DistributedSolver at any rank count, restores here bit-exactly.  A
+  /// failed restore throws CheckpointError and leaves the solver untouched.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
 
@@ -80,7 +77,7 @@ class Solver {
   SolverOptions options_;
   // Pull: buf_a_/buf_b_ are the double buffers the engine swaps between.
   // AA: buf_a_ is the single in-place array, buf_b_ caches the canonical
-  // snapshot, which const observers fill lazily.
+  // snapshot, which const observers fill lazily and a restore stages.
   std::vector<double> buf_a_;
   mutable std::vector<double> buf_b_;
   StepEngine engine_;

@@ -23,6 +23,8 @@
 #include "harvey/distributed_solver.hpp"
 #include "io/blob.hpp"
 #include "lbm/checkpoint.hpp"
+#include "lbm/propagation.hpp"
+#include "lbm/solver.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
@@ -374,6 +376,9 @@ TEST(ResilientSolver, ResilientRunWithoutFaultsIsBitIdenticalToPlain) {
 class CheckpointRankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CheckpointRankSweep, RoundTripIsBitIdentical) {
+  // A checkpoint records no decomposition: the file saved at each rank
+  // count resumes bit-identically at that rank count, at another one, and
+  // in the single-domain solver under pull and AA.
   const int ranks = GetParam();
   constexpr int kSteps = 14;
   constexpr int kCut = 6;
@@ -387,21 +392,66 @@ TEST_P(CheckpointRankSweep, RoundTripIsBitIdentical) {
     solver.run(kCut);
     solver.save_checkpoint(ckpt.path);
   }
-  DistributedSolver resumed(lattice, decomp::slab_partition(*lattice, ranks),
-                            flow_options());
-  resumed.restore_checkpoint(ckpt.path);
-  EXPECT_EQ(resumed.step_count(), kCut);
-  resumed.run(kSteps - kCut);
-
-  const std::vector<double> state = resumed.global_distributions();
-  ASSERT_EQ(state.size(), reference.size());
-  for (std::size_t k = 0; k < state.size(); ++k)
-    ASSERT_EQ(state[k], reference[k])
-        << ranks << " ranks diverged at index " << k;
+  const auto expect_reference = [&](const std::vector<double>& state,
+                                    const std::string& target) {
+    ASSERT_EQ(state.size(), reference.size());
+    for (std::size_t k = 0; k < state.size(); ++k)
+      ASSERT_EQ(state[k], reference[k])
+          << ranks << " ranks restored into " << target
+          << " diverged at index " << k;
+  };
+  const int other_ranks = ranks == 4 ? 3 : 4;
+  for (const int target : {ranks, other_ranks}) {
+    DistributedSolver resumed(
+        lattice, decomp::slab_partition(*lattice, target), flow_options());
+    resumed.restore_checkpoint(ckpt.path);
+    EXPECT_EQ(resumed.step_count(), kCut);
+    resumed.run(kSteps - kCut);
+    expect_reference(resumed.global_distributions(),
+                     std::to_string(target) + " ranks");
+  }
+  for (const lbm::Propagation pattern :
+       {lbm::Propagation::kPullSoA, lbm::Propagation::kAAInPlace}) {
+    lbm::SolverOptions options = flow_options();
+    options.propagation = pattern;
+    lbm::Solver resumed(lattice, options);
+    resumed.restore_checkpoint(ckpt.path);
+    EXPECT_EQ(resumed.step_count(), kCut);
+    resumed.run(kSteps - kCut);
+    expect_reference(resumed.distributions(),
+                     lbm::propagation_name(pattern));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, CheckpointRankSweep,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(Checkpoint, SingleDomainCheckpointRestoresIntoFourRanks) {
+  // The other direction: lbm::Solver checkpoints, under pull and at an odd
+  // AA step, resume bit-identically on four ranks.
+  constexpr int kSteps = 12;
+  constexpr int kCut = 5;
+  const std::vector<double> reference = clean_run(4, kSteps);
+  auto lattice = small_cylinder();
+  for (const lbm::Propagation pattern :
+       {lbm::Propagation::kPullSoA, lbm::Propagation::kAAInPlace}) {
+    const TempFile ckpt("ckpt_single_to_four.bin");
+    {
+      lbm::SolverOptions options = flow_options();
+      options.propagation = pattern;
+      lbm::Solver single(lattice, options);
+      single.run(kCut);
+      single.save_checkpoint(ckpt.path);
+    }
+    DistributedSolver resumed(lattice, decomp::slab_partition(*lattice, 4),
+                              flow_options());
+    resumed.restore_checkpoint(ckpt.path);
+    EXPECT_EQ(resumed.step_count(), kCut);
+    resumed.run(kSteps - kCut);
+    EXPECT_EQ(resumed.global_distributions(), reference)
+        << lbm::propagation_name(pattern);
+  }
+}
 
 TEST(Checkpoint, CorruptedFileIsRejected) {
   const TempFile ckpt("ckpt_corrupt.bin");
@@ -486,49 +536,60 @@ TEST(Checkpoint, FailedRestoreLeavesTheSolverUntouched) {
   EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, 9));
 }
 
-TEST(Checkpoint, DuplicateRankRecordIsRejected) {
-  // A file holding two state records for one rank must be refused, not
-  // restored with whichever record came last.
-  const TempFile first("ckpt_dup_first.bin");
-  const TempFile second("ckpt_dup_second.bin");
-  const TempFile dup("ckpt_dup.bin");
+TEST(Checkpoint, RepeatedOrSwappedRowIsRejected) {
+  // Record k + 1 must be direction row k: a file with a row repeated, two
+  // rows swapped, or a row after the last one is refused — after most rows
+  // were already staged — and the solver is left untouched.
+  const TempFile first("ckpt_rows_first.bin");
+  const TempFile bad("ckpt_rows_bad.bin");
   auto lattice = small_cylinder();
   {
     DistributedSolver saved(lattice, decomp::slab_partition(*lattice, 2),
                             flow_options());
     saved.run(2);
     saved.save_checkpoint(first.path);
-    saved.run(3);
-    saved.save_checkpoint(second.path);
   }
-  const auto records_of = [](const std::string& path) {
-    hemo::io::BlobReader reader(path, lbm::kCheckpointMagic,
-                                lbm::kCheckpointVersion);
-    std::vector<hemo::io::BlobRecord> out;
-    while (!reader.at_end()) out.push_back(reader.next());
-    return out;
-  };
-  const std::vector<hemo::io::BlobRecord> a = records_of(first.path);
-  const std::vector<hemo::io::BlobRecord> b = records_of(second.path);
-  ASSERT_EQ(a.size(), 3u);  // meta, rank 0, rank 1
+  std::vector<hemo::io::BlobRecord> records;
   {
-    hemo::io::BlobWriter writer(dup.path, lbm::kCheckpointMagic,
+    hemo::io::BlobReader reader(first.path, lbm::kCheckpointMagic,
                                 lbm::kCheckpointVersion);
-    for (const hemo::io::BlobRecord* rec : {&a[0], &a[1], &b[1], &a[2]})
-      writer.add_record(rec->tag, rec->bytes.data(), rec->bytes.size());
-    writer.finish();
+    while (!reader.at_end()) records.push_back(reader.next());
   }
+  ASSERT_EQ(records.size(), 1u + lbm::kQ);  // metadata, then one row per q
+  const std::size_t last = records.size() - 1;
+
+  std::vector<std::vector<std::size_t>> orders(3);
+  for (std::size_t k = 0; k < records.size(); ++k)
+    for (std::vector<std::size_t>& order : orders) order.push_back(k);
+  orders[0][last] = last - 1;                      // row kQ-2 twice
+  std::swap(orders[1][last - 1], orders[1][last]);  // last two swapped
+  orders[2].push_back(last);                        // last row twice
 
   DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2),
                            flow_options());
   solver.run(1);
   const std::vector<double> before = solver.global_distributions();
-  EXPECT_THROW(solver.restore_checkpoint(dup.path), hemo::io::BlobError);
-  EXPECT_EQ(solver.step_count(), 1);
-  EXPECT_EQ(solver.global_distributions(), before);
+  const double mass = solver.total_mass();
+  for (const std::vector<std::size_t>& order : orders) {
+    {
+      hemo::io::BlobWriter writer(bad.path, lbm::kCheckpointMagic,
+                                  lbm::kCheckpointVersion);
+      for (const std::size_t k : order)
+        writer.add_record(records[k].tag, records[k].bytes.data(),
+                          records[k].bytes.size());
+      writer.finish();
+    }
+    EXPECT_THROW(solver.restore_checkpoint(bad.path), hemo::io::BlobError);
+    EXPECT_EQ(solver.step_count(), 1);
+    EXPECT_EQ(solver.total_mass(), mass);
+    EXPECT_EQ(solver.global_distributions(), before);
+  }
+  solver.run(4);
+  EXPECT_EQ(solver.global_distributions(), clean_run(2, 5));
 }
 
 TEST(Checkpoint, WrongConfigurationIsRejected) {
+  // Any rank count restores a checkpoint; a different lattice does not.
   const TempFile ckpt("ckpt_wrong_config.bin");
   auto lattice = small_cylinder();
   {
@@ -537,10 +598,17 @@ TEST(Checkpoint, WrongConfigurationIsRejected) {
     solver.run(2);
     solver.save_checkpoint(ckpt.path);
   }
-  // A 4-rank solver must refuse a 2-rank checkpoint.
-  DistributedSolver other(lattice, decomp::slab_partition(*lattice, 4),
+  geom::CylinderSpec spec;
+  spec.scale = 1.0;
+  spec.radius_per_scale = 4.0;
+  spec.axial_per_scale = 12.0;
+  auto shorter =
+      geom::make_cylinder_lattice(spec, geom::CylinderEnds::kInletOutlet);
+  ASSERT_NE(shorter->size(), lattice->size());
+  DistributedSolver other(shorter, decomp::slab_partition(*shorter, 2),
                           flow_options());
   EXPECT_THROW(other.restore_checkpoint(ckpt.path), hemo::io::BlobError);
+  EXPECT_EQ(other.step_count(), 0);
 }
 
 TEST(Checkpoint, MissingFileIsRejected) {

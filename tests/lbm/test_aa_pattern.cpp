@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "geom/aorta.hpp"
 #include "geom/cylinder.hpp"
 #include "lbm/aa_layout.hpp"
+#include "lbm/checkpoint.hpp"
 #include "lbm/propagation.hpp"
 #include "lbm/solver.hpp"
 
@@ -182,26 +185,65 @@ TEST(Checkpoint, SaveLeavesNoTempFileBehind) {
 TEST(Checkpoint, TruncatedPayloadThrowsTypedError) {
   const std::string path =
       std::string(::testing::TempDir()) + "hemoflow_truncated_ckpt.bin";
+  for (const lbm::Propagation pattern :
+       {lbm::Propagation::kPullSoA, lbm::Propagation::kAAInPlace}) {
+    lbm::Solver solver(cylinder(geom::CylinderEnds::kInletOutlet),
+                       driven_options(pattern));
+    solver.run(3);
+    solver.save_checkpoint(path);
+    solver.run(2);  // the rows staged before the failure must not show
+
+    // Chop off the last kilobyte of the payload.
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_GT(bytes.size(), 1024u);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 1024));
+    out.close();
+
+    const double mass_before = solver.total_mass();
+    const std::vector<double> before = solver.distributions();
+    EXPECT_THROW(solver.restore_checkpoint(path), lbm::CheckpointError);
+    // A failed restore must leave the solver untouched.
+    EXPECT_EQ(solver.total_mass(), mass_before);
+    EXPECT_EQ(solver.step_count(), 5);
+    EXPECT_EQ(solver.distributions(), before)
+        << lbm::propagation_name(pattern);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RefusesOtherVersions) {
+  // Every version has its own layout, so the reader refuses an older file
+  // as firmly as a newer one, and names the version it found.
+  const std::string path =
+      std::string(::testing::TempDir()) + "hemoflow_version_ckpt.bin";
   lbm::Solver solver(cylinder(geom::CylinderEnds::kInletOutlet),
                      driven_options(lbm::Propagation::kPullSoA));
-  solver.run(3);
-  solver.save_checkpoint(path);
-
-  // Chop off the last kilobyte of the payload.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 1024u);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 1024));
-  out.close();
-
-  const double mass_before = solver.total_mass();
-  EXPECT_THROW(solver.restore_checkpoint(path), lbm::CheckpointError);
-  // A failed restore must leave the solver untouched.
-  EXPECT_EQ(solver.total_mass(), mass_before);
-  EXPECT_EQ(solver.step_count(), 3);
+  solver.run(2);
+  for (const std::uint32_t version :
+       {lbm::kCheckpointVersion - 1, lbm::kCheckpointVersion + 1}) {
+    solver.save_checkpoint(path);
+    {
+      // The header is the u64 magic, then the u32 version.
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      f.seekp(sizeof lbm::kCheckpointMagic);
+      f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    try {
+      solver.restore_checkpoint(path);
+      ADD_FAILURE() << "version " << version << " was restored";
+    } catch (const lbm::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(solver.step_count(), 2);
+  }
   std::remove(path.c_str());
 }
 

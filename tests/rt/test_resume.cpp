@@ -136,6 +136,89 @@ TEST(JobResume, RetryResumesFromTheLastCheckpoint) {
   std::remove(ckpt_path.c_str());
 }
 
+TEST(JobResume, CheckpointTakenAfterAShrinkResumesOnTheFullPartition) {
+  // Attempt 1 loses rank 2 at step 5, shrinks onto three survivors and
+  // checkpoints on that decomposition, then dies of a stall it can neither
+  // retransmit, roll back nor shrink away (min_survivors).  Attempt 2 runs
+  // on the original four ranks, with rank 2 back: the shrunk checkpoint
+  // must restore into it and the run end bit-identical to the clean one.
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 20;
+  constexpr int kCkptEvery = 6;
+  constexpr int kFaultStep = 14;
+
+  auto lattice = small_cylinder();
+  const decomp::Partition partition =
+      decomp::bisection_partition(*lattice, kRanks);
+
+  std::vector<double> reference;
+  {
+    DistributedSolver solver(lattice, partition, flow_options());
+    solver.run(kSteps);
+    reference = solver.global_distributions();
+  }
+
+  resilience::FaultPlan plan;
+  plan.kill_rank(2, 5);
+  {
+    resilience::FaultEvent e;
+    e.kind = resilience::FaultKind::kStall;
+    e.step = kFaultStep;
+    e.src = 0;
+    e.stall_polls = 1000;
+    plan.add(e);
+  }
+
+  const std::string ckpt_path = "rt_resume_shrunk_ckpt.bin";
+  rt::CheckpointSlot slot;
+  std::int64_t resumed_from = -1;
+  int first_survivors = 0;
+
+  rt::JobOptions options;
+  options.name = "shrunk-point";
+  options.retry.max_attempts = 2;
+
+  const rt::JobOutcome<std::vector<double>> outcome =
+      rt::run_job<std::vector<double>>(options, [&](int attempt) {
+        DistributedSolver solver(lattice, partition, flow_options());
+        auto net =
+            std::make_unique<resilience::FaultyNetwork>(kRanks, plan);
+        resilience::FaultyNetwork* net_raw = net.get();
+        solver.set_network(std::move(net));
+        resilience::Options opts;
+        opts.recovery.max_rollbacks = 0;
+        opts.shrink.enabled = true;
+        opts.shrink.min_survivors = kRanks - 1;
+        solver.enable_resilience(opts);
+
+        if (attempt > 1 && slot.has_checkpoint()) {
+          solver.restore_checkpoint(slot.path);
+          resumed_from = solver.step_count();
+        }
+        try {
+          while (solver.step_count() < kSteps) {
+            const std::int64_t remaining = kSteps - solver.step_count();
+            solver.run(static_cast<int>(
+                remaining < kCkptEvery ? remaining : kCkptEvery));
+            solver.save_checkpoint(ckpt_path);
+            slot.record(ckpt_path, solver.step_count());
+          }
+        } catch (const resilience::SolverFault&) {
+          first_survivors = solver.survivor_count();
+          plan = net_raw->plan();  // carry the fired flags to the retry
+          throw;
+        }
+        return solver.global_distributions();
+      });
+
+  ASSERT_TRUE(outcome.ok()) << outcome.failure->message;
+  EXPECT_EQ(outcome.attempts, 2);
+  EXPECT_EQ(first_survivors, kRanks - 1);
+  EXPECT_EQ(resumed_from, 12);
+  EXPECT_EQ(*outcome.value, reference);
+  std::remove(ckpt_path.c_str());
+}
+
 TEST(JobResume, ExhaustedRetriesSurfaceTheSolverFaultMessage) {
   constexpr int kRanks = 2;
   auto lattice = small_cylinder();
