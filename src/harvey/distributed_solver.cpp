@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <set>
 #include <sstream>
-#include <tuple>
-#include <unordered_map>
 
 #include "analysis/lattice_check.hpp"
 #include "base/contracts.hpp"
@@ -66,54 +63,51 @@ void DistributedSolver::build_decomposition() {
   ranks_.assign(static_cast<std::size_t>(R), RankState{});
   exchanges_.clear();
 
-  // Local index maps: global point -> (rank-local index) per rank.
-  std::vector<std::unordered_map<PointIndex, std::int64_t>> local_of(
-      static_cast<std::size_t>(R));
-
-  for (Rank r = 0; r < R; ++r) {
+  // The local order: a rank's owned points in ascending global index.  This
+  // statement is the only place that decides it; every global -> local
+  // lookup reads local_of_.
+  local_of_.resize(partition_.owner.size());
+  for (std::size_t g = 0; g < partition_.owner.size(); ++g) {
+    const Rank r = partition_.owner[g];
+    HEMO_EXPECTS(r >= 0 && r < R);
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    rs.owned_global = partition_.points_of(r);
-    // A dead rank legitimately owns nothing after a shrink; an *alive*
-    // rank with no points means the partition is broken.
-    HEMO_EXPECTS(!rs.owned_global.empty() ||
-                 !alive_[static_cast<std::size_t>(r)]);
-    rs.owned = static_cast<std::int64_t>(rs.owned_global.size());
-    auto& map = local_of[static_cast<std::size_t>(r)];
-    map.reserve(rs.owned_global.size() * 2);
-    for (std::int64_t li = 0; li < rs.owned; ++li)
-      map.emplace(rs.owned_global[static_cast<std::size_t>(li)], li);
+    local_of_[g] = rs.owned++;
+    rs.owned_global.push_back(static_cast<PointIndex>(g));
   }
 
-  // Discover ghosts: fluid neighbors of owned points living on other ranks.
-  for (Rank r = 0; r < R; ++r) {
-    RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    auto& map = local_of[static_cast<std::size_t>(r)];
+  for (Rank d = 0; d < R; ++d) {
+    RankState& rs = ranks_[static_cast<std::size_t>(d)];
+    // A dead rank legitimately owns nothing after a shrink; an *alive*
+    // rank with no points means the partition is broken.
+    HEMO_EXPECTS(rs.owned > 0 || !alive_[static_cast<std::size_t>(d)]);
+
+    // Ghosts: the off-rank upstream neighbours, ascending.  Ghost k lives
+    // in slot owned + k.
     std::vector<PointIndex> ghosts;
     for (PointIndex gi : rs.owned_global) {
       for (int q = 1; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
-        if (up == kSolidNeighbor) continue;
-        if (partition_.owner[static_cast<std::size_t>(up)] == r) continue;
-        if (map.contains(up)) continue;
-        map.emplace(up, 0);  // placeholder; fixed after sorting
-        ghosts.push_back(up);
+        if (up != kSolidNeighbor &&
+            partition_.owner[static_cast<std::size_t>(up)] != d)
+          ghosts.push_back(up);
       }
     }
     std::sort(ghosts.begin(), ghosts.end());
-    for (std::size_t k = 0; k < ghosts.size(); ++k)
-      map[ghosts[k]] = rs.owned + static_cast<std::int64_t>(k);
+    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
     rs.local = rs.owned + static_cast<std::int64_t>(ghosts.size());
 
-    // Local adjacency and node types; ghost rows are never executed, so
-    // their adjacency stays kSolidNeighbor and their type kBulk.  The
-    // engine keeps its own 32-bit slot table built from the adjacency, so
-    // the adjacency itself is dropped once the engine exists.  A point
-    // with an upstream ghost is a border point.
+    // One walk: local adjacency, node types, border points (an upstream
+    // ghost) and the exchanges into d, entries in (local index, q) order.
+    // Ghost rows are never executed, so their adjacency stays
+    // kSolidNeighbor and their type kBulk.  The engine keeps its own 32-bit
+    // slot table built from the adjacency, so the adjacency itself is
+    // dropped once the engine exists.
     std::vector<PointIndex> adjacency(static_cast<std::size_t>(lbm::kQ) *
                                           static_cast<std::size_t>(rs.local),
                                       kSolidNeighbor);
     rs.node_type.assign(static_cast<std::size_t>(rs.local),
                         static_cast<std::uint8_t>(lbm::NodeType::kBulk));
+    std::vector<Exchange> into(static_cast<std::size_t>(R));  // by source
     for (std::int64_t li = 0; li < rs.owned; ++li) {
       const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
       rs.node_type[static_cast<std::size_t>(li)] =
@@ -122,13 +116,29 @@ void DistributedSolver::build_decomposition() {
       for (int q = 0; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up == kSolidNeighbor) continue;
-        const std::int64_t slot = map.at(up);
-        border = border || slot >= rs.owned;
+        const Rank s = partition_.owner[static_cast<std::size_t>(up)];
+        const std::int64_t on_owner = local_of_[static_cast<std::size_t>(up)];
+        std::int64_t slot = on_owner;
+        if (s != d) {
+          slot = rs.owned +
+                 (std::ranges::lower_bound(ghosts, up) - ghosts.begin());
+          Exchange& e = into[static_cast<std::size_t>(s)];
+          e.q.push_back(q);
+          e.src_local.push_back(on_owner);
+          e.dst_local.push_back(slot);
+          border = true;
+        }
         adjacency[static_cast<std::size_t>(q) *
                       static_cast<std::size_t>(rs.local) +
                   static_cast<std::size_t>(li)] = slot;
       }
       if (border) rs.border_points.push_back(li);
+    }
+    for (Rank s = 0; s < R; ++s) {
+      Exchange& e = into[static_cast<std::size_t>(s)];
+      e.src = s;
+      e.dst = d;
+      if (!e.q.empty()) exchanges_.push_back(std::move(e));
     }
 
     // Distributions: everything (ghosts included) starts at equilibrium;
@@ -143,29 +153,9 @@ void DistributedSolver::build_decomposition() {
          rs.node_type.data(), rs.owned, rs.local});
     rs.engine.fill_equilibrium(options_, model_);
   }
-
-  // Exchange lists, built centrally in deterministic (dst, local, q) order.
-  std::map<std::pair<Rank, Rank>, Exchange> pairs;
-  for (Rank d = 0; d < R; ++d) {
-    const RankState& rs = ranks_[static_cast<std::size_t>(d)];
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
-      for (int q = 1; q < lbm::kQ; ++q) {
-        const PointIndex up = global_->neighbor(q, gi);
-        if (up == kSolidNeighbor) continue;
-        const Rank s = partition_.owner[static_cast<std::size_t>(up)];
-        if (s == d) continue;
-        Exchange& e = pairs[{s, d}];
-        e.src = s;
-        e.dst = d;
-        e.q.push_back(q);
-        e.src_local.push_back(local_of[static_cast<std::size_t>(s)].at(up));
-        e.dst_local.push_back(local_of[static_cast<std::size_t>(d)].at(up));
-      }
-    }
-  }
-  exchanges_.reserve(pairs.size());
-  for (auto& [key, e] : pairs) exchanges_.push_back(std::move(e));
+  std::ranges::sort(exchanges_, {}, [](const Exchange& e) {
+    return std::pair(e.src, e.dst);
+  });
   plan_step();
 }
 
@@ -765,10 +755,7 @@ void DistributedSolver::apply_due_bit_flips() {
     const auto gi = static_cast<PointIndex>(e->flip_point);
     const Rank r = partition_.owner[static_cast<std::size_t>(gi)];
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const auto it = std::lower_bound(rs.owned_global.begin(),
-                                     rs.owned_global.end(), gi);
-    HEMO_ASSERT(it != rs.owned_global.end() && *it == gi);
-    const std::int64_t li = it - rs.owned_global.begin();
+    const std::int64_t li = local_of_[static_cast<std::size_t>(gi)];
     double& v = rs.current()[static_cast<std::size_t>(e->flip_q) *
                                  static_cast<std::size_t>(rs.local) +
                              static_cast<std::size_t>(li)];
@@ -1112,11 +1099,9 @@ lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
   HEMO_EXPECTS(global_index >= 0 && global_index < global_->size());
   const Rank r = partition_.owner[static_cast<std::size_t>(global_index)];
   const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  const auto it = std::lower_bound(rs.owned_global.begin(),
-                                   rs.owned_global.end(), global_index);
-  HEMO_ASSERT(it != rs.owned_global.end() && *it == global_index);
   return lbm::moments_at(rs.current(), rs.local,
-                        it - rs.owned_global.begin(), options_.body_force);
+                        local_of_[static_cast<std::size_t>(global_index)],
+                        options_.body_force);
 }
 
 double DistributedSolver::total_mass() const {

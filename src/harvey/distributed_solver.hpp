@@ -176,6 +176,10 @@ class DistributedSolver {
   std::int64_t owned_count(Rank r) const;
 
  private:
+  /// One rank's sub-lattice.  Local slots [0, owned) are the rank's points
+  /// in the order build_decomposition() chose (ascending global index), so
+  /// owned_global[li] and local_of_ are inverses; slots [owned, local) are
+  /// the ghosts, the off-rank upstream neighbours in ascending global index.
   struct RankState {
     std::vector<PointIndex> owned_global;  // global index of local point i
     std::vector<std::uint8_t> node_type;   // local
@@ -285,10 +289,11 @@ class DistributedSolver {
   std::span<const T> rank_share(const std::vector<T>& per_tile,
                                 Rank r) const;
 
-  /// Builds ranks_ and exchanges_ from the current partition_, and flags
-  /// each rank's border points.  Called by the constructor and again by
-  /// shrink_to_survivors() after the partition was re-bisected over the
-  /// survivors.  Dead ranks own zero points and take part in no exchange.
+  /// Builds local_of_, ranks_ and exchanges_ from the current partition_,
+  /// and flags each rank's border points.  Called by the constructor and
+  /// again by shrink_to_survivors() after the partition was re-bisected over
+  /// the survivors.  Dead ranks own zero points and take part in no
+  /// exchange.
   void build_decomposition();
 
   // Halo machinery.
@@ -347,6 +352,9 @@ class DistributedSolver {
   lbm::SolverOptions options_;
   std::unique_ptr<comm::Network> network_;
   std::vector<RankState> ranks_;
+  // Global point g lives in local slot local_of_[g] of its owner rank
+  // partition_.owner[g]: the one global -> local table.
+  std::vector<std::int64_t> local_of_;
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
   StepPlan plan_;
   // Per tile, in plan_.tiles order: the audits of the last resilient step

@@ -1,6 +1,8 @@
 #include "lbm/sparse_lattice.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <unordered_map>
 
 #include "base/contracts.hpp"
 
@@ -12,9 +14,11 @@ SparseLattice::SparseLattice(std::vector<Coord> coords,
   HEMO_EXPECTS(!coords_.empty());
   const std::size_t n = coords_.size();
 
-  index_.reserve(n * 2);
+  // The coordinate hash lives only as long as the adjacency build needs it.
+  std::unordered_map<Coord, PointIndex, CoordHash> index;
+  index.reserve(n * 2);
   for (std::size_t i = 0; i < n; ++i) {
-    auto [it, inserted] = index_.emplace(coords_[i], static_cast<PointIndex>(i));
+    auto [it, inserted] = index.emplace(coords_[i], static_cast<PointIndex>(i));
     HEMO_EXPECTS(inserted);  // duplicate fluid point would corrupt streaming
     (void)it;
   }
@@ -52,8 +56,8 @@ SparseLattice::SparseLattice(std::vector<Coord> coords,
       // Pull scheme: direction q of point i streams from the site at
       // coords[i] - c_q.
       const Coord up = wrap(coords_[i] - velocity(q));
-      auto it = index_.find(up);
-      if (it != index_.end())
+      auto it = index.find(up);
+      if (it != index.end())
         adjacency_[static_cast<std::size_t>(q) * n + i] = it->second;
     }
   }
@@ -62,8 +66,9 @@ SparseLattice::SparseLattice(std::vector<Coord> coords,
 }
 
 PointIndex SparseLattice::find(const Coord& c) const {
-  auto it = index_.find(c);
-  return it == index_.end() ? kSolidNeighbor : it->second;
+  const auto it = std::find(coords_.begin(), coords_.end(), c);
+  return it == coords_.end() ? kSolidNeighbor
+                             : static_cast<PointIndex>(it - coords_.begin());
 }
 
 std::int64_t SparseLattice::wall_link_count() const {

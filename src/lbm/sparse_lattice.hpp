@@ -6,7 +6,6 @@
 // bounce-back wall condition; inlet/outlet faces are marked per point.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hpp"
@@ -56,7 +55,10 @@ class SparseLattice {
     types_[static_cast<std::size_t>(i)] = t;
   }
 
-  /// Index of the fluid point at coordinate c, or kSolidNeighbor.
+  /// Index of the fluid point at coordinate c, or kSolidNeighbor.  A
+  /// linear scan: the lattice keeps no coordinate hash once the adjacency
+  /// is built, so this serves tests and examples probing lattices of a few
+  /// thousand points, not a loop over a production lattice.
   PointIndex find(const Coord& c) const;
 
   /// Tight bounding box of all fluid points (hi exclusive).
@@ -70,7 +72,6 @@ class SparseLattice {
   std::vector<Coord> coords_;
   std::vector<PointIndex> adjacency_;  // kQ * size, q-major
   std::vector<NodeType> types_;
-  std::unordered_map<Coord, PointIndex, CoordHash> index_;
   Box box_{};
 };
 

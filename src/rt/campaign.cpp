@@ -457,6 +457,33 @@ void write_campaign_csv(const CampaignResult& result, std::ostream& os) {
   table.print_csv(os);
 }
 
+void write_point_members(const PointResult& point, std::ostream& os) {
+  os << "\"devices\": " << point.schedule.devices
+     << ", \"size_multiplier\": " << point.schedule.size_multiplier
+     << ", \"attempts\": " << point.attempts;
+  if (point.ok()) {
+    os << ", \"status\": \"ok\", \"mflups\": " << fmt_double(point.sim.mflups)
+       << ", \"iteration_s\": " << fmt_double(point.sim.iteration_s)
+       << ", \"predicted_mflups\": " << fmt_double(point.prediction.mflups);
+  } else {
+    os << ", \"status\": \""
+       << (point.failure->timed_out ? "timeout" : "failed")
+       << "\", \"error\": \"" << json_escape(point.failure->message) << "\"";
+  }
+}
+
+void write_cache_members(const ArtifactCache::Stats& stats, std::ostream& os) {
+  os << "\"hits\": " << stats.hits << ", \"misses\": " << stats.misses
+     << ", \"evictions\": " << stats.evictions
+     << ", \"entries\": " << stats.entries;
+}
+
+void write_executor_json(const Executor::Stats& stats, std::ostream& os) {
+  os << "{\"submitted\": " << stats.submitted
+     << ", \"executed\": " << stats.executed << ", \"stolen\": " << stats.stolen
+     << ", \"queue_high_watermark\": " << stats.queue_high_watermark << "}";
+}
+
 void write_campaign_json(const CampaignResult& result, std::ostream& os) {
   os << "{\n";
   os << "  \"campaign\": \"" << json_escape(result.name) << "\",\n";
@@ -464,28 +491,22 @@ void write_campaign_json(const CampaignResult& result, std::ostream& os) {
   os << "  \"wall_s\": " << fmt_double(result.wall_s) << ",\n";
   os << "  \"points\": " << result.total_points() << ",\n";
   os << "  \"failed_points\": " << result.failed_points() << ",\n";
-  os << "  \"cache\": {\"hits\": " << result.cache.hits
-     << ", \"misses\": " << result.cache.misses
-     << ", \"evictions\": " << result.cache.evictions
-     << ", \"entries\": " << result.cache.entries
-     << ", \"hit_rate\": " << fmt_double(result.cache.hit_rate());
+  os << "  \"cache\": {";
+  write_cache_members(result.cache, os);
+  os << ", \"hit_rate\": " << fmt_double(result.cache.hit_rate());
   if (!result.cache_shards.empty()) {
     os << ",\n    \"shards\": [";
     for (std::size_t i = 0; i < result.cache_shards.size(); ++i) {
-      const ArtifactCache::Stats& shard = result.cache_shards[i];
-      os << (i ? ",\n               " : "") << "{\"hits\": " << shard.hits
-         << ", \"misses\": " << shard.misses
-         << ", \"evictions\": " << shard.evictions
-         << ", \"entries\": " << shard.entries << "}";
+      os << (i ? ",\n               " : "") << "{";
+      write_cache_members(result.cache_shards[i], os);
+      os << "}";
     }
     os << "]";
   }
   os << "},\n";
-  os << "  \"executor\": {\"submitted\": " << result.executor.submitted
-     << ", \"executed\": " << result.executor.executed
-     << ", \"stolen\": " << result.executor.stolen
-     << ", \"queue_high_watermark\": "
-     << result.executor.queue_high_watermark << "},\n";
+  os << "  \"executor\": ";
+  write_executor_json(result.executor, os);
+  os << ",\n";
   if (!result.traffic_audit_json.empty())
     os << "  \"traffic_audit\": " << result.traffic_audit_json << ",\n";
   os << "  \"series\": [\n";
@@ -498,19 +519,8 @@ void write_campaign_json(const CampaignResult& result, std::ostream& os) {
        << "\", \"workload\": \"" << workload_name(series.spec.workload)
        << "\",\n     \"points\": [\n";
     for (std::size_t k = 0; k < series.points.size(); ++k) {
-      const PointResult& p = series.points[k];
-      os << "      {\"devices\": " << p.schedule.devices
-         << ", \"size_multiplier\": " << p.schedule.size_multiplier
-         << ", \"attempts\": " << p.attempts;
-      if (p.ok()) {
-        os << ", \"status\": \"ok\", \"mflups\": " << fmt_double(p.sim.mflups)
-           << ", \"iteration_s\": " << fmt_double(p.sim.iteration_s)
-           << ", \"predicted_mflups\": " << fmt_double(p.prediction.mflups);
-      } else {
-        os << ", \"status\": \""
-           << (p.failure->timed_out ? "timeout" : "failed")
-           << "\", \"error\": \"" << json_escape(p.failure->message) << "\"";
-      }
+      os << "      {";
+      write_point_members(series.points[k], os);
       os << "}" << (k + 1 < series.points.size() ? "," : "") << "\n";
     }
     os << "     ]}" << (s + 1 < result.series.size() ? "," : "") << "\n";

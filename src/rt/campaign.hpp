@@ -220,4 +220,15 @@ void write_campaign_csv(const CampaignResult& result, std::ostream& os);
 /// every point (failures included).
 void write_campaign_json(const CampaignResult& result, std::ostream& os);
 
+// The one JSON writer of each runtime record, shared by the campaign JSON
+// and serve's wire events.  *_members writers omit the enclosing braces.
+
+/// "devices", "size_multiplier", "attempts", "status", then "mflups",
+/// "iteration_s" and "predicted_mflups", or "error".
+void write_point_members(const PointResult& point, std::ostream& os);
+/// "hits", "misses", "evictions" and "entries".
+void write_cache_members(const ArtifactCache::Stats& stats, std::ostream& os);
+/// The whole object: {"submitted": ..., "queue_high_watermark": ...}.
+void write_executor_json(const Executor::Stats& stats, std::ostream& os);
+
 }  // namespace hemo::rt

@@ -1,23 +1,13 @@
 #include "rt/job.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hemo::rt {
 
-std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
-                                        int attempt) {
-  if (policy.initial_backoff.count() <= 0)
-    return std::chrono::milliseconds{0};
-  const double scale =
-      std::pow(std::max(1.0, policy.backoff_multiplier),
-               static_cast<double>(std::max(0, attempt - 1)));
-  const double delay_ms =
-      static_cast<double>(policy.initial_backoff.count()) * scale;
-  const auto capped = std::min<double>(
-      delay_ms, static_cast<double>(policy.max_backoff.count()));
-  return std::chrono::milliseconds{
-      static_cast<std::chrono::milliseconds::rep>(capped)};
+std::chrono::milliseconds backoff_delay(int attempt) {
+  std::chrono::milliseconds delay = kInitialBackoff;
+  for (int k = 1; k < attempt && delay < kMaxBackoff; ++k) delay *= 2;
+  return std::min(delay, kMaxBackoff);
 }
 
 std::string describe(const JobFailure& failure) {

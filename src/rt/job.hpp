@@ -25,15 +25,14 @@ namespace hemo::rt {
 
 struct RetryPolicy {
   int max_attempts = 3;
-  std::chrono::milliseconds initial_backoff{1};
-  double backoff_multiplier = 2.0;
-  std::chrono::milliseconds max_backoff{100};
 };
 
+inline constexpr std::chrono::milliseconds kInitialBackoff{1};
+inline constexpr std::chrono::milliseconds kMaxBackoff{100};
+
 /// Delay before the retry that follows failed attempt number `attempt`
-/// (1-based): initial_backoff * multiplier^(attempt-1), capped.
-std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
-                                        int attempt);
+/// (1-based): kInitialBackoff * 2^(attempt-1), capped at kMaxBackoff.
+std::chrono::milliseconds backoff_delay(int attempt);
 
 struct JobOptions {
   std::string name = "job";
@@ -137,7 +136,7 @@ JobOutcome<T> run_job(const JobOptions& options, Body&& body) {
       last_message = "unknown exception";
     }
     if (attempt < max_attempts)
-      std::this_thread::sleep_for(backoff_delay(options.retry, attempt));
+      std::this_thread::sleep_for(backoff_delay(attempt));
   }
 
   if (!out.value)

@@ -838,24 +838,12 @@ std::string event_json(const Event& event) {
          << ", \"detail\": \"" << json_escape(event.detail) << "\"}";
       break;
     case Event::Kind::kPoint: {
-      const rt::PointResult& p = event.result;
       os << "{\"event\": \"point\", \"request\": " << event.request_id
          << ", \"tenant\": \"" << json_escape(event.tenant)
          << "\", \"series\": " << event.series_index
          << ", \"point\": " << event.point_index << ", \"label\": \""
-         << json_escape(rt::series_label(event.series))
-         << "\", \"devices\": " << p.schedule.devices
-         << ", \"size_multiplier\": " << p.schedule.size_multiplier
-         << ", \"attempts\": " << p.attempts;
-      if (p.ok()) {
-        os << ", \"status\": \"ok\", \"mflups\": " << fmt_double(p.sim.mflups)
-           << ", \"iteration_s\": " << fmt_double(p.sim.iteration_s)
-           << ", \"predicted_mflups\": " << fmt_double(p.prediction.mflups);
-      } else {
-        os << ", \"status\": \""
-           << (p.failure->timed_out ? "timeout" : "failed")
-           << "\", \"error\": \"" << json_escape(p.failure->message) << "\"";
-      }
+         << json_escape(rt::series_label(event.series)) << "\", ";
+      rt::write_point_members(event.result, os);
       os << ", \"coalesced\": " << (event.coalesced ? "true" : "false");
       if (event.recovered) os << ", \"recovered\": true";
       os << "}";
@@ -908,24 +896,18 @@ std::string stats_json(const ServeStats& stats) {
      << ", \"memo_entries\": " << stats.board.memo_entries
      << ", \"inflight\": " << stats.board.inflight
      << ", \"abandoned\": " << stats.board.abandoned
-     << "}, \"cache\": {\"hits\": " << stats.cache.hits
-     << ", \"misses\": " << stats.cache.misses
-     << ", \"evictions\": " << stats.cache.evictions
-     << ", \"entries\": " << stats.cache.entries
-     << ", \"hit_rate\": " << fmt_double(stats.cache.hit_rate())
+     << "}, \"cache\": {";
+  rt::write_cache_members(stats.cache, os);
+  os << ", \"hit_rate\": " << fmt_double(stats.cache.hit_rate())
      << ", \"shards\": [";
   for (std::size_t i = 0; i < stats.cache_shards.size(); ++i) {
-    const rt::ArtifactCache::Stats& shard = stats.cache_shards[i];
-    os << (i ? ", " : "") << "{\"hits\": " << shard.hits
-       << ", \"misses\": " << shard.misses
-       << ", \"evictions\": " << shard.evictions
-       << ", \"entries\": " << shard.entries << "}";
+    os << (i ? ", " : "") << "{";
+    rt::write_cache_members(stats.cache_shards[i], os);
+    os << "}";
   }
-  os << "]}, \"executor\": {\"submitted\": " << stats.executor.submitted
-     << ", \"executed\": " << stats.executor.executed
-     << ", \"stolen\": " << stats.executor.stolen
-     << ", \"queue_high_watermark\": " << stats.executor.queue_high_watermark
-     << "}, \"tenants\": [";
+  os << "]}, \"executor\": ";
+  rt::write_executor_json(stats.executor, os);
+  os << ", \"tenants\": [";
   for (std::size_t i = 0; i < stats.tenants.size(); ++i) {
     const TenantUsage& usage = stats.tenants[i].second;
     os << (i ? ", " : "") << "{\"tenant\": \""

@@ -4,12 +4,14 @@
 // redistributed, and the run finishes bit-identical to an unfaulted run —
 // at any kill step (first, mid-run, last), for multiple sequential kills,
 // and deterministically across reruns.  A shrink below min_survivors is a
-// structured SolverFault, not a hang.
+// structured SolverFault, not a hang.  The global -> local lookups (moments
+// of a point, the target of a bit flip) follow the rebuilt decomposition.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
 #include "harvey/distributed_solver.hpp"
+#include "lbm/kernels.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
@@ -217,4 +220,62 @@ TEST(ShrinkRecovery, SurvivorCountIsFullWithoutDeaths) {
   solver.run(4);
   EXPECT_EQ(solver.survivor_count(), kRanks);
   for (Rank r = 0; r < kRanks; ++r) EXPECT_TRUE(solver.rank_alive(r));
+}
+
+TEST(ShrinkRecovery, LookupsFollowTheRebuiltDecomposition) {
+  // A shrink rebuilds every global -> local table.  After it, the moments
+  // of each point and a bit flip's target must resolve through the new
+  // decomposition, not the one the dead rank took part in.
+  constexpr int kSlabRanks = 4;
+  constexpr Rank kDead = 2;
+  auto lattice = small_cylinder();
+  const decomp::Partition slabs = decomp::slab_partition(*lattice, kSlabRanks);
+  DistributedSolver solver(lattice, slabs, flow_options());
+  resilience::FaultPlan kill;
+  kill.kill_rank(kDead, 5);
+  solver.set_network(
+      std::make_unique<resilience::FaultyNetwork>(kSlabRanks, kill));
+  resilience::FaultPlan flips;
+  solver.set_fault_injection(&flips);
+  resilience::Options options = shrink_options();
+  options.sentinel.enabled = true;
+  options.sentinel.tile_points = 64;
+  solver.enable_resilience(options);
+  while (solver.resilience_stats().shrinks == 0 &&
+         solver.step_count() < kSteps)
+    solver.run(1);
+  ASSERT_EQ(solver.resilience_stats().shrinks, 1);
+
+  const std::vector<double> f = solver.global_distributions();
+  for (hemo::PointIndex g = 0; g < lattice->size(); ++g) {
+    const lbm::Moments got = solver.global_moments(g);
+    const lbm::Moments want = lbm::moments_at(f.data(), lattice->size(), g,
+                                              flow_options().body_force);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "point " << g;
+  }
+
+  // The last point of the dead rank's slab now lives on a survivor.
+  hemo::PointIndex point = 0;
+  for (hemo::PointIndex g = 0; g < lattice->size(); ++g)
+    if (slabs.owner[static_cast<std::size_t>(g)] == kDead) point = g;
+  const Rank owner = solver.partition().owner[static_cast<std::size_t>(point)];
+  ASSERT_NE(owner, kDead);
+  resilience::FaultEvent flip;
+  flip.kind = resilience::FaultKind::kBitFlip;
+  flip.step = solver.step_count() + 1;
+  flip.flip_point = point;
+  flip.flip_q = 5;
+  flip.flip_bit = 44;
+  flips.add(flip);
+  solver.run(kSteps - static_cast<int>(solver.step_count()));
+
+  const resilience::FaultEvent& fired = flips.events().front();
+  EXPECT_TRUE(fired.fired);
+  EXPECT_EQ(fired.fired_rank, owner);
+  const resilience::RunStats& stats = solver.resilience_stats();
+  ASSERT_EQ(stats.sdc_detections.size(), 1u);
+  EXPECT_EQ(stats.sdc_detections.front().rank, owner);
+  EXPECT_EQ(stats.sdc_detections.front().tile, fired.fired_tile);
+  EXPECT_EQ(stats.sdc_false_positive, 0);
+  EXPECT_EQ(solver.global_distributions(), clean_run(kSlabRanks));
 }

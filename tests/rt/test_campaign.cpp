@@ -64,7 +64,6 @@ TEST(Campaign, SeededFaultIsRetriedToSuccess) {
   CampaignSpec spec;
   spec.series = {small_matrix().front()};
   spec.workers = 2;
-  spec.job.retry.initial_backoff = std::chrono::milliseconds(1);
   spec.fault_injector = [](const SeriesSpec&, const sys::SchedulePoint& point,
                            int attempt) {
     if (point.devices == 4 && attempt <= 2)
@@ -89,7 +88,6 @@ TEST(Campaign, PermanentFaultDegradesOnePointNotTheCampaign) {
   CampaignSpec spec;
   spec.series = {small_matrix().front()};
   spec.job.retry.max_attempts = 2;
-  spec.job.retry.initial_backoff = std::chrono::milliseconds(1);
   spec.fault_injector = [](const SeriesSpec&, const sys::SchedulePoint& point,
                            int) {
     if (point.devices == 8) throw std::runtime_error("seeded permanent fault");

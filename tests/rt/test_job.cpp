@@ -18,8 +18,6 @@ JobOptions fast_retry(int max_attempts) {
   JobOptions options;
   options.name = "test-job";
   options.retry.max_attempts = max_attempts;
-  options.retry.initial_backoff = milliseconds(1);
-  options.retry.max_backoff = milliseconds(2);
   return options;
 }
 
@@ -91,15 +89,12 @@ TEST(Job, ZeroTimeoutMeansUnlimited) {
 }
 
 TEST(Job, BackoffGrowsGeometricallyAndCaps) {
-  RetryPolicy policy;
-  policy.initial_backoff = milliseconds(2);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = milliseconds(10);
-  EXPECT_EQ(backoff_delay(policy, 1), milliseconds(2));
-  EXPECT_EQ(backoff_delay(policy, 2), milliseconds(4));
-  EXPECT_EQ(backoff_delay(policy, 3), milliseconds(8));
-  EXPECT_EQ(backoff_delay(policy, 4), milliseconds(10));   // capped
-  EXPECT_EQ(backoff_delay(policy, 20), milliseconds(10));  // stays capped
+  EXPECT_EQ(backoff_delay(1), kInitialBackoff);
+  EXPECT_EQ(backoff_delay(2), milliseconds(2));
+  EXPECT_EQ(backoff_delay(3), milliseconds(4));
+  EXPECT_EQ(backoff_delay(7), milliseconds(64));
+  EXPECT_EQ(backoff_delay(8), kMaxBackoff);   // 128 ms, capped
+  EXPECT_EQ(backoff_delay(40), kMaxBackoff);  // stays capped
 }
 
 }  // namespace
