@@ -9,6 +9,9 @@
 //   BM_VerifyState  the sentinel's verify read from memory: lbm::tile_digest
 //                   over every 256-point tile of an aorta-sized 8-rank
 //                   state, reported in bytes digested per second.
+//   BM_Crc32        io::crc32 over a halo-sized payload (23,001 doubles,
+//                   184 kB) in cache, the CRC frame a resilient exchange
+//                   computes at send and at receive, in bytes per second.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "io/blob.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/tile_probe.hpp"
@@ -116,6 +120,20 @@ void BM_VerifyState(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(double)));
 }
 BENCHMARK(BM_VerifyState)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<double> payload(23001);
+  for (std::size_t k = 0; k < payload.size(); ++k)
+    payload[k] = lbm::kWeights[k % lbm::kQ] * (1.0 + 1.0e-3 * (k % 97));
+  const std::size_t bytes = payload.size() * sizeof(double);
+  for (auto _ : state) {
+    const std::uint32_t crc = io::crc32(payload.data(), bytes);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -34,13 +34,6 @@ double Partition::imbalance() const {
   return static_cast<double>(max) / mean;
 }
 
-std::vector<PointIndex> Partition::points_of(Rank r) const {
-  std::vector<PointIndex> out;
-  for (std::size_t i = 0; i < owner.size(); ++i)
-    if (owner[i] == r) out.push_back(static_cast<PointIndex>(i));
-  return out;
-}
-
 Partition slab_partition(const lbm::SparseLattice& lattice, int n_ranks) {
   HEMO_EXPECTS(n_ranks >= 1);
   const auto n = static_cast<std::size_t>(lattice.size());

@@ -32,9 +32,6 @@ struct Partition {
   /// meaningful for shrunken partitions, and is identical to the plain
   /// mean for full partitions.
   double imbalance() const;
-
-  /// Owned point indices of one rank, in ascending order.
-  std::vector<PointIndex> points_of(Rank r) const;
 };
 
 /// Slab decomposition: points are ordered (z, y, x) and cut into n_ranks

@@ -63,16 +63,34 @@ void DistributedSolver::build_decomposition() {
   ranks_.assign(static_cast<std::size_t>(R), RankState{});
   exchanges_.clear();
 
-  // The local order: a rank's owned points in ascending global index.  This
-  // statement is the only place that decides it; every global -> local
-  // lookup reads local_of_.
-  local_of_.resize(partition_.owner.size());
-  for (std::size_t g = 0; g < partition_.owner.size(); ++g) {
+  // A border point has an upstream neighbour on another rank: its step
+  // reads a ghost slot.
+  const std::size_t n = partition_.owner.size();
+  std::vector<char> border(n, 0);
+  for (std::size_t g = 0; g < n; ++g) {
     const Rank r = partition_.owner[g];
     HEMO_EXPECTS(r >= 0 && r < R);
-    RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    local_of_[g] = rs.owned++;
-    rs.owned_global.push_back(static_cast<PointIndex>(g));
+    for (int q = 1; q < lbm::kQ && !border[g]; ++q) {
+      const PointIndex up = global_->neighbor(q, static_cast<PointIndex>(g));
+      border[g] = up != kSolidNeighbor &&
+                  partition_.owner[static_cast<std::size_t>(up)] != r;
+    }
+  }
+
+  // The local order: a rank's interior points, then its border points, each
+  // group in ascending global index.  The statement in this loop is the only
+  // place that decides it; every global -> local lookup reads local_of_.
+  // Each pass opens with first_border at the points numbered so far, so it
+  // ends at the count of interior points.
+  local_of_.resize(n);
+  for (const char border_pass : {0, 1}) {
+    for (RankState& rs : ranks_) rs.first_border = rs.owned;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (border[g] != border_pass) continue;
+      RankState& rs = ranks_[static_cast<std::size_t>(partition_.owner[g])];
+      local_of_[g] = rs.owned++;
+      rs.owned_global.push_back(static_cast<PointIndex>(g));
+    }
   }
 
   for (Rank d = 0; d < R; ++d) {
@@ -81,10 +99,11 @@ void DistributedSolver::build_decomposition() {
     // rank with no points means the partition is broken.
     HEMO_EXPECTS(rs.owned > 0 || !alive_[static_cast<std::size_t>(d)]);
 
-    // Ghosts: the off-rank upstream neighbours, ascending.  Ghost k lives
-    // in slot owned + k.
+    // Ghosts: the border points' off-rank upstream neighbours, ascending.
+    // Ghost k lives in slot owned + k.
     std::vector<PointIndex> ghosts;
-    for (PointIndex gi : rs.owned_global) {
+    for (std::int64_t li = rs.first_border; li < rs.owned; ++li) {
+      const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
       for (int q = 1; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up != kSolidNeighbor &&
@@ -96,9 +115,11 @@ void DistributedSolver::build_decomposition() {
     ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
     rs.local = rs.owned + static_cast<std::int64_t>(ghosts.size());
 
-    // One walk: local adjacency, node types, border points (an upstream
-    // ghost) and the exchanges into d, entries in (local index, q) order.
-    // Ghost rows are never executed, so their adjacency stays
+    // One walk: local adjacency, node types and the exchanges into d,
+    // entries in (local index, q) order.  Only border points add entries,
+    // and they are in ascending global index, so an exchange's entries and
+    // payload bytes do not depend on where the interior points are
+    // numbered.  Ghost rows are never executed, so their adjacency stays
     // kSolidNeighbor and their type kBulk.  The engine keeps its own 32-bit
     // slot table built from the adjacency, so the adjacency itself is
     // dropped once the engine exists.
@@ -112,7 +133,6 @@ void DistributedSolver::build_decomposition() {
       const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
       rs.node_type[static_cast<std::size_t>(li)] =
           static_cast<std::uint8_t>(global_->node_type(gi));
-      bool border = false;
       for (int q = 0; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up == kSolidNeighbor) continue;
@@ -126,13 +146,11 @@ void DistributedSolver::build_decomposition() {
           e.q.push_back(q);
           e.src_local.push_back(on_owner);
           e.dst_local.push_back(slot);
-          border = true;
         }
         adjacency[static_cast<std::size_t>(q) *
                       static_cast<std::size_t>(rs.local) +
                   static_cast<std::size_t>(li)] = slot;
       }
-      if (border) rs.border_points.push_back(li);
     }
     for (Rank s = 0; s < R; ++s) {
       Exchange& e = into[static_cast<std::size_t>(s)];
@@ -171,14 +189,6 @@ std::vector<std::pair<Rank, Rank>> DistributedSolver::exchange_pairs() const {
   pairs.reserve(exchanges_.size());
   for (const Exchange& e : exchanges_) pairs.emplace_back(e.src, e.dst);
   return pairs;
-}
-
-void DistributedSolver::pack(const Exchange& e, double* out) const {
-  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
-  for (std::size_t k = 0; k < e.q.size(); ++k)
-    out[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
-                               static_cast<std::size_t>(src.local) +
-                           static_cast<std::size_t>(e.src_local[k])];
 }
 
 void DistributedSolver::unpack(const Exchange& e, const double* values) {
@@ -222,11 +232,25 @@ void DistributedSolver::step_tiles(TilePass pass) {
   resilience::TileAudit* audits =
       resilience_.has_value() ? step_audits_.data() : nullptr;
   const Vec3 force = options_.body_force;
-  const std::size_t items =
-      border_only ? plan_.border_tiles.size() : plan_.tiles.size();
-  hal::launch(model_, static_cast<std::int64_t>(items), [=](std::int64_t i) {
-    const std::size_t k =
-        border_only ? border_tiles[i] : static_cast<std::size_t>(i);
+  const auto tile_items = static_cast<std::int64_t>(
+      border_only ? plan_.border_tiles.size() : plan_.tiles.size());
+  // The last work-items of a kInterior launch pack the exchanges: a rank's
+  // border points are its last tiles, so the digests have usually just
+  // brought a pack's input into cache.
+  std::int64_t packs = 0;
+  if (pass == TilePass::kInterior) {
+    staged_payloads_.assign(exchanges_.size(), {});
+    packs = static_cast<std::int64_t>(exchanges_.size());
+  }
+  std::vector<double>* staged = staged_payloads_.data();
+  const Exchange* exchanges = exchanges_.data();
+  hal::launch(model_, tile_items + packs, [=, this](std::int64_t i) {
+    if (i >= tile_items) {
+      staged[i - tile_items] = pack_payload(exchanges[i - tile_items]);
+      return;
+    }
+    const std::size_t k = border_only ? border_tiles[i]
+                                      : static_cast<std::size_t>(i);
     const TileSpan& t = tiles[k];
     const RankState& rs = ranks[t.rank];
     if (inputs != nullptr) {
@@ -260,11 +284,9 @@ void DistributedSolver::plan_step() {
   plan_.rank_first_tile.assign(1, 0);
   for (Rank r = 0; r < partition_.n_ranks; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    auto border = rs.border_points.begin();
     for (std::int64_t begin = 0; begin < rs.owned; begin += tile_points) {
       const std::int64_t end = std::min(begin + tile_points, rs.owned);
-      border = std::lower_bound(border, rs.border_points.end(), begin);
-      const bool is_border = border != rs.border_points.end() && *border < end;
+      const bool is_border = end > rs.first_border;
       if (is_border) plan_.border_tiles.push_back(plan_.tiles.size());
       plan_.tiles.push_back(TileSpan{r, begin, end, is_border});
     }
@@ -377,7 +399,11 @@ std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
   // halo values.
   const bool frames = resilience_.has_value();
   std::vector<double> payload(e.q.size() + (frames ? 1 : 0));
-  pack(e, payload.data());
+  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
+  for (std::size_t k = 0; k < e.q.size(); ++k)
+    payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
+                                   static_cast<std::size_t>(src.local) +
+                               static_cast<std::size_t>(e.src_local[k])];
   if (frames)
     payload.back() = static_cast<double>(
         io::crc32(payload.data(), e.q.size() * sizeof(double)));
@@ -385,8 +411,16 @@ std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
 }
 
 void DistributedSolver::post_all_halos() {
-  for (const Exchange& e : exchanges_)
-    network_->send(e.src, e.dst, pack_payload(e));
+  // The step's input has not changed since a verifying launch staged the
+  // payloads, so they hold the bytes a pack here would.
+  const bool staged = !staged_payloads_.empty();
+  HEMO_ASSERT(!staged || staged_payloads_.size() == exchanges_.size());
+  for (std::size_t x = 0; x < exchanges_.size(); ++x) {
+    const Exchange& e = exchanges_[x];
+    network_->send(e.src, e.dst,
+                   staged ? std::move(staged_payloads_[x]) : pack_payload(e));
+  }
+  staged_payloads_.clear();
 }
 
 bool DistributedSolver::receive_exchange(const Exchange& e,
@@ -603,6 +637,7 @@ void DistributedSolver::copy_snapshot_rows(bool to_snapshot) {
 }
 
 void DistributedSolver::rollback_or_fault(const std::string& why) {
+  staged_payloads_.clear();  // packed from the abandoned attempt's input
   if (snapshot_.step < 0 ||
       rollbacks_used_ >= resilience_->recovery.max_rollbacks) {
     std::ostringstream msg;
@@ -800,6 +835,7 @@ std::vector<double*> DistributedSolver::live_arrays() const {
 void DistributedSolver::shrink_to_survivors(Rank dead) {
   HEMO_EXPECTS(dead >= 0 && dead < partition_.n_ranks);
   HEMO_EXPECTS(alive_[static_cast<std::size_t>(dead)]);
+  staged_payloads_.clear();  // packed on the old decomposition
 
   // Recover the last consistent global state while the old decomposition
   // is still in place, then retire the rank: roll every rank back to the
@@ -875,11 +911,11 @@ void DistributedSolver::resilient_step() {
       (snapshot_due ||
        steps_done_ % resilience_->sentinel.check_interval == 0);
   if (verify_due) {
-    // One launch digests every tile's input and steps the interior tiles
-    // while they are in cache.  Their output waits in the spare buffers
-    // until the border tiles are stepped; a rollback just drops it.  The
-    // verdict comes BEFORE the halo pack reads the border points and
-    // before the snapshot copies the state.
+    // One launch digests every tile's input, steps the interior tiles while
+    // they are in cache and stages the halo payloads.  The interior output
+    // waits in the spare buffers until the border tiles are stepped; a
+    // rollback just drops it and the staged payloads.  The verdict comes
+    // BEFORE any payload is sent and before the snapshot copies the state.
     step_tiles(TilePass::kInterior);
     const std::vector<std::size_t> found = resilience::verify_digests(
         recorded_, input_digests_,

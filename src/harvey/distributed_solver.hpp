@@ -23,11 +23,14 @@
 // A step is one launch over the (rank, tile) spans of the step plan, after
 // the halo exchange.  With the SDC sentinel on, a step that verifies its
 // input is two launches instead, with the verdict and the exchange between
-// them.  The first digests every tile's input and steps the interior tiles
-// (no point reads a ghost slot) from cache; the sentinel's verdict and the
+// them.  The first digests every tile's input, steps the interior tiles
+// (no point reads a ghost slot) from cache and packs every exchange's
+// framed payload into a staging slot; the sentinel's verdict and the
 // snapshot then come before any halo message is sent, since the pack reads
-// the border tiles' points; the second launch, after the exchange, steps
-// the border tiles.  Only the border tiles' input is read twice.
+// the border points; the second launch, after the exchange, steps the
+// border tiles.  Each rank numbers its border points last, so its border
+// tiles are the few that hold its tail, and only their input is read
+// twice.
 //
 // The step plan is the one table of tiles: the audits, the sentinel's
 // record and verify digests, the re-execution samples and a bit flip's
@@ -177,17 +180,20 @@ class DistributedSolver {
 
  private:
   /// One rank's sub-lattice.  Local slots [0, owned) are the rank's points
-  /// in the order build_decomposition() chose (ascending global index), so
-  /// owned_global[li] and local_of_ are inverses; slots [owned, local) are
-  /// the ghosts, the off-rank upstream neighbours in ascending global index.
+  /// in the order build_decomposition() chose: its interior points, then
+  /// from first_border its border points (an upstream neighbour on another
+  /// rank), each group in ascending global index.  owned_global[li] and
+  /// local_of_ are inverses.  Slots [owned, local) are the ghosts, the
+  /// off-rank upstream neighbours in ascending global index.  Only border
+  /// points read ghosts, and since lattice links run both ways they are
+  /// also the points the exchanges pack.
   struct RankState {
     std::vector<PointIndex> owned_global;  // global index of local point i
     std::vector<std::uint8_t> node_type;   // local
-    // Owned points with an upstream neighbour on another rank, ascending.
-    std::vector<std::int64_t> border_points;
     std::vector<double> f_a, f_b;
     lbm::StepEngine engine;  // steps the owned points of f_a/f_b
     std::int64_t owned = 0;  // owned points come first; ghosts after
+    std::int64_t first_border = 0;  // border points: [first_border, owned)
     std::int64_t local = 0;  // owned + ghosts
 
     /// The post-collision state of the last completed step.
@@ -222,8 +228,9 @@ class DistributedSolver {
   /// One tile: owned points [begin, end) of a rank.  The tiles are the
   /// sentinel's (SentinelPolicy::tile_points), so one audit over them also
   /// yields every digest the sentinel records or verifies.  A border tile
-  /// holds a point that reads a ghost slot, so it can be stepped only after
-  /// the halo exchange; an interior tile reads owned slots only.
+  /// holds a point that reads a ghost slot (end > first_border), so it can
+  /// be stepped only after the halo exchange; an interior tile reads owned
+  /// slots only.
   struct TileSpan {
     Rank rank = 0;
     std::int64_t begin = 0;
@@ -244,7 +251,8 @@ class DistributedSolver {
   /// The tiles one step launch runs (see resilient_step).
   enum class TilePass {
     kAll,       // step every tile
-    kInterior,  // digest every tile's input, then step the interior ones
+    kInterior,  // digest every tile's input, step the interior ones, and
+                // stage every exchange's payload
     kBorder,    // step the border tiles
   };
 
@@ -257,9 +265,6 @@ class DistributedSolver {
     bool missing_only = true;
   };
 
-  /// Gathers exchange e's values from its source rank's current state
-  /// into out[0, e.q.size()).
-  void pack(const Exchange& e, double* out) const;
   /// Scatters e.q.size() values into exchange e's destination ghost slots.
   void unpack(const Exchange& e, const double* values);
   void exchange_halos();
@@ -268,7 +273,9 @@ class DistributedSolver {
   /// then audits the tile it just wrote, health partials included, into
   /// step_audits_: the audit of the state the step commits, read from
   /// cache instead of from memory.  kInterior first digests each tile's
-  /// input into input_digests_, the sentinel's verify digests.
+  /// input into input_digests_, the sentinel's verify digests, and its
+  /// last work-items pack each exchange into staged_payloads_: a pack
+  /// reads owned slots of the input, which no tile writes.
   void step_tiles(TilePass pass);
   /// Completes the step every tile of which ran: the live buffers swap.
   void commit_step();
@@ -290,16 +297,18 @@ class DistributedSolver {
                                 Rank r) const;
 
   /// Builds local_of_, ranks_ and exchanges_ from the current partition_,
-  /// and flags each rank's border points.  Called by the constructor and
+  /// each rank's border points last.  Called by the constructor and
   /// again by shrink_to_survivors() after the partition was re-bisected over
   /// the survivors.  Dead ranks own zero points and take part in no
   /// exchange.
   void build_decomposition();
 
   // Halo machinery.
-  /// pack() into a payload sized once, plus the CRC-32 frame word when
-  /// resilience is on.
+  /// The one packer: gathers exchange e's values from its source rank's
+  /// current state, plus the CRC-32 frame word when resilience is on.
   std::vector<double> pack_payload(const Exchange& e) const;
+  /// Sends every exchange's payload in exchanges_ order: the staged ones
+  /// when a verifying launch packed them, else packed here.
   void post_all_halos();
   bool receive_exchange(const Exchange& e, bool* missing_only);
   bool resilient_exchange(Rank* suspect);
@@ -361,6 +370,10 @@ class DistributedSolver {
   // launch(es), and the digests of the input of the last kInterior launch.
   std::vector<resilience::TileAudit> step_audits_;
   std::vector<lbm::TileDigest> input_digests_;
+  // The framed payloads the last kInterior launch packed, in exchanges_
+  // order, until post_all_halos() sends them; empty when none are staged.
+  // A detection, rollback or shrink drops them with the step attempt.
+  std::vector<std::vector<double>> staged_payloads_;
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
   bool owns_kokkos_runtime_ = false;

@@ -29,8 +29,12 @@ class BlobError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range
-/// at any alignment, eight bytes per step (slicing-by-8).  `seed` chains
-/// incremental computations: crc32(b, crc32(a)) == crc32(ab).
+/// at any alignment.  On an x86-64 CPU with PCLMULQDQ and SSE4.1 (checked
+/// at run time) the largest 16-byte multiple of a buffer of 64 bytes or
+/// more is folded by carry-less multiplication; the rest, and everything on
+/// other CPUs, runs eight bytes per step (slicing-by-8).  Both give the same
+/// bits.  `seed` chains incremental computations:
+/// crc32(b, crc32(a)) == crc32(ab).
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 

@@ -174,13 +174,3 @@ TEST(Partition, DeterministicAcrossCalls) {
   EXPECT_EQ(a.owner, b.owner);
 }
 
-TEST(Partition, PointsOfReturnsSortedOwnedPoints) {
-  auto lattice = test_cylinder();
-  const decomp::Partition p = decomp::slab_partition(*lattice, 4);
-  for (hemo::Rank r = 0; r < 4; ++r) {
-    const auto pts = p.points_of(r);
-    EXPECT_TRUE(std::is_sorted(pts.begin(), pts.end()));
-    for (hemo::PointIndex i : pts)
-      EXPECT_EQ(p.owner[static_cast<std::size_t>(i)], r);
-  }
-}

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
+#include "solver_peer.hpp"
 
 namespace decomp = hemo::decomp;
 namespace geom = hemo::geom;
@@ -159,6 +162,94 @@ TEST(DistributedSolver, OwnedCountsMatchPartition) {
   for (hemo::Rank r = 0; r < 4; ++r)
     EXPECT_EQ(distributed.owned_count(r),
               counts[static_cast<std::size_t>(r)]);
+}
+
+namespace {
+
+/// Each live rank numbers its border points last: the points whose step
+/// reads a ghost slot (an upstream neighbour on another rank) are exactly
+/// the local slots [first_border, owned), both parts are in ascending
+/// global order, and the points the exchanges pack are the border points.
+void expect_border_tail(const lbm::SparseLattice& lattice,
+                        const DistributedSolver& solver,
+                        const std::string& label) {
+  using hemo::harvey::DistributedSolverPeer;
+  const decomp::Partition& partition = solver.partition();
+  const std::vector<DistributedSolverPeer::Exchange> exchanges =
+      DistributedSolverPeer::exchanges(solver);
+  std::int64_t border_points = 0;
+  for (hemo::Rank r = 0; r < partition.n_ranks; ++r) {
+    const std::string at = label + ", rank " + std::to_string(r);
+    const std::vector<hemo::PointIndex>& owned =
+        DistributedSolverPeer::owned_global(solver, r);
+    const auto first_border = DistributedSolverPeer::first_border(solver, r);
+    ASSERT_EQ(static_cast<std::int64_t>(owned.size()), solver.owned_count(r))
+        << at;
+    ASSERT_GE(first_border, 0) << at;
+    ASSERT_LE(first_border, solver.owned_count(r)) << at;
+    for (std::size_t li = 0; li < owned.size(); ++li) {
+      ASSERT_EQ(partition.owner[static_cast<std::size_t>(owned[li])], r) << at;
+      bool reads_ghost = false;
+      for (int q = 1; q < lbm::kQ; ++q) {
+        const hemo::PointIndex up = lattice.neighbor(q, owned[li]);
+        reads_ghost = reads_ghost ||
+                      (up != hemo::kSolidNeighbor &&
+                       partition.owner[static_cast<std::size_t>(up)] != r);
+      }
+      EXPECT_EQ(reads_ghost, static_cast<std::int64_t>(li) >= first_border)
+          << at << ", local slot " << li;
+    }
+    const auto tail = owned.begin() + first_border;
+    EXPECT_TRUE(std::is_sorted(owned.begin(), tail)) << at;
+    EXPECT_TRUE(std::is_sorted(tail, owned.end())) << at;
+    EXPECT_TRUE(std::adjacent_find(owned.begin(), owned.end()) ==
+                owned.end()) << at;
+
+    std::set<hemo::PointIndex> packed;
+    for (const DistributedSolverPeer::Exchange& x : exchanges)
+      if (x.src == r) packed.insert(x.source.begin(), x.source.end());
+    EXPECT_TRUE(packed == std::set<hemo::PointIndex>(tail, owned.end())) << at;
+    border_points += static_cast<std::int64_t>(owned.end() - tail);
+  }
+  if (solver.survivor_count() > 1) {
+    EXPECT_GT(border_points, 0) << label;
+  }
+}
+
+}  // namespace
+
+TEST(DistributedSolver, BorderPointsAreEachRanksContiguousTail) {
+  auto lattice = cylinder_workload();
+  for (const int ranks : {2, 5, 8}) {
+    expect_border_tail(
+        *lattice,
+        DistributedSolver(lattice, decomp::slab_partition(*lattice, ranks),
+                          flow_options()),
+        "slab, " + std::to_string(ranks) + " ranks");
+    expect_border_tail(
+        *lattice,
+        DistributedSolver(lattice,
+                          decomp::bisection_partition(*lattice, ranks),
+                          flow_options()),
+        "bisection, " + std::to_string(ranks) + " ranks");
+  }
+
+  // A rank killed mid-run: the shrink renumbers the survivors' points.
+  constexpr int kRanks = 5;
+  DistributedSolver solver(
+      lattice, decomp::bisection_partition(*lattice, kRanks), flow_options());
+  resilience::FaultPlan plan;
+  plan.kill_rank(3, /*step=*/4);
+  solver.set_network(
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan)));
+  resilience::Options options;
+  options.shrink.enabled = true;
+  options.sentinel.enabled = true;
+  solver.enable_resilience(options);
+  solver.run(12);
+  ASSERT_EQ(solver.resilience_stats().shrinks, 1);
+  ASSERT_EQ(solver.owned_count(3), 0);
+  expect_border_tail(*lattice, solver, "bisection, after a shrink");
 }
 
 TEST(DistributedSolver, GlobalMomentsAgreeWithReference) {

@@ -28,6 +28,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
+#include "solver_peer.hpp"
 
 namespace decomp = hemo::decomp;
 namespace geom = hemo::geom;
@@ -321,14 +322,15 @@ TEST(ResilientSolver, OverflowingFiniteMassTripsRS002) {
 
   auto lattice = small_cylinder();
   const decomp::Partition partition = decomp::slab_partition(*lattice, kRanks);
+  DistributedSolver solver(lattice, partition, flow_options());
   resilience::FaultPlan plan;
   int lifted = 0;
-  for (const hemo::PointIndex p : partition.points_of(1)) {
+  for (const hemo::PointIndex p :
+       hemo::harvey::DistributedSolverPeer::owned_global(solver, 1)) {
     if (lattice->node_type(p) != lbm::NodeType::kBulk) continue;
     plan.add(bit_flip(p, /*q=*/0, /*bit=*/62, kFlipStep));
     if (++lifted == 8) break;
   }
-  DistributedSolver solver(lattice, partition, flow_options());
   solver.set_fault_injection(&plan);
   solver.enable_resilience(resilience::Options{});
 
@@ -819,50 +821,6 @@ TEST(AuditTile, SeededRunIsIdenticalAcrossDialectsAndEngineThreads) {
 // The audit inside the step launch: each work-item audits the tile it just
 // wrote, from cache, in place of a separate audit pass after the step.
 
-namespace hemo::harvey {
-
-/// Reaches the audits the last step launches made, a separate audit of
-/// the committed state, as the guards would read it, and the step plan's
-/// tiles with their border flags.
-struct DistributedSolverPeer {
-  struct Tile {
-    Rank rank;
-    std::int64_t begin;
-    std::int64_t end;
-    bool border;
-    friend bool operator==(const Tile&, const Tile&) = default;
-  };
-  static std::vector<Tile> plan_tiles(const DistributedSolver& solver) {
-    std::vector<Tile> out;
-    for (const DistributedSolver::TileSpan& t : solver.plan_.tiles)
-      out.push_back(Tile{t.rank, t.begin, t.end, t.border});
-    return out;
-  }
-  static const std::vector<std::size_t>& border_tiles(
-      const DistributedSolver& solver) {
-    return solver.plan_.border_tiles;
-  }
-
-  static const std::vector<resilience::TileAudit>& step_audits(
-      const DistributedSolver& solver) {
-    return solver.step_audits_;
-  }
-  static std::vector<resilience::TileAudit> separate_audit(
-      const DistributedSolver& solver) {
-    const Vec3 force = solver.options_.body_force;
-    std::vector<resilience::TileAudit> out;
-    for (const DistributedSolver::TileSpan& t : solver.plan_.tiles) {
-      const DistributedSolver::RankState& rs =
-          solver.ranks_[static_cast<std::size_t>(t.rank)];
-      out.push_back(resilience::audit_tile(rs.current(), rs.local, t.begin,
-                                           t.end, force.x, force.y, force.z));
-    }
-    return out;
-  }
-};
-
-}  // namespace hemo::harvey
-
 namespace {
 
 bool same_audit(const resilience::TileAudit& a,
@@ -926,15 +884,18 @@ TEST(AuditTile, StepLaunchAuditsEqualASeparateAuditOfTheCommittedState) {
 
 namespace {
 
-/// The tiles of every rank of `partition`, recomputed from the lattice: a
-/// tile is a border tile when one of its points has an upstream neighbour
-/// owned by another rank, the points whose step reads a ghost slot.
+/// The tiles of every rank of the solver's partition, in its local order,
+/// recomputed from the lattice: a tile is a border tile when one of its
+/// points has an upstream neighbour owned by another rank, the points whose
+/// step reads a ghost slot.
 std::vector<hemo::harvey::DistributedSolverPeer::Tile> expected_tiles(
-    const lbm::SparseLattice& lattice, const decomp::Partition& partition,
+    const lbm::SparseLattice& lattice, const DistributedSolver& solver,
     std::int64_t tile_points) {
+  const decomp::Partition& partition = solver.partition();
   std::vector<hemo::harvey::DistributedSolverPeer::Tile> out;
   for (hemo::Rank r = 0; r < partition.n_ranks; ++r) {
-    const std::vector<hemo::PointIndex> owned = partition.points_of(r);
+    const std::vector<hemo::PointIndex>& owned =
+        hemo::harvey::DistributedSolverPeer::owned_global(solver, r);
     const auto n = static_cast<std::int64_t>(owned.size());
     for (std::int64_t begin = 0; begin < n; begin += tile_points) {
       const std::int64_t end = std::min(begin + tile_points, n);
@@ -962,7 +923,7 @@ std::size_t expect_plan_matches(const DistributedSolver& solver,
   using hemo::harvey::DistributedSolverPeer;
   const std::vector<DistributedSolverPeer::Tile> plan =
       DistributedSolverPeer::plan_tiles(solver);
-  EXPECT_TRUE(plan == expected_tiles(lattice, solver.partition(), tile_points))
+  EXPECT_TRUE(plan == expected_tiles(lattice, solver, tile_points))
       << label;
   std::vector<std::size_t> flagged;
   for (std::size_t k = 0; k < plan.size(); ++k)

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -18,13 +19,16 @@
 #include <utility>
 #include <vector>
 
+#include "comm/network.hpp"
 #include "decomp/partition.hpp"
 #include "geom/cylinder.hpp"
 #include "harvey/distributed_solver.hpp"
 #include "hal/device.hpp"
+#include "io/blob.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
+#include "solver_peer.hpp"
 
 namespace decomp = hemo::decomp;
 namespace geom = hemo::geom;
@@ -33,6 +37,7 @@ namespace hal = hemo::hal;
 namespace resilience = hemo::resilience;
 using hemo::Rank;
 using hemo::harvey::DistributedSolver;
+using hemo::harvey::DistributedSolverPeer;
 
 namespace {
 
@@ -121,14 +126,16 @@ TEST(SentinelSolver, DetectsLocalizesAndRecoversAnInjectedFlip) {
     auto lattice = small_cylinder();
     const decomp::Partition partition =
         decomp::slab_partition(*lattice, c.ranks);
+    DistributedSolver solver(lattice, partition, flow_options());
     std::int64_t point = lattice->size() / 2;
     if (c.last_tile) {
-      const std::vector<hemo::PointIndex> owned = partition.points_of(1);
+      // The point at local slot owned - 1 of rank 1.
+      const std::vector<hemo::PointIndex>& owned =
+          DistributedSolverPeer::owned_global(solver, 1);
       const auto n = static_cast<std::int64_t>(owned.size());
       ASSERT_NE(n % c.tile_points, 0) << label;
       point = owned.back();
     }
-    DistributedSolver solver(lattice, partition, flow_options());
     resilience::FaultPlan plan;
     plan.add(bit_flip_at(/*step=*/6, point, /*q=*/7, /*bit=*/44));
     solver.set_fault_injection(&plan);
@@ -179,15 +186,17 @@ TEST(SentinelSolver, BitFlipFiresOnASolverWithoutResilience) {
   auto lattice = small_cylinder();
   const decomp::Partition partition =
       decomp::slab_partition(*lattice, kPlainRanks);
+  DistributedSolver solver(lattice, partition, flow_options());
   const std::int64_t point = lattice->size() - 1;
   const Rank owner = partition.owner[static_cast<std::size_t>(point)];
-  const std::vector<hemo::PointIndex> owned = partition.points_of(owner);
+  const std::vector<hemo::PointIndex>& owned =
+      DistributedSolverPeer::owned_global(solver, owner);
   const std::int64_t local =
-      std::lower_bound(owned.begin(), owned.end(), point) - owned.begin();
+      std::find(owned.begin(), owned.end(), point) - owned.begin();
   const std::int64_t tile_points = resilience::SentinelPolicy{}.tile_points;
+  ASSERT_LT(local, static_cast<std::int64_t>(owned.size()));
   ASSERT_GT(local / tile_points, 0);  // past the first tile
 
-  DistributedSolver solver(lattice, partition, flow_options());
   resilience::FaultPlan plan;
   plan.add(bit_flip_at(/*step=*/3, point, /*q=*/7, /*bit=*/44));
   solver.set_fault_injection(&plan);
@@ -340,11 +349,17 @@ namespace {
 
 /// The first point of the first kTilePoints-point tile of rank r that is a
 /// border tile (`border`: it holds a point with an upstream neighbour on
-/// another rank) or an interior tile (`!border`); -1 if there is none.
+/// another rank) or an interior tile (`!border`); -1 if there is none.  The
+/// tiles cut rank r's points in the local order of a solver over the
+/// partition.
 std::int64_t first_point_of_tile(const lbm::SparseLattice& lattice,
                                  const decomp::Partition& partition, Rank r,
                                  bool border) {
-  const std::vector<hemo::PointIndex> owned = partition.points_of(r);
+  const DistributedSolver solver(
+      std::make_shared<const lbm::SparseLattice>(lattice), partition,
+      flow_options());
+  const std::vector<hemo::PointIndex>& owned =
+      DistributedSolverPeer::owned_global(solver, r);
   for (std::size_t begin = 0; begin < owned.size(); begin += kTilePoints) {
     const std::size_t end =
         std::min(begin + static_cast<std::size_t>(kTilePoints), owned.size());
@@ -464,7 +479,7 @@ TEST(SentinelSolver, SeededSdcCampaignMatchesGoldenRunStats) {
   constexpr int kChaosSteps = 24;
   constexpr int kFlips = 6;
   constexpr const char* k256 =
-      "r0 t1 s6 l0; r0 t0 s7 l0; r2 t1 s7 l0; r2 t1 s10 l0; r1 t1 s15 l0; "
+      "r0 t1 s6 l0; r0 t0 s7 l0; r2 t0 s7 l0; r2 t1 s10 l0; r1 t1 s15 l0; "
       "r2 t1 s17 l0; checks 424, rollbacks 4, snapshots 4, health_errors 0, "
       "false_positives 0";
   const ChaosCase cases[] = {
@@ -473,11 +488,11 @@ TEST(SentinelSolver, SeededSdcCampaignMatchesGoldenRunStats) {
        k256},
       {"kokkosx, 3 threads, 100-point tiles", hal::Model::kKokkosHip, 3, 100,
        false,
-       "r0 t3 s6 l0; r0 t0 s7 l0; r2 t2 s7 l0; r2 t4 s10 l0; r1 t4 s15 l0; "
+       "r0 t3 s6 l0; r0 t0 s7 l0; r2 t1 s7 l0; r2 t4 s10 l0; r1 t4 s15 l0; "
        "r2 t4 s17 l0; checks 1048, rollbacks 4, snapshots 4, health_errors 0, "
        "false_positives 0"},
       {"cudax, 2 threads, 48-point tiles", hal::Model::kCuda, 2, 48, false,
-       "r0 t6 s6 l0; r0 t1 s7 l0; r2 t5 s7 l0; r2 t9 s10 l0; r1 t9 s15 l0; "
+       "r0 t6 s6 l0; r0 t1 s7 l0; r2 t3 s7 l0; r2 t9 s10 l0; r1 t9 s15 l0; "
        "r2 t8 s17 l0; checks 2096, rollbacks 4, snapshots 4, health_errors 0, "
        "false_positives 0"},
       {"host loops, wire faults", std::nullopt, 1, 256, true,
@@ -531,5 +546,198 @@ TEST(SentinelSolver, SeededSdcCampaignMatchesGoldenRunStats) {
     EXPECT_EQ(chaos_summary(solver.resilience_stats()), c.golden) << c.name;
     expect_bit_identical(solver.global_distributions(),
                          clean.global_distributions());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Staged payloads: a verifying step's first launch packs every exchange's
+// framed payload, and the exchange sends those after the verdict.  What the
+// wire carries must be exactly what a pack of the step's input would give.
+
+namespace {
+
+/// Forwards every call to an inner network and records every payload the
+/// solver sends, with the step it was sent in, before the inner network
+/// (which may damage it) sees it.
+class RecordingNetwork : public hemo::comm::Network {
+ public:
+  explicit RecordingNetwork(std::unique_ptr<hemo::comm::Network> inner)
+      : Network(inner->n_ranks()), inner_(std::move(inner)) {}
+  struct Sent {
+    std::int64_t step;
+    Rank src;
+    Rank dst;
+    std::vector<double> payload;
+  };
+  void begin_step(std::int64_t step) override {
+    step_ = step;
+    inner_->begin_step(step);
+  }
+  void send(Rank src, Rank dst, std::vector<double> payload) override {
+    sent.push_back(Sent{step_, src, dst, payload});
+    inner_->send(src, dst, std::move(payload));
+  }
+  using Network::receive;
+  std::vector<double> receive(Rank dst, Rank src) override {
+    return inner_->receive(dst, src);
+  }
+  std::int64_t pending(Rank dst, Rank src) const override {
+    return inner_->pending(dst, src);
+  }
+  bool drained() const override { return inner_->drained(); }
+  void reset() override { inner_->reset(); }
+
+  std::vector<Sent> sent;
+
+ private:
+  std::unique_ptr<hemo::comm::Network> inner_;
+  std::int64_t step_ = -1;
+};
+
+/// Exchange x's values gathered from a global_distributions() state,
+/// followed by their CRC-32 frame word.
+std::vector<double> fresh_pack(const DistributedSolverPeer::Exchange& x,
+                               const std::vector<double>& state,
+                               std::int64_t n) {
+  std::vector<double> payload;
+  for (std::size_t k = 0; k < x.q.size(); ++k)
+    payload.push_back(state[static_cast<std::size_t>(x.q[k]) *
+                                static_cast<std::size_t>(n) +
+                            static_cast<std::size_t>(x.source[k])]);
+  payload.push_back(static_cast<double>(hemo::io::crc32(
+      payload.data(), x.q.size() * sizeof(double))));
+  return payload;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Steps `solver` once and checks that every payload the step call sent
+/// for exchange x is the fresh pack of the state before the call.  Returns
+/// the number of payloads the call sent.
+std::size_t step_and_check_payloads(DistributedSolver& solver,
+                                    const RecordingNetwork& network,
+                                    const std::string& label) {
+  const std::vector<double> before = solver.global_distributions();
+  const std::int64_t n = static_cast<std::int64_t>(before.size()) / lbm::kQ;
+  const std::vector<DistributedSolverPeer::Exchange> exchanges =
+      DistributedSolverPeer::exchanges(solver);
+  const std::size_t first = network.sent.size();
+  const std::int64_t step = solver.step_count();
+  solver.step();
+  for (std::size_t m = first; m < network.sent.size(); ++m) {
+    const auto& sent = network.sent[m];
+    const auto x = std::find_if(
+        exchanges.begin(), exchanges.end(),
+        [&](const DistributedSolverPeer::Exchange& e) {
+          return e.src == sent.src && e.dst == sent.dst;
+        });
+    EXPECT_NE(x, exchanges.end()) << label << ", step " << step;
+    if (x == exchanges.end()) continue;
+    EXPECT_TRUE(same_bytes(sent.payload, fresh_pack(*x, before, n)))
+        << label << ", step " << step << ", exchange " << sent.src << " -> "
+        << sent.dst;
+  }
+  return network.sent.size() - first;
+}
+
+}  // namespace
+
+TEST(SentinelSolver, StagedPayloadsEqualAFreshPackOfTheInput) {
+  auto lattice = small_cylinder();
+  const decomp::Partition partition =
+      decomp::slab_partition(*lattice, kRanks);
+
+  {
+    // Every step verifies (check_interval 1): every payload was staged by
+    // the interior launch and sent in exchange order.
+    DistributedSolver solver(lattice, partition, flow_options());
+    auto owned = std::make_unique<RecordingNetwork>(
+        std::make_unique<hemo::comm::Network>(kRanks));
+    const auto& network = *owned;
+    solver.set_network(std::move(owned));
+    solver.enable_resilience(sentinel_options());
+    const std::vector<DistributedSolverPeer::Exchange> exchanges =
+        DistributedSolverPeer::exchanges(solver);
+    ASSERT_FALSE(exchanges.empty());
+    for (int step = 0; step < 8; ++step) {
+      const std::size_t first = network.sent.size();
+      ASSERT_EQ(step_and_check_payloads(solver, network, "verifying"),
+                exchanges.size());
+      for (std::size_t x = 0; x < exchanges.size(); ++x) {
+        EXPECT_EQ(network.sent[first + x].src, exchanges[x].src);
+        EXPECT_EQ(network.sent[first + x].dst, exchanges[x].dst);
+      }
+    }
+  }
+
+  {
+    // Verify every 3rd step and snapshot every 4th: a flip at step 6 is
+    // detected there and rolls back to step 4, which does not verify.  That
+    // replay packs at send time from the restored state; sending the
+    // dropped staged set would carry step 6's input.
+    DistributedSolver solver(lattice, partition, flow_options());
+    auto owned = std::make_unique<RecordingNetwork>(
+        std::make_unique<hemo::comm::Network>(kRanks));
+    const auto& network = *owned;
+    solver.set_network(std::move(owned));
+    resilience::FaultPlan plan;
+    plan.add(bit_flip_at(/*step=*/6, lattice->size() / 2, /*q=*/7,
+                         /*bit=*/44));
+    solver.set_fault_injection(&plan);
+    resilience::Options options = sentinel_options();
+    options.sentinel.check_interval = 3;
+    ASSERT_EQ(options.recovery.checkpoint_interval, 4);
+    solver.enable_resilience(options);
+    const std::size_t exchanges =
+        DistributedSolverPeer::exchanges(solver).size();
+
+    bool replayed = false;
+    while (solver.step_count() < 10) {
+      const std::int64_t detected = solver.resilience_stats().sdc_detected;
+      const std::size_t sent =
+          step_and_check_payloads(solver, network, "check_interval 3");
+      if (solver.resilience_stats().sdc_detected == detected) continue;
+      EXPECT_EQ(sent, 0u);
+      ASSERT_EQ(solver.step_count(), 4);
+      ASSERT_NE(solver.step_count() % options.sentinel.check_interval, 0);
+      EXPECT_EQ(step_and_check_payloads(solver, network, "replay"),
+                exchanges);
+      replayed = true;
+    }
+    EXPECT_TRUE(replayed);
+    EXPECT_EQ(solver.resilience_stats().sdc_detected, 1);
+  }
+
+  {
+    // A payload corrupted on the wire is retransmitted from the sender's
+    // intact state: byte-equal to the staged original.
+    DistributedSolver solver(lattice, partition, flow_options());
+    resilience::FaultEvent e;
+    e.kind = resilience::FaultKind::kCorrupt;
+    e.step = 5;
+    const auto edge = solver.exchange_pairs().front();
+    e.src = edge.first;
+    e.dst = edge.second;
+    resilience::FaultPlan plan;
+    plan.add(e);
+    auto owned = std::make_unique<RecordingNetwork>(
+        std::make_unique<resilience::FaultyNetwork>(kRanks, plan));
+    const auto& network = *owned;
+    solver.set_network(std::move(owned));
+    solver.enable_resilience(sentinel_options());
+    while (solver.step_count() < 8)
+      step_and_check_payloads(solver, network, "corrupted wire");
+
+    EXPECT_EQ(solver.resilience_stats().crc_mismatch, 1);
+    EXPECT_EQ(solver.resilience_stats().retransmits, 1);
+    std::vector<std::vector<double>> on_edge;
+    for (const auto& sent : network.sent)
+      if (sent.step == 5 && sent.src == edge.first && sent.dst == edge.second)
+        on_edge.push_back(sent.payload);
+    ASSERT_EQ(on_edge.size(), 2u);
+    EXPECT_TRUE(same_bytes(on_edge[0], on_edge[1]));
   }
 }

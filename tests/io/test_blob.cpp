@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -210,6 +212,25 @@ TEST(Blob, Crc32MatchesBytewiseReferenceAtAnyLengthAndAlignment) {
     ASSERT_EQ(crc32(start, size, seed), bytewise_crc32(start, size, seed))
         << "size " << size << ", offset " << offset << ", seed " << seed;
   }
+  // Every length from 48 to 272 at every offset mod 16: buffers below the
+  // 64-byte fold threshold, and folds of 4 to 17 16-byte blocks followed by
+  // tails of every length 0..15.
+  for (std::size_t size = 48; size <= 272; ++size)
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const auto seed = static_cast<std::uint32_t>(rng());
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(crc32(start, size, seed), bytewise_crc32(start, size, seed))
+          << "size " << size << ", offset " << offset << ", seed " << seed;
+    }
+  // A halo payload of the 8-rank aorta's size: many four-lane fold rounds.
+  std::vector<double> halo(23001);
+  for (double& v : halo) v = std::ldexp(static_cast<double>(rng() >> 11), -53);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(halo.data());
+  const std::size_t halo_bytes = halo.size() * sizeof(double);
+  EXPECT_EQ(crc32(halo.data(), halo_bytes),
+            bytewise_crc32(bytes, halo_bytes, 0));
+  EXPECT_EQ(crc32(halo.data(), halo_bytes, 0xDEADBEEFu),
+            bytewise_crc32(bytes, halo_bytes, 0xDEADBEEFu));
 }
 
 }  // namespace
