@@ -200,8 +200,7 @@ void BM_EngineStep(benchmark::State& state) {
   lbm::StepEngine engine(
       pattern,
       {f_a.data(), aa ? nullptr : f_b.data(), lattice->adjacency().data(),
-       reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()), n,
-       n},
+       reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()), n},
       isa);
   lbm::SolverOptions options;
   options.tau = 0.9;

@@ -35,8 +35,7 @@ DeviceSolver::DeviceSolver(std::shared_ptr<const lbm::SparseLattice> lattice,
       options_.propagation,
       {static_cast<double*>(f_a_.get()), static_cast<double*>(f_b_.get()),
        lattice_->adjacency().data(),
-       static_cast<const std::uint8_t*>(node_type_.get()), lattice_->size(),
-       lattice_->size()});
+       static_cast<const std::uint8_t*>(node_type_.get()), lattice_->size()});
   engine_.fill_equilibrium(options_, model_);
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <set>
+#include <numeric>
 #include <sstream>
 
 #include "analysis/lattice_check.hpp"
@@ -64,7 +64,7 @@ void DistributedSolver::build_decomposition() {
   exchanges_.clear();
 
   // A border point has an upstream neighbour on another rank: its step
-  // reads a ghost slot.
+  // reads the ghost region.
   const std::size_t n = partition_.owner.size();
   std::vector<char> border(n, 0);
   for (std::size_t g = 0; g < n; ++g) {
@@ -99,35 +99,34 @@ void DistributedSolver::build_decomposition() {
     // rank with no points means the partition is broken.
     HEMO_EXPECTS(rs.owned > 0 || !alive_[static_cast<std::size_t>(d)]);
 
-    // Ghosts: the border points' off-rank upstream neighbours, ascending.
-    // Ghost k lives in slot owned + k.
-    std::vector<PointIndex> ghosts;
+    // The ghost region holds the inbound payloads in ascending source
+    // order, so source s's payload starts at region value base[s]: count
+    // each source's off-rank links over the border points.
+    std::vector<std::int64_t> base(static_cast<std::size_t>(R) + 1, 0);
     for (std::int64_t li = rs.first_border; li < rs.owned; ++li) {
       const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
       for (int q = 1; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
-        if (up != kSolidNeighbor &&
-            partition_.owner[static_cast<std::size_t>(up)] != d)
-          ghosts.push_back(up);
+        if (up == kSolidNeighbor) continue;
+        const Rank s = partition_.owner[static_cast<std::size_t>(up)];
+        if (s != d) ++base[static_cast<std::size_t>(s) + 1];
       }
     }
-    std::sort(ghosts.begin(), ghosts.end());
-    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-    rs.local = rs.owned + static_cast<std::int64_t>(ghosts.size());
+    std::partial_sum(base.begin(), base.end(), base.begin());
+    const std::int64_t region = base.back();
 
     // One walk: local adjacency, node types and the exchanges into d,
     // entries in (local index, q) order.  Only border points add entries,
     // and they are in ascending global index, so an exchange's entries and
     // payload bytes do not depend on where the interior points are
-    // numbered.  Ghost rows are never executed, so their adjacency stays
-    // kSolidNeighbor and their type kBulk.  The engine keeps its own 32-bit
-    // slot table built from the adjacency, so the adjacency itself is
-    // dropped once the engine exists.
-    std::vector<PointIndex> adjacency(static_cast<std::size_t>(lbm::kQ) *
-                                          static_cast<std::size_t>(rs.local),
-                                      kSolidNeighbor);
-    rs.node_type.assign(static_cast<std::size_t>(rs.local),
-                        static_cast<std::uint8_t>(lbm::NodeType::kBulk));
+    // numbered.  Entry k of the exchange from s is region value
+    // base[s] + k, which the adjacency names as owned + base[s] + k.  The
+    // engine keeps its own 32-bit slot table built from the adjacency, so
+    // the adjacency itself is dropped once the engine exists.
+    const auto rows = static_cast<std::size_t>(lbm::kQ) *
+                      static_cast<std::size_t>(rs.owned);
+    std::vector<PointIndex> adjacency(rows, kSolidNeighbor);
+    rs.node_type.resize(static_cast<std::size_t>(rs.owned));
     std::vector<Exchange> into(static_cast<std::size_t>(R));  // by source
     for (std::int64_t li = 0; li < rs.owned; ++li) {
       const PointIndex gi = rs.owned_global[static_cast<std::size_t>(li)];
@@ -140,15 +139,14 @@ void DistributedSolver::build_decomposition() {
         const std::int64_t on_owner = local_of_[static_cast<std::size_t>(up)];
         std::int64_t slot = on_owner;
         if (s != d) {
-          slot = rs.owned +
-                 (std::ranges::lower_bound(ghosts, up) - ghosts.begin());
           Exchange& e = into[static_cast<std::size_t>(s)];
+          slot = rs.owned + base[static_cast<std::size_t>(s)] +
+                 static_cast<std::int64_t>(e.q.size());
           e.q.push_back(q);
           e.src_local.push_back(on_owner);
-          e.dst_local.push_back(slot);
         }
         adjacency[static_cast<std::size_t>(q) *
-                      static_cast<std::size_t>(rs.local) +
+                      static_cast<std::size_t>(rs.owned) +
                   static_cast<std::size_t>(li)] = slot;
       }
     }
@@ -156,19 +154,19 @@ void DistributedSolver::build_decomposition() {
       Exchange& e = into[static_cast<std::size_t>(s)];
       e.src = s;
       e.dst = d;
+      e.landing = static_cast<std::int64_t>(rows) +
+                  base[static_cast<std::size_t>(s)];
       if (!e.q.empty()) exchanges_.push_back(std::move(e));
     }
 
-    // Distributions: everything (ghosts included) starts at equilibrium;
-    // the first exchange overwrites ghosts with the owners' identical
-    // values, so initialization matches the single-domain solver exactly.
-    rs.f_a.resize(static_cast<std::size_t>(lbm::kQ) *
-                  static_cast<std::size_t>(rs.local));
+    // The rows start at equilibrium, as the single-domain solver's do; the
+    // first exchange fills the region before any kernel reads it.
+    rs.f_a.resize(rows + static_cast<std::size_t>(region));
     rs.f_b.resize(rs.f_a.size());
     rs.engine = lbm::StepEngine(
         options_.propagation,
         {rs.f_a.data(), rs.f_b.data(), adjacency.data(),
-         rs.node_type.data(), rs.owned, rs.local});
+         rs.node_type.data(), rs.owned, region});
     rs.engine.fill_equilibrium(options_, model_);
   }
   std::ranges::sort(exchanges_, {}, [](const Exchange& e) {
@@ -191,20 +189,14 @@ std::vector<std::pair<Rank, Rank>> DistributedSolver::exchange_pairs() const {
   return pairs;
 }
 
-void DistributedSolver::unpack(const Exchange& e, const double* values) {
-  RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-  for (std::size_t k = 0; k < e.q.size(); ++k)
-    dst.current()[static_cast<std::size_t>(e.q[k]) *
-                      static_cast<std::size_t>(dst.local) +
-                  static_cast<std::size_t>(e.dst_local[k])] = values[k];
-}
-
 void DistributedSolver::exchange_halos() {
   // Post every send, then drain every receive: the classic halo-exchange
   // schedule (non-blocking sends + receives in MPI terms).
   post_all_halos();
   for (const Exchange& e : exchanges_)
-    unpack(e, network_->receive(e.dst, e.src, e.q.size()).data());
+    std::ranges::copy(network_->receive(e.dst, e.src, e.q.size()),
+                      ranks_[static_cast<std::size_t>(e.dst)].current() +
+                          e.landing);
   HEMO_ASSERT(network_->drained());
 }
 
@@ -254,18 +246,18 @@ void DistributedSolver::step_tiles(TilePass pass) {
     const TileSpan& t = tiles[k];
     const RankState& rs = ranks[t.rank];
     if (inputs != nullptr) {
-      inputs[k] = lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
-      if (t.border) return;  // its ghosts are not exchanged yet
+      inputs[k] = lbm::tile_digest(rs.current(), rs.owned, t.begin, t.end);
+      if (t.border) return;  // its region is not exchanged yet
     }
     // A border tile's input was last read by its digest, before the
     // exchange: fetch its rows ahead of the gather, as the digest does for
     // an interior tile.
     if (border_only)
-      lbm::prefetch_tile(rs.current(), rs.local, t.begin, t.end);
+      lbm::prefetch_tile(rs.current(), rs.owned, t.begin, t.end);
     const lbm::StepEngine::BlockStep& s = steps[t.rank];
     s.range(t.begin, t.end);
     if (audits != nullptr)
-      audits[k] = resilience::audit_tile(s.output(), rs.local, t.begin, t.end,
+      audits[k] = resilience::audit_tile(s.output(), rs.owned, t.begin, t.end,
                                          force.x, force.y, force.z);
   });
 }
@@ -313,7 +305,7 @@ std::vector<resilience::TileAudit> DistributedSolver::audit_state() const {
                 const TileSpan& t = tiles[k];
                 const RankState& rs = ranks[t.rank];
                 out[k].digest =
-                    lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
+                    lbm::tile_digest(rs.current(), rs.owned, t.begin, t.end);
               });
   return audits;
 }
@@ -402,7 +394,7 @@ std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
   const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
   for (std::size_t k = 0; k < e.q.size(); ++k)
     payload[k] = src.current()[static_cast<std::size_t>(e.q[k]) *
-                                   static_cast<std::size_t>(src.local) +
+                                   static_cast<std::size_t>(src.owned) +
                                static_cast<std::size_t>(e.src_local[k])];
   if (frames)
     payload.back() = static_cast<double>(
@@ -445,7 +437,9 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
     }
     if (have_payload) {
       if (frame_ok(payload)) {
-        unpack(e, payload.data());
+        std::copy_n(payload.begin(), e.q.size(),
+                    ranks_[static_cast<std::size_t>(e.dst)].current() +
+                        e.landing);
         return true;
       }
       ++stats_.crc_mismatch;  // corrupted in flight; retransmit replaces it
@@ -462,7 +456,7 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
 
 void DistributedSolver::drain_stragglers() {
   // Duplicates, surviving retransmissions and late-released delayed
-  // messages are still in flight after every exchange unpacked once.
+  // messages are still in flight after every exchange landed once.
   // Consume and discard them so they cannot alias next step's traffic.
   for (const Exchange& e : exchanges_) {
     int guard = 0;
@@ -605,7 +599,7 @@ void DistributedSolver::take_snapshot() {
   snapshot_.prev_mass = prev_mass_;
   snapshot_.state.resize(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r)
-    snapshot_.state[r].resize(ranks_[r].values());
+    snapshot_.state[r].resize(ranks_[r].row_values());
   copy_snapshot_rows(/*to_snapshot=*/true);
   ++stats_.snapshots;
 }
@@ -623,7 +617,7 @@ void DistributedSolver::copy_snapshot_rows(bool to_snapshot) {
     double* saved = snapshot_.state[r].data();
     rows.push_back(RankRows{to_snapshot ? live : saved,
                             to_snapshot ? saved : live,
-                            static_cast<std::size_t>(ranks_[r].local)});
+                            static_cast<std::size_t>(ranks_[r].owned)});
   }
   // Work-item k copies q-row k % kQ of rank k / kQ: disjoint destinations.
   const RankRows* copies = rows.data();
@@ -722,7 +716,7 @@ bool DistributedSolver::reexec_vote_sample() {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     const std::span<const TileSpan> tiles = rank_share(plan_.tiles, r);
     if (tiles.empty()) continue;  // dead rank post-shrink
-    const std::size_t values = rs.values();
+    const std::size_t values = rs.row_values();
     if (reexec_scratch_a_.size() < values) reexec_scratch_a_.resize(values);
     if (reexec_scratch_b_.size() < values) reexec_scratch_b_.resize(values);
 
@@ -750,7 +744,7 @@ bool DistributedSolver::reexec_vote_sample() {
       bool matches_live = true;
       for (int q = 0; q < lbm::kQ && votes_agree; ++q) {
         const std::size_t row = static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(rs.local);
+                                static_cast<std::size_t>(rs.owned);
         for (std::int64_t i = begin; i < end; ++i) {
           const std::size_t at = row + static_cast<std::size_t>(i);
           std::uint64_t va = 0, vb = 0, vl = 0;
@@ -792,7 +786,7 @@ void DistributedSolver::apply_due_bit_flips() {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     const std::int64_t li = local_of_[static_cast<std::size_t>(gi)];
     double& v = rs.current()[static_cast<std::size_t>(e->flip_q) *
-                                 static_cast<std::size_t>(rs.local) +
+                                 static_cast<std::size_t>(rs.owned) +
                              static_cast<std::size_t>(li)];
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
@@ -819,7 +813,7 @@ void DistributedSolver::walk_row(std::span<double* const> per_rank, int q,
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
     double* row = per_rank[r] + static_cast<std::size_t>(q) *
-                                    static_cast<std::size_t>(rs.local);
+                                    static_cast<std::size_t>(rs.owned);
     for (std::int64_t li = 0; li < rs.owned; ++li)
       visit(row[li], static_cast<std::size_t>(
                          rs.owned_global[static_cast<std::size_t>(li)]));
@@ -860,8 +854,8 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   partition_ =
       decomp::bisection_partition(*global_, partition_.n_ranks, survivors);
   build_decomposition();
-  // Owned slots only: the first exchange after resumption refreshes every
-  // ghost slot a kernel reads, so ghosts can stay at the equilibrium fill.
+  // The rows only: the first exchange after resumption fills the ghost
+  // region before a kernel reads it.
   const auto n = static_cast<std::size_t>(global_->size());
   const std::vector<double*> live = live_arrays();
   for (int q = 0; q < lbm::kQ; ++q) {
@@ -922,7 +916,7 @@ void DistributedSolver::resilient_step() {
         [this](std::size_t k) {
           const TileSpan& t = plan_.tiles[k];
           const RankState& rs = ranks_[static_cast<std::size_t>(t.rank)];
-          return lbm::tile_digest(rs.current(), rs.local, t.begin, t.end);
+          return lbm::tile_digest(rs.current(), rs.owned, t.begin, t.end);
         },
         &stats_.sdc_checks, &stats_.sdc_false_positive);
     if (handle_sdc(found, /*reexec=*/false)) return;
@@ -1013,8 +1007,8 @@ void DistributedSolver::restore_checkpoint(const std::string& path) {
       });
 
   // The staged buffers become the live state, as a step's output does.
-  // Their ghost slots are stale: the first exchange refreshes every ghost
-  // slot a kernel reads, as after a shrink.
+  // Their ghost regions are stale: the first exchange refreshes them before
+  // a kernel reads them, as after a shrink.
   for (RankState& rs : ranks_) {
     rs.engine.commit();
     rs.engine.set_steps_done(step);
@@ -1056,58 +1050,60 @@ std::vector<analysis::Diagnostic> DistributedSolver::validate() const {
     out.insert(out.end(), plan_diags.begin(), plan_diags.end());
   }
 
-  // Exchange-level invariants: every pack slot reads an interior (owned)
-  // value, every unpack slot writes a ghost slot, and no (q, slot) pair is
-  // unpacked twice within one exchange.  A violation means the halo
-  // exchange overlaps the interior update of the same step — the
-  // distributed analogue of the push-streaming write-write race.
+  // Exchange-level invariants: every pack slot reads a point the sender
+  // owns, and every payload lands inside the receiving rank's ghost region.
+  // A payload landing on the rows means the halo exchange overlaps the
+  // interior update of the same step — the distributed analogue of the
+  // push-streaming write-write race.
   auto emit = [&out](const std::string& message) {
     out.push_back(analysis::Diagnostic{
         "LC009", analysis::Severity::kError, "halo-exchange", 0, message,
         "rebuild the exchange lists from the current partition"});
   };
   for (const Exchange& e : exchanges_) {
+    std::ostringstream name;
+    name << "exchange " << e.src << " -> " << e.dst;
     if (e.src < 0 || e.src >= partition_.n_ranks || e.dst < 0 ||
         e.dst >= partition_.n_ranks || e.src == e.dst) {
-      std::ostringstream msg;
-      msg << "malformed exchange " << e.src << " -> " << e.dst;
-      emit(msg.str());
+      emit("malformed " + name.str());
       continue;
     }
     const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
     const RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-    std::set<std::pair<int, std::int64_t>> unpack_slots;
     for (std::size_t k = 0; k < e.q.size(); ++k) {
-      std::ostringstream at;
-      at << "exchange " << e.src << " -> " << e.dst << ", entry " << k;
-      if (e.q[k] < 1 || e.q[k] >= lbm::kQ) {
-        emit(at.str() + ": direction out of range");
-        continue;
-      }
+      const std::string at = name.str() + ", entry " + std::to_string(k);
+      if (e.q[k] < 1 || e.q[k] >= lbm::kQ)
+        emit(at + ": direction out of range");
       if (e.src_local[k] < 0 || e.src_local[k] >= src.owned)
-        emit(at.str() + ": pack slot is not an interior point of the "
-                        "sending rank");
-      if (e.dst_local[k] < dst.owned || e.dst_local[k] >= dst.local)
-        emit(at.str() + ": unpack slot overlaps the receiving rank's "
-                        "interior update");
-      else if (!unpack_slots.emplace(e.q[k], e.dst_local[k]).second)
-        emit(at.str() + ": ghost slot unpacked twice");
+        emit(at + ": pack slot is not an interior point of the sending rank");
+    }
+    const auto region_begin = static_cast<std::int64_t>(dst.row_values());
+    const auto region_end = static_cast<std::int64_t>(dst.f_a.size());
+    const auto end = e.landing + static_cast<std::int64_t>(e.q.size());
+    if (e.landing < region_begin || end > region_end) {
+      std::ostringstream msg;
+      msg << name.str() << ": landing range [" << e.landing << ", " << end
+          << ") is not inside the receiving rank's ghost region ["
+          << region_begin << ", " << region_end << ")";
+      emit(msg.str());
     }
   }
 
-  // Cross-exchange auditability (LC010): a (q, slot) unpacked by two
-  // different exchanges makes CRC frame failures unattributable to a
-  // sender and the final ghost value order-dependent.
+  // Cross-exchange auditability (LC010): a slot two payloads land on makes
+  // CRC frame failures unattributable to a sender and the final value
+  // order-dependent.  The landing slots are flat indices, given as row 0.
+  std::vector<std::int64_t> landed;
+  for (const Exchange& e : exchanges_)
+    for (std::size_t k = 0; k < e.q.size(); ++k)
+      landed.push_back(e.landing + static_cast<std::int64_t>(k));
+  const std::vector<int> row0(landed.size(), 0);
   std::vector<analysis::ExchangeSlots> views;
-  views.reserve(exchanges_.size());
-  for (const Exchange& e : exchanges_) {
-    analysis::ExchangeSlots v;
-    v.src = e.src;
-    v.dst = e.dst;
-    v.q = e.q.data();
-    v.dst_local = e.dst_local.data();
-    v.count = static_cast<std::int64_t>(e.q.size());
-    views.push_back(v);
+  for (std::size_t x = 0, first = 0; x < exchanges_.size(); ++x) {
+    const Exchange& e = exchanges_[x];
+    views.push_back(analysis::ExchangeSlots{
+        e.src, e.dst, row0.data(), landed.data() + first,
+        static_cast<std::int64_t>(e.q.size())});
+    first += e.q.size();
   }
   std::vector<analysis::Diagnostic> audit =
       analysis::check_exchange_auditability(views);
@@ -1135,7 +1131,7 @@ lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
   HEMO_EXPECTS(global_index >= 0 && global_index < global_->size());
   const Rank r = partition_.owner[static_cast<std::size_t>(global_index)];
   const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  return lbm::moments_at(rs.current(), rs.local,
+  return lbm::moments_at(rs.current(), rs.owned,
                         local_of_[static_cast<std::size_t>(global_index)],
                         options_.body_force);
 }

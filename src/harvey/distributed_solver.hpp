@@ -1,9 +1,11 @@
 #pragma once
 // DistributedSolver: multi-rank LBM over the in-process message-passing
-// network.  Every rank owns a contiguous sub-lattice (from a Partition),
-// carries one layer of ghost points, and exchanges exactly the crossing
-// distribution values each step — the same halo pattern whose byte volumes
-// drive the paper's performance model (Section 6, Eq. 2).
+// network.  Every rank owns a contiguous sub-lattice (from a Partition)
+// and exchanges exactly the crossing distribution values each step — the
+// same halo pattern whose byte volumes drive the paper's performance model
+// (Section 6, Eq. 2).  A rank keeps what it receives in one ghost region
+// after its rows, each payload in wire order, so a receive is one copy and
+// a border point's slot table reads the region directly.
 //
 // The implementation is bit-identical to the single-domain reference
 // Solver, which the tests verify for a range of rank counts; the message
@@ -24,7 +26,7 @@
 // the halo exchange.  With the SDC sentinel on, a step that verifies its
 // input is two launches instead, with the verdict and the exchange between
 // them.  The first digests every tile's input, steps the interior tiles
-// (no point reads a ghost slot) from cache and packs every exchange's
+// (no point reads the ghost region) from cache and packs every exchange's
 // framed payload into a staging slot; the sentinel's verdict and the
 // snapshot then come before any halo message is sent, since the pack reads
 // the border points; the second launch, after the exchange, steps the
@@ -79,7 +81,8 @@ class DistributedSolver {
 
  public:
   /// Runs the pull pattern only: `options.propagation` must be kPullSoA.
-  /// AA in place would need halo slot maps keyed by the step parity.
+  /// AA in place would need AA's own exchange entries and, after each odd
+  /// step, a reverse send of the ghost region it wrote.
   DistributedSolver(std::shared_ptr<const lbm::SparseLattice> global,
                     decomp::Partition partition, lbm::SolverOptions options);
   ~DistributedSolver();
@@ -94,11 +97,11 @@ class DistributedSolver {
   /// Debug hook: statically validates the decomposed state before any
   /// time-stepping — global lattice consistency (hemo::analysis lattice
   /// checker), the partition, and the precomputed halo exchanges (pack
-  /// slots must be interior, unpack slots must be ghost slots, no slot
-  /// unpacked twice within an exchange; rule LC009), plus the cross-
-  /// exchange CRC-auditability check (rule LC010).  Returns every
-  /// diagnostic found; an empty vector means the solver state is safe to
-  /// step.
+  /// slots must be owned by the sender, and each payload must land inside
+  /// the receiver's ghost region; rule LC009), plus the cross-exchange
+  /// CRC-auditability check (no slot is landed on by two payloads; rule
+  /// LC010).  Returns every diagnostic found; an empty vector means the
+  /// solver state is safe to step.
   std::vector<analysis::Diagnostic> validate() const;
 
   int n_ranks() const { return partition_.n_ranks; }
@@ -179,22 +182,22 @@ class DistributedSolver {
   std::int64_t owned_count(Rank r) const;
 
  private:
-  /// One rank's sub-lattice.  Local slots [0, owned) are the rank's points
-  /// in the order build_decomposition() chose: its interior points, then
-  /// from first_border its border points (an upstream neighbour on another
-  /// rank), each group in ascending global index.  owned_global[li] and
-  /// local_of_ are inverses.  Slots [owned, local) are the ghosts, the
-  /// off-rank upstream neighbours in ascending global index.  Only border
-  /// points read ghosts, and since lattice links run both ways they are
-  /// also the points the exchanges pack.
+  /// One rank's sub-lattice.  Its arrays hold kQ rows of its `owned`
+  /// points, in the order build_decomposition() chose: its interior
+  /// points, then from first_border its border points (an upstream
+  /// neighbour on another rank), each group in ascending global index.
+  /// owned_global[li] and local_of_ are inverses.  After the rows comes the
+  /// ghost region: each inbound exchange's payload in exchanges_ order
+  /// (ascending source), entries in wire order.  Only border points read
+  /// the region, and since lattice links run both ways they are also the
+  /// points the exchanges pack.
   struct RankState {
     std::vector<PointIndex> owned_global;  // global index of local point i
-    std::vector<std::uint8_t> node_type;   // local
-    std::vector<double> f_a, f_b;
+    std::vector<std::uint8_t> node_type;   // per owned point
+    std::vector<double> f_a, f_b;          // rows, then the ghost region
     lbm::StepEngine engine;  // steps the owned points of f_a/f_b
-    std::int64_t owned = 0;  // owned points come first; ghosts after
+    std::int64_t owned = 0;  // points; the rows' stride
     std::int64_t first_border = 0;  // border points: [first_border, owned)
-    std::int64_t local = 0;  // owned + ghosts
 
     /// The post-collision state of the last completed step.
     double* current() const { return engine.live(); }
@@ -202,35 +205,39 @@ class DistributedSolver {
     double* spare() {
       return current() == f_a.data() ? f_b.data() : f_a.data();
     }
-    /// Values in one array: kQ * local.
-    std::size_t values() const { return f_a.size(); }
+    /// Values in the rows, kQ * owned; the ghost region starts here.
+    std::size_t row_values() const {
+      return lbm::kQ * static_cast<std::size_t>(owned);
+    }
   };
 
-  /// One direction of a halo exchange, precomputed: which local slots to
-  /// pack on the sender and unpack into on the receiver.
+  /// One direction of a halo exchange, precomputed: which slots to pack on
+  /// the sender, and where in the receiver's ghost region the payload
+  /// lands.
   struct Exchange {
     Rank src = 0;
     Rank dst = 0;
-    // Entry k: value f[q_k][src_local_k] -> f[q_k][dst_local_k].
+    // Entry k: the sender's f[q_k][src_local_k] -> the receiver's value
+    // landing + k.
     std::vector<int> q;
     std::vector<std::int64_t> src_local;
-    std::vector<std::int64_t> dst_local;
+    std::int64_t landing = 0;  // flat index into the receiver's arrays
   };
 
-  /// In-memory rollback target: the distribution state of every rank plus
-  /// the counters needed to replay from it.
+  /// In-memory rollback target: every rank's rows (each replay's exchange
+  /// refills the ghost regions) plus the counters needed to replay them.
   struct Snapshot {
     std::int64_t step = -1;
     double prev_mass = 0.0;
-    std::vector<std::vector<double>> state;  // per rank, kQ * local values
+    std::vector<std::vector<double>> state;  // per rank, its rows
   };
 
   /// One tile: owned points [begin, end) of a rank.  The tiles are the
   /// sentinel's (SentinelPolicy::tile_points), so one audit over them also
   /// yields every digest the sentinel records or verifies.  A border tile
-  /// holds a point that reads a ghost slot (end > first_border), so it can
-  /// be stepped only after the halo exchange; an interior tile reads owned
-  /// slots only.
+  /// holds a point that reads the ghost region (end > first_border), so it
+  /// can be stepped only after the halo exchange; an interior tile reads
+  /// owned slots only.
   struct TileSpan {
     Rank rank = 0;
     std::int64_t begin = 0;
@@ -265,8 +272,6 @@ class DistributedSolver {
     bool missing_only = true;
   };
 
-  /// Scatters e.q.size() values into exchange e's destination ghost slots.
-  void unpack(const Exchange& e, const double* values);
   void exchange_halos();
   /// One launch over the tiles of `pass`.  A stepped tile writes only its
   /// own rank's slots of its own points.  Under resilience its work-item
@@ -348,9 +353,9 @@ class DistributedSolver {
   void shrink_to_survivors(Rank dead);
 
   /// The one (rank, local) <-> global walk, over direction q: visit(slot,
-  /// g) for each owned slot of row q of the per-rank arrays (per_rank[r]
-  /// holding kQ x local values), rank by rank in local order, with g the
-  /// point's global index.  Ghost slots are not visited.
+  /// g) for each slot of row q of the per-rank arrays (per_rank[r] holding
+  /// kQ rows of owned values), rank by rank in local order, with g the
+  /// point's global index.  The ghost region is not visited.
   template <class Visit>
   void walk_row(std::span<double* const> per_rank, int q, Visit visit) const;
   /// Each rank's live array, by rank.

@@ -12,11 +12,10 @@ namespace {
 [[gnu::always_inline]] inline void pull_point(const BulkArgs& b,
                                               std::size_t i) {
   const auto n = static_cast<std::size_t>(b.k.n);
-  const auto rows = static_cast<std::size_t>(b.rows);
   double f[kQ];
   #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q)
-    f[q] = b.k.f_in[b.slots[static_cast<std::size_t>(q) * rows + i]];
+    f[q] = b.k.f_in[b.slots[static_cast<std::size_t>(q) * n + i]];
   const Moments m = moments_of(f, b.k.force_x, b.k.force_y, b.k.force_z);
   double out[kQ];
   bgk_collide(f, m, b.k.omega, b.k.force_x, b.k.force_y, b.k.force_z, out);
@@ -42,12 +41,12 @@ namespace {
 
 [[gnu::always_inline]] inline void aa_odd_point(const BulkArgs& b,
                                                 std::size_t i) {
-  const auto rows = static_cast<std::size_t>(b.rows);
+  const auto n = static_cast<std::size_t>(b.k.n);
   Slot at[kQ];
   double f[kQ];
   #pragma GCC unroll 19
   for (int q = 0; q < kQ; ++q) {
-    at[q] = b.slots[static_cast<std::size_t>(q) * rows + i];
+    at[q] = b.slots[static_cast<std::size_t>(q) * n + i];
     f[q] = b.k.f[at[q]];
   }
   const Moments m = moments_of(f, b.k.force_x, b.k.force_y, b.k.force_z);

@@ -20,18 +20,18 @@
 
 namespace hemo::lbm {
 
-/// A flat index into a q-major SoA distribution array: q * stride + point.
+/// A flat index into a q-major SoA distribution array: q * n + point, or
+/// kQ * n + k for value k of the region after the rows.
 /// Half the width of PointIndex, so a 32-bit table moves half the bytes of
-/// the int64 adjacency; valid while kQ * stride < 2^31, which StepEngine
-/// checks when it builds its tables.
+/// the int64 adjacency; valid while every flat index is below 2^31, which
+/// StepEngine checks when it builds its tables.
 using Slot = std::int32_t;
 
 /// Arguments of a bulk loop: the kernel arguments (arrays of row stride
-/// k.n, relaxation, force) plus the engine's slot table.
+/// k.n, relaxation, force) plus the engine's slot table, kQ rows of k.n.
 struct BulkArgs {
   KernelArgs k;
-  const Slot* slots = nullptr;  // kQ * rows, q-major
-  std::int64_t rows = 0;        // points per table row
+  const Slot* slots = nullptr;  // kQ * k.n, q-major
 };
 
 /// Updates every point of [lo, hi); each one must be a kBulk point.

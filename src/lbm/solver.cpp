@@ -27,7 +27,7 @@ Solver::Solver(std::shared_ptr<const SparseLattice> lattice,
       {buf_a_.data(), aa ? nullptr : buf_b_.data(),
        lattice_->adjacency().data(),
        reinterpret_cast<const std::uint8_t*>(lattice_->node_types().data()),
-       lattice_->size(), lattice_->size()});
+       lattice_->size()});
   engine_.fill_equilibrium(options_);
 }
 

@@ -12,9 +12,9 @@
 namespace hemo::lbm {
 namespace {
 
-/// Flat index of row q, column i in a q-major array of `rows`-long rows.
-std::size_t flat(int q, std::int64_t rows, std::int64_t i) {
-  return static_cast<std::size_t>(q) * static_cast<std::size_t>(rows) +
+/// Flat index of row q, column i in a q-major array of n-long rows.
+std::size_t flat(int q, std::int64_t n, std::int64_t i) {
+  return static_cast<std::size_t>(q) * static_cast<std::size_t>(n) +
          static_cast<std::size_t>(i);
 }
 
@@ -26,7 +26,7 @@ std::uint32_t wall_mask(const BulkArgs& b, bool aa, std::int64_t i) {
   #pragma GCC unroll 19
   for (int q = 1; q < kQ; ++q) {
     const auto own = static_cast<Slot>(flat(aa ? q : opposite(q), b.k.n, i));
-    if (b.slots[flat(q, b.rows, i)] == own) walls |= 1u << q;
+    if (b.slots[flat(q, b.k.n, i)] == own) walls |= 1u << q;
   }
   return walls;
 }
@@ -75,7 +75,7 @@ void pull_reference_point(const BulkArgs& b, std::int64_t i) {
   PointFrame frame(b, wall_mask(b, /*aa=*/false, i), i);
   for (int q = 0; q < kQ; ++q) {
     frame.f[PointFrame::self(q)] = b.k.f_in[flat(q, b.k.n, i)];
-    frame.f[PointFrame::upstream(q)] = b.k.f_in[b.slots[flat(q, b.rows, i)]];
+    frame.f[PointFrame::upstream(q)] = b.k.f_in[b.slots[flat(q, b.k.n, i)]];
   }
   stream_collide_point(frame.args(b.k), PointFrame::kSelf);
   for (int q = 0; q < kQ; ++q)
@@ -101,7 +101,7 @@ void aa_odd_reference_point(const BulkArgs& b, std::int64_t i) {
     if (walls & (1u << q))
       frame.f[PointFrame::self(q)] = b.k.f[flat(q, b.k.n, i)];
     frame.f[PointFrame::upstream(opposite(q))] =
-        b.k.f[b.slots[flat(q, b.rows, i)]];
+        b.k.f[b.slots[flat(q, b.k.n, i)]];
   }
   stream_collide_point_aa_odd(frame.args(b.k), PointFrame::kSelf);
   // Result q went to the downstream's straight slot, or at a wall
@@ -109,7 +109,7 @@ void aa_odd_reference_point(const BulkArgs& b, std::int64_t i) {
   // home on the lattice is slots[opposite(q)][i] either way.
   for (int q = 0; q < kQ; ++q) {
     const int o = opposite(q);
-    b.k.f[b.slots[flat(o, b.rows, i)]] =
+    b.k.f[b.slots[flat(o, b.k.n, i)]] =
         walls & (1u << o) ? frame.f[PointFrame::self(o)]
                           : frame.f[PointFrame::upstream(q)];
   }
@@ -123,28 +123,27 @@ StepEngine::StepEngine(Propagation pattern, const StepStorage& storage,
       f_(storage.f_a),
       spare_(storage.f_b),
       node_type_(storage.node_type),
-      n_(storage.n),
-      stride_(storage.stride) {
-  HEMO_EXPECTS(n_ >= 0 && n_ <= stride_);
+      n_(storage.n) {
+  HEMO_EXPECTS(n_ >= 0 && storage.region >= 0);
   HEMO_EXPECTS(pattern_ == Propagation::kAAInPlace || spare_ != nullptr ||
-               stride_ == 0);  // pull needs its second buffer
-  HEMO_EXPECTS(pattern_ == Propagation::kPullSoA || n_ == stride_);
-  // Every flat index q * stride + i must fit a 32-bit Slot.
-  HEMO_EXPECTS(static_cast<std::int64_t>(kQ) * stride_ <=
-               std::numeric_limits<Slot>::max());
+               n_ == 0);  // pull needs its second buffer
+  // Every flat index, q * n + i in a row or kQ * n + k in the region, must
+  // fit a 32-bit Slot.
+  HEMO_EXPECTS(kQ * n_ + storage.region <= std::numeric_limits<Slot>::max());
   HEMO_EXPECTS(bulk_isa_supported(isa));
   bulk_ = &bulk_kernels(isa);
 
   const bool aa = pattern_ == Propagation::kAAInPlace;
-  slots_.resize(static_cast<std::size_t>(kQ) * static_cast<std::size_t>(n_));
+  const std::size_t region_start = flat(kQ, n_, 0);
+  slots_.resize(region_start);
   for (int q = 0; q < kQ; ++q) {
     const int o = opposite(q);
     for (std::int64_t i = 0; i < n_; ++i) {
-      const PointIndex up = storage.adjacency[flat(q, stride_, i)];
-      const bool wall = up == kSolidNeighbor;
+      const PointIndex up = storage.adjacency[flat(q, n_, i)];
       const std::size_t slot =
-          aa ? (wall ? flat(q, stride_, i) : flat(o, stride_, up))
-             : (wall ? flat(o, stride_, i) : flat(q, stride_, up));
+          up == kSolidNeighbor ? flat(aa ? q : o, n_, i)
+          : up < n_ ? flat(aa ? o : q, n_, up)
+                    : region_start + static_cast<std::size_t>(up - n_);
       slots_[flat(q, n_, i)] = static_cast<Slot>(slot);
     }
   }
@@ -166,7 +165,7 @@ KernelArgs StepEngine::args(const SolverOptions& o) const {
   a.f_out = spare_;
   a.f = f_;
   a.node_type = node_type_;
-  a.n = stride_;
+  a.n = n_;
   a.omega = 1.0 / o.tau;
   a.force_x = o.body_force.x;
   a.force_y = o.body_force.y;
@@ -177,7 +176,7 @@ KernelArgs StepEngine::args(const SolverOptions& o) const {
 }
 
 BulkArgs StepEngine::bulk_args(const SolverOptions& o) const {
-  return BulkArgs{args(o), slots_.data(), n_};
+  return BulkArgs{args(o), slots_.data()};
 }
 
 void StepEngine::fill_equilibrium(const SolverOptions& o,
@@ -194,11 +193,11 @@ void StepEngine::fill_equilibrium(const SolverOptions& o,
   const bool aa = pattern_ == Propagation::kAAInPlace;
   double* f = f_;
   const Slot* slots = slots_.data();
-  const auto stride = static_cast<std::size_t>(stride_);
-  hal::launch(model, stride_, [=](std::int64_t i) {
+  const auto n = static_cast<std::size_t>(n_);
+  hal::launch(model, n_, [=](std::int64_t i) {
     #pragma GCC unroll 19
     for (int q = 0; q < kQ; ++q) {
-      const std::size_t at = static_cast<std::size_t>(q) * stride +
+      const std::size_t at = static_cast<std::size_t>(q) * n +
                              static_cast<std::size_t>(i);
       f[at] = aa && static_cast<std::size_t>(slots[at]) == at
                   ? feq[opposite(q)]

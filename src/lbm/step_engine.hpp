@@ -2,7 +2,7 @@
 // StepEngine: the one stream-collide time step under all three solver
 // front-ends — lbm::Solver (host vectors), harvey::DeviceSolver (device
 // allocations) and every rank of harvey::DistributedSolver (host vectors
-// with ghost slots).  The layering is
+// with a region of received halo values after the rows).  The layering is
 //
 //   hal::launch      how a dialect launches a kernel        (hal/launch.hpp)
 //   lbm::StepEngine  which kernel runs, on which arrays, with which args
@@ -20,10 +20,11 @@
 // wall bounce-back folded in, and a list of the inlet/outlet (Zou-He)
 // points:
 //
-//   pull     slots[q][i] = q * stride + up            up = adjacency[q][i]
-//                        = opposite(q) * stride + i   at a wall
-//   AA       slots[q][i] = opposite(q) * stride + up  (the odd step's read)
-//                        = q * stride + i             at a wall
+//   pull     slots[q][i] = q * n + up            up = adjacency[q][i]
+//                        = opposite(q) * n + i   at a wall
+//   AA       slots[q][i] = opposite(q) * n + up  (the odd step's read)
+//                        = q * n + i             at a wall
+//   either   slots[q][i] = kQ * n + (up - n)     up >= n: region value
 //
 // The AA odd step writes result q to slots[opposite(q)][i], the very slot
 // it read direction opposite(q) from, so one table serves its reads and
@@ -69,31 +70,33 @@ struct SolverOptions {
 /// Points per work-item of a step launch.
 inline constexpr std::int64_t kStepBlock = 256;
 
-/// The arrays an engine steps.  Distributions are q-major SoA with row
-/// stride `stride`; the first `n` points are updated, the rest (a rank's
-/// ghost points) are only read.  AA steps every point it holds (n ==
-/// stride).
+/// The arrays an engine steps.  Distributions are q-major SoA: kQ rows of
+/// the `n` points, which every step updates, then `region` values past the
+/// rows that are only read (a rank's received halo values, filled by its
+/// front-end).  An adjacency entry up >= n names region value up - n.
 struct StepStorage {
   double* f_a = nullptr;  // pull: the initial current buffer; AA: the array
   double* f_b = nullptr;  // pull: the second buffer; AA: unused, null
-  const PointIndex* adjacency = nullptr;    // kQ * stride, q-major; read by
-                                            // the constructor only
+  const PointIndex* adjacency = nullptr;    // kQ * n, q-major; read by the
+                                            // constructor only
   const std::uint8_t* node_type = nullptr;  // NodeType per point
   std::int64_t n = 0;
-  std::int64_t stride = 0;
+  std::int64_t region = 0;
 };
 
 class StepEngine {
  public:
   StepEngine() = default;
   /// Builds the slot table and the Zou-He list.  Requires
-  /// kQ * stride < 2^31, so every slot fits a 32-bit Slot.  The bulk loops
-  /// run the `isa` build; it defaults to the widest this CPU supports.
+  /// kQ * n + region < 2^31, so every slot fits a 32-bit Slot.  The bulk
+  /// loops run the `isa` build; it defaults to the widest this CPU
+  /// supports.
   StepEngine(Propagation pattern, const StepStorage& storage,
              BulkIsa isa = native_bulk_isa());
 
-  /// Fills every slot of the live array with the uniform equilibrium of
-  /// the options' initial density and velocity, laid out for step 0.
+  /// Fills the rows of the live array with the uniform equilibrium of the
+  /// options' initial density and velocity, laid out for step 0.  The
+  /// region is the front-end's to fill.
   void fill_equilibrium(const SolverOptions& options,
                         std::optional<hal::Model> model = std::nullopt);
 
@@ -146,10 +149,10 @@ class StepEngine {
             std::optional<hal::Model> model = std::nullopt);
 
   /// Pull only: recomputes the last step over points [begin, end) into
-  /// `out` (same stride), from its input, which survives in the second
-  /// buffer.  The SDC sentinel's duplicate re-execution; it runs the
-  /// per-point reference kernel on every point, so it stays a different
-  /// implementation from the bulk loop it checks.
+  /// `out` (kQ rows of n), from its input, which survives, region
+  /// included, in the second buffer.  The SDC sentinel's duplicate
+  /// re-execution; it runs the per-point reference kernel on every point,
+  /// so it stays a different implementation from the bulk loop it checks.
   void recompute_range(const SolverOptions& options, std::int64_t begin,
                        std::int64_t end, double* out) const;
 
@@ -176,7 +179,6 @@ class StepEngine {
   double* spare_ = nullptr;
   const std::uint8_t* node_type_ = nullptr;
   std::int64_t n_ = 0;
-  std::int64_t stride_ = 0;
   std::int64_t steps_ = 0;
   const BulkKernels* bulk_ = nullptr;
   std::vector<Slot> slots_;  // kQ * n, q-major (see the header comment)

@@ -50,8 +50,7 @@ struct TileDigest {
 };
 
 /// Digest of points [begin, end) of a live SoA array with q-row stride
-/// `stride` (the distributed solver's rank-local point count, ghosts
-/// included).
+/// `stride` (the distributed solver's count of a rank's owned points).
 inline TileDigest tile_digest(const double* f, std::int64_t stride,
                               std::int64_t begin, std::int64_t end) {
   constexpr std::uint64_t kFnvPrime = 1099511628211ull;

@@ -33,13 +33,13 @@
 // after, while the tile is still in cache, and the solver records the
 // digests once the guards have passed.  The verify digests ride in a step
 // launch too: on a verifying step the first launch digests each tile's
-// input and then steps the tile if no point of it reads a ghost slot; the
-// verdict comes before the halo exchange, and the tiles that read ghosts
-// are stepped after it.
+// input and then steps the tile if no point of it reads the ghost region;
+// the verdict comes before the halo exchange, and the tiles that read the
+// region are stepped after it.
 //
-// The digests cover a rank's owned points only.  Ghost slots are
-// legitimately rewritten by every halo exchange (and are CRC-framed on
-// the wire already), so including them would turn every exchange into a
+// The digests cover a rank's owned rows only.  The ghost region after
+// them is legitimately rewritten by every halo exchange (and is CRC-framed
+// on the wire already), so including it would turn every exchange into a
 // false detection.
 
 #include <cstddef>

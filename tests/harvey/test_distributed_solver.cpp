@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -12,6 +14,8 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/diagnostics.hpp"
+#include "comm/network.hpp"
 #include "decomp/partition.hpp"
 #include "geom/aorta.hpp"
 #include "geom/cylinder.hpp"
@@ -22,6 +26,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
+#include "recording_network.hpp"
 #include "solver_peer.hpp"
 
 namespace decomp = hemo::decomp;
@@ -250,6 +255,183 @@ TEST(DistributedSolver, BorderPointsAreEachRanksContiguousTail) {
   ASSERT_EQ(solver.resilience_stats().shrinks, 1);
   ASSERT_EQ(solver.owned_count(3), 0);
   expect_border_tail(*lattice, solver, "bisection, after a shrink");
+}
+
+namespace {
+
+/// Each rank's ghost region holds its inbound payloads back to back: the
+/// exchanges into the rank land in ascending source order on disjoint,
+/// contiguous ranges that tile the region exactly.  Then one step on the
+/// recording network: each range of the step's input equals the payload
+/// sent for that exchange, less its CRC word when `framed`.
+void expect_region_in_wire_order(DistributedSolver& solver,
+                                 const hemo::harvey::RecordingNetwork& network,
+                                 bool framed, const std::string& label) {
+  using hemo::harvey::DistributedSolverPeer;
+  const std::vector<DistributedSolverPeer::Exchange> exchanges =
+      DistributedSolverPeer::exchanges(solver);
+  for (hemo::Rank r = 0; r < solver.n_ranks(); ++r) {
+    const std::string at = label + ", rank " + std::to_string(r);
+    std::int64_t next = DistributedSolverPeer::region_begin(solver, r);
+    EXPECT_EQ(next, lbm::kQ * solver.owned_count(r)) << at;
+    hemo::Rank last_src = -1;
+    for (const DistributedSolverPeer::Exchange& x : exchanges) {
+      if (x.dst != r) continue;
+      EXPECT_GT(x.src, last_src) << at;
+      EXPECT_EQ(x.landing, next) << at << ", from rank " << x.src;
+      last_src = x.src;
+      next += static_cast<std::int64_t>(x.q.size());
+    }
+    EXPECT_EQ(next, DistributedSolverPeer::region_end(solver, r)) << at;
+  }
+
+  const std::size_t first = network.sent.size();
+  const std::int64_t step = solver.step_count();
+  solver.step();
+  ASSERT_EQ(solver.step_count(), step + 1) << label;
+  for (const DistributedSolverPeer::Exchange& x : exchanges) {
+    const std::string at = label + ", exchange " + std::to_string(x.src) +
+                           " -> " + std::to_string(x.dst);
+    // A retransmission, if any, is byte-equal to the first send.
+    const auto sent = std::find_if(
+        network.sent.rbegin(),
+        std::make_reverse_iterator(network.sent.begin() +
+                                   static_cast<std::ptrdiff_t>(first)),
+        [&](const hemo::harvey::RecordingNetwork::Sent& m) {
+          return m.src == x.src && m.dst == x.dst;
+        });
+    ASSERT_NE(sent.base(), network.sent.begin() +
+                               static_cast<std::ptrdiff_t>(first))
+        << at;
+    ASSERT_EQ(sent->payload.size(), x.q.size() + (framed ? 1 : 0)) << at;
+    const double* landed =
+        DistributedSolverPeer::step_input(solver, x.dst) + x.landing;
+    EXPECT_EQ(std::memcmp(landed, sent->payload.data(),
+                          x.q.size() * sizeof(double)),
+              0)
+        << at;
+  }
+}
+
+}  // namespace
+
+TEST(DistributedSolver, GhostRegionHoldsEachPayloadInWireOrder) {
+  using hemo::harvey::RecordingNetwork;
+  auto lattice = cylinder_workload();
+  for (const int ranks : {2, 5, 8}) {
+    for (const bool slab : {true, false}) {
+      const std::string label = std::string(slab ? "slab, " : "bisection, ") +
+                                std::to_string(ranks) + " ranks";
+      DistributedSolver solver(
+          lattice,
+          slab ? decomp::slab_partition(*lattice, ranks)
+               : decomp::bisection_partition(*lattice, ranks),
+          flow_options());
+      auto owned = std::make_unique<RecordingNetwork>(
+          std::make_unique<hemo::comm::Network>(ranks));
+      const RecordingNetwork& network = *owned;
+      solver.set_network(std::move(owned));
+      expect_region_in_wire_order(solver, network, /*framed=*/false, label);
+      expect_region_in_wire_order(solver, network, /*framed=*/false,
+                                  label + ", second step");
+    }
+  }
+
+  // A rank killed mid-run: the shrink lays the survivors' regions out
+  // anew, and the resilient exchange lands framed payloads without the
+  // CRC word.
+  constexpr int kRanks = 5;
+  DistributedSolver solver(
+      lattice, decomp::bisection_partition(*lattice, kRanks), flow_options());
+  resilience::FaultPlan plan;
+  plan.kill_rank(3, /*step=*/4);
+  auto owned = std::make_unique<RecordingNetwork>(
+      std::make_unique<resilience::FaultyNetwork>(kRanks, std::move(plan)));
+  const RecordingNetwork& network = *owned;
+  solver.set_network(std::move(owned));
+  resilience::Options options;
+  options.shrink.enabled = true;
+  options.sentinel.enabled = true;
+  solver.enable_resilience(options);
+  expect_region_in_wire_order(solver, network, /*framed=*/true,
+                              "bisection, before the kill");
+  solver.run(12);
+  ASSERT_EQ(solver.resilience_stats().shrinks, 1);
+  ASSERT_EQ(solver.owned_count(3), 0);
+  expect_region_in_wire_order(solver, network, /*framed=*/true,
+                              "bisection, after a shrink");
+}
+
+namespace {
+
+std::size_t count_rule(const std::vector<hemo::analysis::Diagnostic>& diags,
+                       const std::string& rule) {
+  return static_cast<std::size_t>(std::count_if(
+      diags.begin(), diags.end(),
+      [&](const hemo::analysis::Diagnostic& d) { return d.rule_id == rule; }));
+}
+
+}  // namespace
+
+// validate()'s own halo checks, on seeded faults in the landing offsets:
+// LC009 fires for a payload that lands on the receiving rank's rows or
+// runs past its region, LC010 for two payloads that land on one slot.
+TEST(DistributedSolver, ValidateFlagsLandingRangesOffTheGhostRegion) {
+  using hemo::harvey::DistributedSolverPeer;
+  auto lattice = cylinder_workload();
+  DistributedSolver solver(lattice, decomp::bisection_partition(*lattice, 5),
+                           flow_options());
+  EXPECT_TRUE(solver.validate().empty());
+
+  const std::vector<DistributedSolverPeer::Exchange> exchanges =
+      DistributedSolverPeer::exchanges(solver);
+  // An exchange whose receiver has an earlier inbound exchange: x lands
+  // right after `before` in the region.
+  std::size_t x = 0, before = 0;
+  for (std::size_t k = 0; k < exchanges.size() && x == 0; ++k)
+    for (std::size_t j = 0; j < exchanges.size(); ++j)
+      if (exchanges[j].dst == exchanges[k].dst &&
+          exchanges[j].src < exchanges[k].src &&
+          exchanges[j].landing + static_cast<std::int64_t>(
+                                     exchanges[j].q.size()) ==
+              exchanges[k].landing) {
+        x = k;
+        before = j;
+      }
+  ASSERT_NE(x, 0u);
+  const DistributedSolverPeer::Exchange& e = exchanges[x];
+  const auto size = static_cast<std::int64_t>(e.q.size());
+
+  // Onto the receiver's rows.
+  DistributedSolverPeer::set_landing(solver, x, 0);
+  std::vector<hemo::analysis::Diagnostic> diags = solver.validate();
+  EXPECT_EQ(count_rule(diags, "LC009"), 1u);
+  EXPECT_EQ(count_rule(diags, "LC010"), 0u);
+
+  // Past the end of the region.
+  DistributedSolverPeer::set_landing(
+      solver, x, DistributedSolverPeer::region_end(solver, e.dst) - size + 1);
+  diags = solver.validate();
+  EXPECT_EQ(count_rule(diags, "LC009"), 1u);
+
+  // One value back: its first value lands on `before`'s last.
+  DistributedSolverPeer::set_landing(solver, x, e.landing - 1);
+  diags = solver.validate();
+  EXPECT_EQ(count_rule(diags, "LC009"), 0u);
+  ASSERT_EQ(count_rule(diags, "LC010"), 1u);
+  const std::string message =
+      std::find_if(diags.begin(), diags.end(),
+                   [](const hemo::analysis::Diagnostic& d) {
+                     return d.rule_id == "LC010";
+                   })
+          ->message;
+  EXPECT_NE(message.find("exchanges " + std::to_string(exchanges[before].src) +
+                         " -> " + std::to_string(e.dst)),
+            std::string::npos)
+      << message;
+
+  DistributedSolverPeer::set_landing(solver, x, e.landing);
+  EXPECT_TRUE(solver.validate().empty());
 }
 
 TEST(DistributedSolver, GlobalMomentsAgreeWithReference) {

@@ -28,6 +28,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/faulty_network.hpp"
 #include "resilience/policy.hpp"
+#include "recording_network.hpp"
 #include "solver_peer.hpp"
 
 namespace decomp = hemo::decomp;
@@ -38,6 +39,7 @@ namespace resilience = hemo::resilience;
 using hemo::Rank;
 using hemo::harvey::DistributedSolver;
 using hemo::harvey::DistributedSolverPeer;
+using hemo::harvey::RecordingNetwork;
 
 namespace {
 
@@ -555,44 +557,6 @@ TEST(SentinelSolver, SeededSdcCampaignMatchesGoldenRunStats) {
 // wire carries must be exactly what a pack of the step's input would give.
 
 namespace {
-
-/// Forwards every call to an inner network and records every payload the
-/// solver sends, with the step it was sent in, before the inner network
-/// (which may damage it) sees it.
-class RecordingNetwork : public hemo::comm::Network {
- public:
-  explicit RecordingNetwork(std::unique_ptr<hemo::comm::Network> inner)
-      : Network(inner->n_ranks()), inner_(std::move(inner)) {}
-  struct Sent {
-    std::int64_t step;
-    Rank src;
-    Rank dst;
-    std::vector<double> payload;
-  };
-  void begin_step(std::int64_t step) override {
-    step_ = step;
-    inner_->begin_step(step);
-  }
-  void send(Rank src, Rank dst, std::vector<double> payload) override {
-    sent.push_back(Sent{step_, src, dst, payload});
-    inner_->send(src, dst, std::move(payload));
-  }
-  using Network::receive;
-  std::vector<double> receive(Rank dst, Rank src) override {
-    return inner_->receive(dst, src);
-  }
-  std::int64_t pending(Rank dst, Rank src) const override {
-    return inner_->pending(dst, src);
-  }
-  bool drained() const override { return inner_->drained(); }
-  void reset() override { inner_->reset(); }
-
-  std::vector<Sent> sent;
-
- private:
-  std::unique_ptr<hemo::comm::Network> inner_;
-  std::int64_t step_ = -1;
-};
 
 /// Exchange x's values gathered from a global_distributions() state,
 /// followed by their CRC-32 frame word.

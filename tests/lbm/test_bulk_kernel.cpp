@@ -173,8 +173,7 @@ void expect_engine_matches_reference(const Workload& w,
   lbm::StepEngine engine(
       pattern,
       {f_a.data(), aa ? nullptr : f_b.data(), lattice.adjacency().data(),
-       reinterpret_cast<const std::uint8_t*>(lattice.node_types().data()), n,
-       n},
+       reinterpret_cast<const std::uint8_t*>(lattice.node_types().data()), n},
       isa);
   engine.fill_equilibrium(options, model);
   Reference reference(lattice, options);
@@ -237,7 +236,7 @@ void expect_loops_match_reference(lbm::BulkIsa isa) {
         pattern,
         {f.data(), aa ? nullptr : out.data(), lattice->adjacency().data(),
          reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()),
-         n, n},
+         n},
         isa);
     engine.fill_equilibrium(options);
     // A non-uniform state, so every gathered value matters.
@@ -268,7 +267,7 @@ void expect_loops_match_reference(lbm::BulkIsa isa) {
     const auto sweep = [&](const lbm::KernelArgs& args, bool bulk, int parity) {
       for (const auto& [lo, hi] : runs) {
         if (bulk) {
-          const lbm::BulkArgs run{args, slots.data(), n};
+          const lbm::BulkArgs run{args, slots.data()};
           (aa ? (parity == 0 ? loops.aa_even : loops.aa_odd) : loops.pull)(
               run, lo, hi);
           continue;
@@ -380,8 +379,7 @@ TEST(BulkKernel, OneLaunchOfBlocksPerStep) {
   lbm::StepEngine engine(
       lbm::Propagation::kPullSoA,
       {f_a.data(), f_b.data(), lattice->adjacency().data(),
-       reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()), n,
-       n});
+       reinterpret_cast<const std::uint8_t*>(lattice->node_types().data()), n});
   const lbm::SolverOptions options = driven();
   hal::DeviceEngine& device = hal::DeviceEngine::instance();
 
@@ -428,7 +426,7 @@ TEST(BulkKernel, RangeEntryOverAnySpansMatchesBlockStep) {
       const lbm::StepStorage storage{
           nullptr, nullptr, lattice.adjacency().data(),
           reinterpret_cast<const std::uint8_t*>(lattice.node_types().data()),
-          n, n};
+          n};
       std::vector<double> blocks_a(static_cast<std::size_t>(lbm::kQ) *
                                    static_cast<std::size_t>(n));
       std::vector<double> blocks_b(aa ? 0 : blocks_a.size());
@@ -460,16 +458,40 @@ TEST(BulkKernel, RangeEntryOverAnySpansMatchesBlockStep) {
   }
 }
 
-TEST(BulkKernel, SlotTablesNeedKQTimesStrideBelow2To31) {
-  // n = 0: only the precondition is exercised, nothing is read.
+TEST(BulkKernel, SlotTablesNeedKQTimesNPlusRegionBelow2To31) {
+  // Every flat index, q * n + i in a row or kQ * n + k in the region, is a
+  // 32-bit Slot.  A one-point lattice with walls all round keeps the table
+  // at kQ entries while the region runs up to the limit; the outside cases
+  // die on the precondition before anything is allocated or read.
   double dummy = 0.0;
-  const std::int64_t widest =
-      std::numeric_limits<lbm::Slot>::max() / lbm::kQ;
-  lbm::StepEngine fits(lbm::Propagation::kPullSoA,
-                       {&dummy, &dummy, nullptr, nullptr, 0, widest});
-  EXPECT_EQ(fits.steps_done(), 0);
+  const std::vector<hemo::PointIndex> walls(lbm::kQ, hemo::kSolidNeighbor);
+  const auto bulk = static_cast<std::uint8_t>(lbm::NodeType::kBulk);
+  const std::int64_t max = std::numeric_limits<lbm::Slot>::max();
+  const std::int64_t widest = max / lbm::kQ;
+  const auto storage = [&](std::int64_t n, std::int64_t region) {
+    return lbm::StepStorage{&dummy, &dummy, walls.data(), &bulk, n, region};
+  };
+
+  // region: all of the range, and one value past it.
+  lbm::StepEngine region_fits(lbm::Propagation::kPullSoA, storage(0, max));
+  EXPECT_EQ(region_fits.steps_done(), 0);
   EXPECT_DEATH(lbm::StepEngine(lbm::Propagation::kPullSoA,
-                               {&dummy, &dummy, nullptr, nullptr, 0,
-                                widest + 1}),
+                               storage(0, max + 1)),
+               "Precondition");
+  // n and region together: kQ * n + region at the limit, and one past it.
+  lbm::StepEngine both_fit(lbm::Propagation::kPullSoA,
+                           storage(1, max - lbm::kQ));
+  EXPECT_EQ(both_fit.steps_done(), 0);
+  EXPECT_DEATH(lbm::StepEngine(lbm::Propagation::kPullSoA,
+                               storage(1, max - lbm::kQ + 1)),
+               "Precondition");
+  // n: the widest n leaves kQ * widest + max % kQ below the limit; one
+  // point more does not fit even with no region.  The widest table itself
+  // (2^31 slots) is not built here.
+  EXPECT_DEATH(lbm::StepEngine(lbm::Propagation::kPullSoA,
+                               storage(widest, max % lbm::kQ + 1)),
+               "Precondition");
+  EXPECT_DEATH(lbm::StepEngine(lbm::Propagation::kPullSoA,
+                               storage(widest + 1, 0)),
                "Precondition");
 }
